@@ -60,6 +60,7 @@ from .control import (
     DegenerateTransversalityError,
     FixedSchedule,
     PmpReport,
+    ScheduleWindowError,
     TimeLocalOptimal,
     constant_restore_frequency,
     costate_along,

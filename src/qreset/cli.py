@@ -30,6 +30,7 @@ import numpy as np
 from .control import (
     ConstantAtPeak,
     FixedSchedule,
+    ScheduleWindowError,
     TimeLocalOptimal,
     schedule_from_csv,
     schedule_to_csv,
@@ -230,6 +231,8 @@ class Scenario:
                     return schedule_from_csv(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read schedule: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"invalid schedule {path}: {exc}") from None
         raise ConfigError(
             f"control must be 'time_local', 'constant' or 'schedule:<path>',"
             f" got {self.control!r}"
@@ -248,6 +251,11 @@ class Scenario:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         law = self.build_law(base_dir)
+        if isinstance(law, FixedSchedule):
+            try:
+                law.check_window(bounds)
+            except ScheduleWindowError as exc:
+                raise ConfigError(str(exc)) from None
         return model, env, bounds, law, self.numerics.to_numerics()
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "ControlLaw",
     "NoDescentError",
     "DegenerateTransversalityError",
+    "ScheduleWindowError",
     "CostateTrajectory",
     "PmpReport",
     "optimal_frequency",
@@ -63,6 +64,10 @@ REFINE_TOL_GHZ = 1.0e-9
 
 class DegenerateTransversalityError(RuntimeError):
     """Terminal rate times terminal gap vanishes; the costate is undefined."""
+
+
+class ScheduleWindowError(ValueError):
+    """A fixed schedule holds a frequency that is non-finite or outside the window."""
 
 
 def _objective(
@@ -274,6 +279,15 @@ class FixedSchedule:
     def from_trajectory(cls, trajectory: Trajectory) -> "FixedSchedule":
         return cls(trajectory.schedule())
 
+    def check_window(self, bounds: ControlBounds) -> None:
+        """Raise ``ScheduleWindowError`` unless every frequency lies in the window."""
+        for t, f in self.breakpoints:
+            if not bounds.f_min_ghz <= f <= bounds.f_max_ghz:
+                raise ScheduleWindowError(
+                    f"schedule frequency {f!r} GHz at t={t!r} us is outside the"
+                    f" control window [{bounds.f_min_ghz!r}, {bounds.f_max_ghz!r}] GHz"
+                )
+
     def bind(
         self,
         model: SpectrumModel,
@@ -281,6 +295,7 @@ class FixedSchedule:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_ScheduleRuntime":
+        self.check_window(bounds)
         return _ScheduleRuntime(self.breakpoints)
 
 

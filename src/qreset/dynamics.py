@@ -53,6 +53,8 @@ class QubitState:
     def __post_init__(self) -> None:
         if not -_POSITIVITY_TOL <= self.p_e <= 1.0 + _POSITIVITY_TOL:
             raise ValueError(f"p_e must lie in [0, 1], got {self.p_e!r}")
+        if not (math.isfinite(self.p_r) and math.isfinite(self.p_i)):
+            raise ValueError(f"coherence must be finite, got ({self.p_r!r}, {self.p_i!r})")
         radius = self.p_r * self.p_r + self.p_i * self.p_i
         if radius > self.p_e * (1.0 - self.p_e) + _POSITIVITY_TOL:
             raise ValueError(
@@ -71,8 +73,7 @@ class Numerics:
 
     ``step_log_bound`` caps the per-step decay of ``ln(p_e - p_eq)``;
     ``control_drift_ghz`` caps how far the control may move per step
-    (default: 1/16 of the scan-grid resolution, tight enough that the
-    trapezoidal rate integrals agree with the exact staircase to ~1e-5).
+    (default: 1/16 of the scan-grid resolution).
     """
 
     step_log_bound: float = 0.05
@@ -145,11 +146,9 @@ class Trajectory:
         )
 
     def cumulative_rate_integral(self) -> np.ndarray:
-        """Trapezoidal cumulative integral of the recorded rates."""
+        """Exact accumulated rate ``sum_k rate_k dt_k`` at every sample time."""
         if self._cum_rate is None:
-            dt = np.diff(self.t_us)
-            mids = 0.5 * (self.rate_per_us[1:] + self.rate_per_us[:-1])
-            self._cum_rate = np.concatenate([[0.0], np.cumsum(mids * dt)])
+            self._cum_rate = staircase_integral(self.t_us, self.rate_per_us)
         return self._cum_rate
 
     def to_csv(self, stream: TextIO) -> None:
@@ -157,6 +156,16 @@ class Trajectory:
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
         for k in range(self.n_samples):
             stream.write(",".join(repr(float(col[k])) for col in cols) + "\n")
+
+
+def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
+    """Cumulative integral of a rate held at ``rate_per_us[k]`` on ``[t_k, t_{k+1})``.
+
+    The executed protocol is piecewise constant, so this staircase sum is
+    the exact accumulated rate, and linear interpolation between samples
+    is exact inside a segment.
+    """
+    return np.concatenate([[0.0], np.cumsum(rate_per_us[:-1] * np.diff(t_us))])
 
 
 def _advance(
@@ -384,12 +393,9 @@ class DecoherenceFactor:
     def at_terminal(self) -> float:
         return math.exp(-float(self._cum[-1]))
 
-    def exponent(self, t_us: float) -> float:
-        return float(np.interp(t_us, self._t, self._cum))
-
 
 def decoherence_factor(trajectory: Trajectory) -> DecoherenceFactor:
-    """Build ``eta(t)`` from a trajectory's recorded rates (trapezoidal)."""
+    """Build ``eta(t)`` from a trajectory's recorded piecewise-constant rates."""
     if trajectory.n_samples == 0:
         raise ValueError("trajectory has no samples")
     return DecoherenceFactor(trajectory.t_us, trajectory.cumulative_rate_integral())

@@ -2,17 +2,24 @@
 
 A baseline optimal run is recorded once; deviated initial states or
 control times are then propagated under the *unmodified* schedule, as an
-experiment without feedback would.  Initial-state errors are suppressed
-by the accumulated decoherence factor (populations by eta, coherences by
-sqrt(eta), since coherences decay at half the population rate), and the
-final state is scored with the two-level Uhlmann fidelity against the
-reset target diag(1-eps, eps).
+experiment without feedback would.  The schedule is piecewise constant,
+so the propagation is done in closed form: the exact segment maps are
+composed once per baseline (``_SegmentMaps``), and a deviated control
+time needs one ``searchsorted`` plus one partial segment (past the
+recorded end, the last frequency is held).  ``Baseline.replay`` keeps
+the adaptive stepper as the reference the closed form is tested against.
+
+Initial-state errors are suppressed by the accumulated decoherence
+factor (populations by eta, coherences by sqrt(eta), since coherences
+decay at half the population rate), and the final state is scored with
+the two-level Uhlmann fidelity against the reset target diag(1-eps, eps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -23,11 +30,13 @@ from .dynamics import (
     Numerics,
     QubitState,
     Trajectory,
+    _advance,
     decoherence_factor,
     integrate_restore,
+    staircase_integral,
 )
-from .spectra import ControlBounds, SpectrumModel
-from .thermo import Environment
+from .spectra import ControlBounds, SpectrumModel, rate_fn
+from .thermo import Environment, RAD_PER_US_PER_GHZ
 
 __all__ = [
     "PopulationDeviation",
@@ -69,6 +78,8 @@ class CoherenceDeviation:
             raise ValueError(
                 f"|c| must lie in [0, 0.5] for a positive state, got {self.c_abs!r}"
             )
+        if not math.isfinite(self.c_phase):
+            raise ValueError(f"coherence phase must be finite, got {self.c_phase!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,10 @@ class ControlTimeDeviation:
     """Run the recorded schedule for tau + delta_tau instead of tau."""
 
     delta_tau_us: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.delta_tau_us):
+            raise ValueError(f"delta_tau must be finite, got {self.delta_tau_us!r}")
 
 
 DeviationSpec = PopulationDeviation | CoherenceDeviation | ControlTimeDeviation
@@ -106,7 +121,13 @@ class Baseline:
     def eta(self) -> DecoherenceFactor:
         return decoherence_factor(self.trajectory)
 
+    @cached_property
+    def _segment_maps(self) -> "_SegmentMaps":
+        """The schedule's composed segment maps, built on first use."""
+        return _SegmentMaps(self.schedule, self.model, self.env, self.bounds, self.numerics)
+
     def replay(self, initial: QubitState, t_final_us: float) -> Trajectory:
+        """Re-integrate the schedule with the adaptive stepper (reference path)."""
         return integrate_restore(
             initial,
             self.schedule,
@@ -115,6 +136,76 @@ class Baseline:
             self.bounds,
             self.numerics,
             t_final=t_final_us,
+        )
+
+
+class _SegmentMaps:
+    """Prefix compositions of a fixed schedule's exact constant-control maps.
+
+    On segment k the population map ``p -> p_eq_k + (p - p_eq_k) d_k``,
+    ``d_k = exp(-rate_k dt_k)``, is affine.  With
+    ``Lambda_k = sum_{j<k} rate_j dt_j`` and
+    ``Theta_k = sum_{j<k} 2 pi f_j dt_j``, the state at breakpoint k reached
+    from ``(p0, c0)`` at t=0 is ``p_e = exp(-Lambda_k) p0 + B_k`` and
+    ``c = c0 exp(-Lambda_k / 2 - i Theta_k)``, where ``B_k`` is the
+    population reached from p0=0.
+    """
+
+    def __init__(
+        self,
+        schedule: FixedSchedule,
+        model: SpectrumModel,
+        env: Environment,
+        bounds: ControlBounds,
+        numerics: Numerics,
+    ) -> None:
+        schedule.check_window(bounds)
+        rate_at = rate_fn(model, numerics.rate_cap)
+        self.t_us = np.array([t for t, _ in schedule.breakpoints])
+        self.f_ghz = np.array([f for _, f in schedule.breakpoints])
+        self.rate_per_us = np.array([rate_at(f) for _, f in schedule.breakpoints])
+        e = np.exp(-env.ratio_per_ghz * self.f_ghz)
+        self.p_eq = e / (1.0 + e)
+
+        lam = staircase_integral(self.t_us, self.rate_per_us)
+        self.decay = np.exp(-lam)
+        self.amp = np.exp(-0.5 * lam)
+        theta = staircase_integral(self.t_us, RAD_PER_US_PER_GHZ * self.f_ghz)
+        self.cos = np.cos(theta)
+        self.sin = np.sin(theta)
+        segment_decay = np.exp(-self.rate_per_us[:-1] * np.diff(self.t_us))
+        offset = [0.0]
+        for p_eq, d in zip(self.p_eq[:-1].tolist(), segment_decay.tolist()):
+            offset.append(p_eq + (offset[-1] - p_eq) * d)
+        self.offset = np.array(offset)
+
+    def propagate(self, initial: QubitState, t_final_us: float, epsilon: float) -> Trajectory:
+        """Exact open-loop trajectory from ``initial`` up to ``t_final_us``.
+
+        Rows are the breakpoints before ``t_final_us`` plus a terminal row,
+        which holds the frequency in force at ``t_final_us``.
+        """
+        rows = int(np.searchsorted(self.t_us, t_final_us, side="left"))
+        k = int(np.searchsorted(self.t_us, t_final_us, side="right")) - 1
+        p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
+        p_e = self.decay[: k + 1] * p0 + self.offset[: k + 1]
+        amp, cos, sin = self.amp[: k + 1], self.cos[: k + 1], self.sin[: k + 1]
+        p_r = amp * (r0 * cos + i0 * sin)
+        p_i = amp * (i0 * cos - r0 * sin)
+        rate, p_eq, f = float(self.rate_per_us[k]), float(self.p_eq[k]), float(self.f_ghz[k])
+        dt = t_final_us - float(self.t_us[k])
+        end = _advance(float(p_e[k]), float(p_r[k]), float(p_i[k]), rate, p_eq, f, dt)
+        return Trajectory(
+            t_us=np.append(self.t_us[:rows], t_final_us),
+            f_ghz=np.append(self.f_ghz[:rows], f),
+            p_e=np.append(p_e[:rows], end[0]),
+            p_r=np.append(p_r[:rows], end[1]),
+            p_i=np.append(p_i[:rows], end[2]),
+            rate_per_us=np.append(self.rate_per_us[:rows], rate),
+            p_eq=np.append(self.p_eq[:rows], p_eq),
+            tau_st_us=t_final_us,
+            termination="horizon",
+            epsilon=epsilon,
         )
 
 
@@ -183,9 +274,9 @@ def _initial_state(spec: DeviationSpec, tau_st_us: float) -> tuple[QubitState, f
 
 
 def run_deviation(spec: DeviationSpec, baseline: Baseline) -> DeviationResult:
-    """Propagate a deviated initial condition under the recorded schedule."""
+    """Propagate a deviated initial condition under the recorded schedule (exact)."""
     initial, t_f = _initial_state(spec, baseline.tau_st_us)
-    trajectory = baseline.replay(initial, t_f)
+    trajectory = baseline._segment_maps.propagate(initial, t_f, baseline.bounds.epsilon)
     final = trajectory.terminal_state
     return DeviationResult(
         final_state=final,

@@ -151,6 +151,25 @@ def test_cmd_run_config_error_exit_code(tmp_path, capsys):
     assert "unknown scenario key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.0,5.4\n0.001,50.0\n", "outside the control window"),
+        ("0.0,5.4\n0.001,nan\n", "outside the control window"),
+        ("0.0,5.4\n0.0,6.0\n", "strictly increasing"),
+    ],
+)
+def test_cmd_run_bad_schedule_exit_code(tmp_path, capsys, rows, message):
+    sched = tmp_path / "s.csv"
+    sched.write_text("t_us,f_GHz\n" + rows, encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps({"spectrum": "lz", "control": f"schedule:{sched}"}), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cmd_run_achievability_exit_code(tmp_path, capsys):
     config = tmp_path / "hot.json"
     config.write_text(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from qreset import (
     Lorentzian,
     Mixed,
     Numerics,
+    PopulationDeviation,
     Protected,
     QubitState,
+    ScheduleWindowError,
     Tabulated,
     TimeLocalOptimal,
     constant_restore_frequency,
@@ -25,6 +28,7 @@ from qreset import (
     equilibrium_population,
     integrate_restore,
     optimal_frequency,
+    run_deviation,
     run_reset,
     schedule_from_csv,
     schedule_to_csv,
@@ -207,6 +211,20 @@ def test_fixed_schedule_validation():
         FixedSchedule(((1.0, 5.0),))  # must start at zero
     with pytest.raises(ValueError):
         FixedSchedule(((0.0, 5.0), (0.0, 6.0)))
+
+
+@pytest.mark.parametrize("f_bad", [50.0, 1.0, math.nan, math.inf])
+def test_fixed_schedule_rejects_frequencies_outside_window(f_bad, env10, bounds, baselines):
+    schedule = FixedSchedule(((0.0, 5.0), (1.0, f_bad)))
+    with pytest.raises(ScheduleWindowError):
+        schedule.bind(Lorentzian(), env10, bounds, Numerics())
+    loaded = schedule_from_csv(io.StringIO(f"t_us,f_GHz\n0.0,5.0\n1.0,{f_bad!r}\n"))
+    with pytest.raises(ScheduleWindowError):
+        integrate_restore(QubitState(0.5), loaded, Lorentzian(), env10, bounds, t_final=2.0)
+    # The closed-form open-loop replay checks the window too.
+    tampered = replace(baselines["lz"], schedule=loaded)
+    with pytest.raises(ScheduleWindowError):
+        run_deviation(PopulationDeviation(0.5), tampered)
 
 
 def test_time_local_mode_validation():

@@ -19,6 +19,7 @@ from qreset import (
     TimeLocalOptimal,
     decoherence_factor,
     equilibrium_population,
+    eval_rate,
     integrate_restore,
     step_constant,
     thermal_ratio,
@@ -155,6 +156,26 @@ def test_decoherence_factor_constant_rate():
     assert eta(0.0) == 1.0
     for t in (0.1, 1.0, 5.0):
         assert eta(t) == pytest.approx(math.exp(-t), rel=1e-9)
+
+
+def test_decoherence_factor_exact_inside_segments():
+    # The accumulated rate is the exact staircase sum, so eta is exact at
+    # breakpoints and, by linear interpolation, anywhere inside a segment.
+    tab = Tabulated(((2.0, 0.5), (5.0, 3.0), (8.0, 1.2)))
+    schedule = FixedSchedule(((0.0, 3.0), (1.0, 6.5), (2.5, 4.0)))
+    trajectory = integrate_restore(
+        QubitState(0.5), schedule, tab, COLD, ControlBounds(epsilon=1e-7), t_final=4.0
+    )
+    r0, r1, r2 = (eval_rate(tab, f) for f in (3.0, 6.5, 4.0))
+    eta = decoherence_factor(trajectory)
+    for t, integral in (
+        (0.5, 0.5 * r0),
+        (1.0, r0),
+        (1.75, r0 + 0.75 * r1),
+        (2.5, r0 + 1.5 * r1),
+        (4.0, r0 + 1.5 * r1 + 1.5 * r2),
+    ):
+        assert eta(t) == pytest.approx(math.exp(-integral), rel=1e-12)
 
 
 def test_decoherence_factor_terminal_value(default_runs):

@@ -7,16 +7,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreset import (
+    Baseline,
     CoherenceDeviation,
+    ControlBounds,
     ControlTimeDeviation,
+    Environment,
+    FixedSchedule,
+    Numerics,
     PopulationDeviation,
     QubitState,
+    Tabulated,
     decoherence_factor,
     fidelity,
     fidelity_sweep,
+    integrate_restore,
     run_deviation,
     sensitivity_report,
 )
+from qreset.robustness import _initial_state
+from helpers import chained_exponential_population
 
 EPS = 1.0e-5
 
@@ -53,6 +62,113 @@ def test_deviation_spec_validation():
         PopulationDeviation(1.2)
     with pytest.raises(ValueError):
         CoherenceDeviation(0.51)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ControlTimeDeviation(math.nan),
+        lambda: ControlTimeDeviation(math.inf),
+        lambda: CoherenceDeviation(0.25, c_phase=math.nan),
+        lambda: CoherenceDeviation(0.25, c_phase=math.inf),
+        lambda: QubitState(0.5, math.nan, 0.0),
+        lambda: QubitState(0.5, 0.0, math.nan),
+    ],
+    ids=["delta_tau-nan", "delta_tau-inf", "c_phase-nan", "c_phase-inf", "p_r-nan", "p_i-nan"],
+)
+def test_non_finite_deviation_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def _oracle_cases(baseline):
+    """Deviations on every axis, with control times at the awkward places."""
+    tau = baseline.tau_st_us
+    t = baseline.trajectory.t_us
+    j = int(np.searchsorted(t, 0.25 * tau))
+    mid_segment = 0.5 * (t[j] + t[j + 1]) - tau
+    k = int(np.searchsorted(t, 0.75 * tau))
+    on_breakpoint = t[k] - tau
+    assert tau + on_breakpoint == t[k]
+    return [
+        PopulationDeviation(0.0),
+        PopulationDeviation(1.0),
+        *(CoherenceDeviation(0.5, phase) for phase in (0.0, 1.1, math.pi)),
+        ControlTimeDeviation(mid_segment),
+        ControlTimeDeviation(on_breakpoint),
+        ControlTimeDeviation(-0.5 * tau),
+        ControlTimeDeviation(2.0 * tau),
+    ]
+
+
+def test_closed_form_replay_matches_stepper(baselines):
+    for name, baseline in baselines.items():
+        for spec in _oracle_cases(baseline):
+            result = run_deviation(spec, baseline)
+            reference = baseline.replay(*_initial_state(spec, baseline.tau_st_us))
+            got, want = result.final_state, reference.terminal_state
+            assert got.p_e == pytest.approx(want.p_e, rel=1e-12, abs=0.0), (name, spec)
+            assert got.coherence_abs == pytest.approx(
+                want.coherence_abs, rel=1e-12, abs=0.0
+            ), (name, spec)
+            # The phase sums to ~1e4 rad over ~1e4 segments on both paths, so
+            # rounding leaves ~1e-9 of |c| in the components.
+            phase_tol = 1e-8 * want.coherence_abs
+            assert abs(got.p_r - want.p_r) <= phase_tol, (name, spec)
+            assert abs(got.p_i - want.p_i) <= phase_tol, (name, spec)
+            trajectory = result.trajectory
+            assert trajectory.termination == "horizon"
+            assert trajectory.t_us[-1] == reference.t_us[-1]
+            assert np.all(np.diff(trajectory.t_us) > 0.0)
+
+
+_TAB = Tabulated(((2.0, 0.5), (5.0, 3.0), (8.0, 1.2)))
+_ENV = Environment(0.010)
+_BOUNDS = ControlBounds()
+
+
+def _segments_until(segments, t_end):
+    """The (f, dt) segments run up to ``t_end``, holding the last one past its end."""
+    out, start = [], 0.0
+    for i, (f, dt) in enumerate(segments):
+        span = t_end - start if i == len(segments) - 1 else min(dt, t_end - start)
+        if span > 0.0:
+            out.append((f, span))
+        start += dt
+        if start >= t_end:
+            break
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=st.lists(
+        st.tuples(st.floats(min_value=2.0, max_value=8.0), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    p0=st.floats(min_value=0.0, max_value=1.0),
+    horizon=st.floats(min_value=0.0, max_value=1.5),
+)
+def test_closed_form_replay_matches_chained_exponentials(segments, p0, horizon):
+    times = [0.0]
+    for _, dt in segments[:-1]:
+        times.append(times[-1] + dt)
+    schedule = FixedSchedule(tuple(zip(times, (f for f, _ in segments))))
+    tau = times[-1] + segments[-1][1]
+    trajectory = integrate_restore(QubitState(0.5), schedule, _TAB, _ENV, _BOUNDS, t_final=tau)
+    baseline = Baseline(_TAB, _ENV, _BOUNDS, Numerics(), trajectory, schedule)
+
+    result = run_deviation(PopulationDeviation(p0), baseline)
+    expected = chained_exponential_population(p0, segments, _TAB, _ENV)
+    assert result.final_state.p_e == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    delta = (horizon - 1.0) * tau
+    result = run_deviation(ControlTimeDeviation(delta), baseline)
+    expected = chained_exponential_population(
+        0.5, _segments_until(segments, tau + delta), _TAB, _ENV
+    )
+    assert result.final_state.p_e == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_replay_reproduces_baseline(baselines):
@@ -149,6 +265,6 @@ def test_eta_suppresses_population_errors(baselines):
         result = run_deviation(PopulationDeviation(p), baseline)
         predicted = abs(p - 0.5) * eta
         observed = abs(result.final_state.p_e - baseline.trajectory.terminal_state.p_e)
-        # eta carries the trapezoidal-sampling error of the rate integral,
-        # bounded at 1e-4 relative by the step controls.
-        assert observed == pytest.approx(predicted, rel=1e-4)
+        # The replay is affine in p0 with slope eta(tau); the thermal floor
+        # only shifts the offset.
+        assert observed == pytest.approx(predicted, rel=1e-9)

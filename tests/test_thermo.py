@@ -104,8 +104,12 @@ def test_entropy_frozen_values():
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_entropy_symmetry_and_range(p):
+    # ``1.0 - p`` alone can round; after this round trip p and q are exact
+    # complements (p + q == 1 in floating point).
+    q = 1.0 - p
+    p = 1.0 - q
     s = entropy(p)
-    assert s == pytest.approx(entropy(1.0 - p), abs=1e-15)
+    assert s == pytest.approx(entropy(q), abs=1e-15)
     assert -math.log(2.0) - 1e-15 <= s <= 0.0
 
 
