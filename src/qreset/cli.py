@@ -59,6 +59,7 @@ from .spectra import (
     Tabulated,
     eval_rate,
     load_tabulated,
+    _golden_max,
 )
 from .thermo import LN2, Environment
 
@@ -112,6 +113,10 @@ class ScenarioNumerics:
                 f"numerics.control_mode must be 'tracked' or 'global',"
                 f" got {self.control_mode!r}"
             )
+        try:
+            self.to_numerics()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_numerics(self) -> Numerics:
         return Numerics(
@@ -392,10 +397,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
                     )
             model, env, bounds, law, numerics = scenario.build()
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
+            rates = eval_rate(model, grid, numerics.rate_cap)
             with open(out_dir / f"fig2_spectrum_{key}.csv", "w", encoding="utf-8") as fh:
                 fh.write("f_GHz,rate_per_us\n")
-                for f in grid:
-                    fh.write(f"{float(f)!r},{eval_rate(model, float(f), numerics.rate_cap)!r}\n")
+                for f, rate in zip(grid.tolist(), rates.tolist()):
+                    fh.write(f"{f!r},{rate!r}\n")
         return 0
 
     if which == "fig3a":
@@ -549,15 +555,19 @@ def calibrate_temperature(
         if not value > 0.0:
             raise ConfigError(f"target for {key!r} must be > 0, got {value!r}")
 
+    computed_cache: dict[float, dict[str, float]] = {}
+
     def computed_at(temperature: float) -> dict[str, float]:
-        out = {}
-        for key in targets:
-            scenario = Scenario(
-                name=key, spectrum=key, temperature_K=temperature, numerics=numerics
-            )
-            report, _ = _execute(scenario)
-            out[key] = report.W_ex_norm
-        return out
+        if temperature not in computed_cache:
+            out = {}
+            for key in targets:
+                scenario = Scenario(
+                    name=key, spectrum=key, temperature_K=temperature, numerics=numerics
+                )
+                report, _ = _execute(scenario)
+                out[key] = report.W_ex_norm
+            computed_cache[temperature] = out
+        return computed_cache[temperature]
 
     def sse_at(temperature: float) -> float:
         values = computed_at(temperature)
@@ -571,21 +581,7 @@ def calibrate_temperature(
     lo = temps[best - 1] if best > 0 else temps[0]
     hi = temps[best + 1] if best < n_scan - 1 else temps[-1]
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = sse_at(c), sse_at(d)
-    while (b - a) > 1.0e-6:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sse_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sse_at(d)
-    best_t = 0.5 * (a + b)
+    best_t, _ = _golden_max(lambda t: -sse_at(t), float(lo), float(hi), 1.0e-6)
     computed = computed_at(best_t)
     residuals = {k: (computed[k] - targets[k]) / targets[k] for k in targets}
     sse = sum(r * r for r in residuals.values())
@@ -640,9 +636,9 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     models = {k: _SPECTRUM_CLASSES[k]() for k in _SPECTRUM_KINDS}
     lines = ["f_GHz," + ",".join(_SPECTRUM_KINDS)]
     fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, grid)
-    for f in fs:
-        vals = ",".join(repr(eval_rate(models[k], float(f), cap)) for k in _SPECTRUM_KINDS)
-        lines.append(f"{float(f)!r},{vals}")
+    columns = [eval_rate(models[k], fs, cap).tolist() for k in _SPECTRUM_KINDS]
+    for f, *vals in zip(fs.tolist(), *columns):
+        lines.append(f"{f!r}," + ",".join(repr(v) for v in vals))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -32,6 +32,7 @@ from .spectra import (
     ControlBounds,
     DEFAULT_GRID_POINTS,
     DEFAULT_RATE_CAP,
+    FloatOrArray,
     SpectrumModel,
     argmax_rate,
     eval_rate,
@@ -75,13 +76,16 @@ def _objective(
     env: Environment,
     rate_cap: float | None,
     p_e: float,
-) -> Callable[[float], float]:
+) -> Callable[[FloatOrArray], FloatOrArray]:
     rate = rate_fn(model, rate_cap)
     c = env.ratio_per_ghz
     exp = math.exp
 
-    def j(f: float) -> float:
-        e = exp(-c * f)
+    def j(f: FloatOrArray) -> FloatOrArray:
+        try:
+            e = exp(-c * f)
+        except TypeError:  # an ndarray grid
+            e = np.exp(-c * f)
         return rate(f) * (p_e - e / (1.0 + e))
 
     return j
@@ -192,6 +196,8 @@ class _TimeLocalRuntime:
         self._bounds = bounds
         self._numerics = numerics
 
+    held_ghz = None
+
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
         if self._law.mode == "global":
             return optimal_frequency(
@@ -244,10 +250,10 @@ class ConstantAtPeak:
 
 class _ConstantRuntime:
     def __init__(self, f_ghz: float) -> None:
-        self._f = f_ghz
+        self.held_ghz = f_ghz
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        return self._f
+        return self.held_ghz
 
     def next_transition_after(self, t_us: float) -> float | None:
         return None
@@ -304,6 +310,8 @@ class _ScheduleRuntime:
         self._times = [t for t, _ in breakpoints]
         self._freqs = [f for _, f in breakpoints]
         self._cursor = 0
+
+    held_ghz = None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
         # Right-continuous step lookup; the cursor only moves forward in

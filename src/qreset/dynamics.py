@@ -83,6 +83,16 @@ class Numerics:
     step_limit: int = 10_000_000
     time_limit_t1: float = 1.0e4
 
+    def __post_init__(self) -> None:
+        for name in ("step_log_bound", "rate_cap", "control_drift_ghz", "time_limit_t1"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
+        if not self.grid_points >= 3:
+            raise ValueError(f"numerics.grid_points must be >= 3, got {self.grid_points!r}")
+        if not self.step_limit >= 1:
+            raise ValueError(f"numerics.step_limit must be >= 1, got {self.step_limit!r}")
+
     def drift_cap(self, bounds: ControlBounds) -> float:
         if self.control_drift_ghz is not None:
             return self.control_drift_ghz
@@ -91,7 +101,13 @@ class Numerics:
 
 
 class ControlRuntime(Protocol):
-    """Per-trajectory control state produced by a law's ``bind``."""
+    """Per-trajectory control state produced by a law's ``bind``.
+
+    ``held_ghz`` is the frequency held for the whole run when the law
+    fixes it in advance, and ``None`` otherwise.
+    """
+
+    held_ghz: float | None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float: ...
 
@@ -236,6 +252,14 @@ def integrate_restore(
     drift_cap = numerics.drift_cap(bounds)
     rate_at = rate_fn(model, numerics.rate_cap)
     ratio_c = env.ratio_per_ghz
+    if precision_mode and runtime.held_ghz is not None:
+        floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
+        if floor >= eps:
+            raise NoDescentError(
+                f"control holds f={runtime.held_ghz!r} GHz, whose thermal floor"
+                f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
+                " target is unreachable"
+            )
     t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap).t1_us
     t_limit = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
     if t_final is not None:

@@ -10,6 +10,16 @@ Rates are returned in 1/us.  Frequency arguments are cyclic GHz; the
 dimensional formulas (Lorentzian, protected, filter dip) are evaluated
 with angular quantities internally, while the mixed model uses its
 published raw-number convention directly.
+
+Each spectrum has one rate kernel, written as elementwise arithmetic, so
+the same code evaluates a single float or a whole ``ndarray`` grid:
+``eval_rate`` and the evaluators from ``rate_fn`` accept either.  Window
+scans (``_scan_max`` and the tables built on ``eval_rate``) evaluate
+their grid in one call; the scalar path, which the integrator and the
+tracked control refresh call millions of times, pays nothing for it.
+numpy's vectorized ``exp`` and ``pow`` may differ from the C library's
+by an ulp, so a grid value can differ from the scalar value at the same
+frequency by that much; the scans use the grid only to pick an index.
 """
 
 from __future__ import annotations
@@ -17,7 +27,10 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TextIO, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, TextIO, TypeVar, Union
+
+import numpy as np
 
 from .thermo import RAD_PER_US_PER_GHZ
 
@@ -177,6 +190,11 @@ class Tabulated:
     def f_max_ghz(self) -> float:
         return self.points[-1][0]
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        fs, rates = zip(*self.points)
+        return np.array(fs), np.array(rates)
+
 
 SpectrumModel = Union[Lorentzian, Protected, Mixed, JQF, Tabulated]
 
@@ -216,25 +234,33 @@ class ControlBounds:
         return self.f_cp_ghz + self.delta_f_ghz
 
 
-def _lorentzian_rate(model: Lorentzian, f: float) -> float:
+# A frequency argument and the rate it gives: a float, or an ndarray grid
+# evaluated elementwise.
+FloatOrArray = TypeVar("FloatOrArray", float, np.ndarray)
+
+
+def _lorentzian_rate(model: Lorentzian, f: FloatOrArray) -> FloatOrArray:
     half = 0.5 * model.kappa_ghz
     shape = half * half / ((f - model.f_r_ghz) ** 2 + half * half)
     peak = RAD_PER_US_PER_GHZ * model.g_ghz * model.g_ghz / model.kappa_ghz
     return peak * shape
 
 
-def _protected_rate(model: Protected, f: float) -> float:
+def _protected_rate(model: Protected, f: FloatOrArray) -> FloatOrArray:
     ff2 = model.f_f_ghz * model.f_f_ghz
     fr2 = model.f_r_ghz * model.f_r_ghz
     f2 = f * f
     num = 4.0 * model.kappa_ghz * model.g_ghz**2 * model.f_r_ghz**3 * (ff2 - f2) ** 2
     den = f * (fr2 - ff2) ** 2 * (fr2 - f2) ** 2
-    if den == 0.0:
+    try:
+        return RAD_PER_US_PER_GHZ * num / den
+    except ZeroDivisionError:
+        # A float exactly at the pole.  A grid divides to IEEE inf there;
+        # its callers silence numpy's divide warning with np.errstate.
         return math.inf
-    return RAD_PER_US_PER_GHZ * num / den
 
 
-def _mixed_rate(model: Mixed, f: float) -> float:
+def _mixed_rate(model: Mixed, f: FloatOrArray) -> FloatOrArray:
     purcell = (
         model.c_purcell
         * model.kappa_ghz**2
@@ -243,32 +269,23 @@ def _mixed_rate(model: Mixed, f: float) -> float:
     return model.c_phi / f**0.9 + model.c_q * f + purcell + model.c_other
 
 
-def _jqf_rate(model: JQF, f: float) -> float:
+def _jqf_rate(model: JQF, f: FloatOrArray) -> FloatOrArray:
     w2 = model.four_kappa_j_ghz * model.four_kappa_j_ghz
     shape = w2 / ((f - model.f_0_ghz) ** 2 + w2)
     return 1.0 / (model.tau0_us + model.tau_us * shape)
 
 
-def _tabulated_rate(model: Tabulated, f: float) -> float:
-    pts = model.points
-    if f < pts[0][0] or f > pts[-1][0]:
+def _tabulated_rate(model: Tabulated, f: FloatOrArray) -> FloatOrArray:
+    grid = isinstance(f, np.ndarray)
+    lo, hi = (float(f.min()), float(f.max())) if grid else (f, f)
+    if not (model.f_min_ghz <= lo and hi <= model.f_max_ghz):
+        where = f"[{lo!r}, {hi!r}]" if grid else repr(f)
         raise SpectrumRangeError(
-            f"f={f!r} outside tabulated domain [{pts[0][0]!r}, {pts[-1][0]!r}]"
+            f"f={where} outside tabulated domain"
+            f" [{model.f_min_ghz!r}, {model.f_max_ghz!r}]"
         )
-    lo, hi = 0, len(pts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pts[mid][0] <= f:
-            lo = mid
-        else:
-            hi = mid
-    f0, r0 = pts[lo]
-    f1, r1 = pts[hi]
-    if f == f0:
-        return r0
-    if f == f1:
-        return r1
-    return r0 + (r1 - r0) * (f - f0) / (f1 - f0)
+    rate = np.interp(f, *model._table)
+    return rate if grid else float(rate)
 
 
 _RATE_DISPATCH = {
@@ -281,19 +298,29 @@ _RATE_DISPATCH = {
 
 
 def eval_rate(
-    model: SpectrumModel, f_ghz: float, rate_cap: float | None = DEFAULT_RATE_CAP
-) -> float:
+    model: SpectrumModel,
+    f_ghz: FloatOrArray,
+    rate_cap: float | None = DEFAULT_RATE_CAP,
+) -> FloatOrArray:
     """Evaluate the decoherence rate at a cyclic frequency, in 1/us.
 
-    ``rate_cap`` clips singular spectra (the protected model has a pole
-    inside the default window); pass ``None`` for the raw value.
+    ``f_ghz`` is a float or an ndarray grid; a grid gives an ndarray of
+    rates.  ``rate_cap`` clips singular spectra (the protected model has
+    a pole inside the default window); pass ``None`` for the raw value.
     """
-    if not f_ghz > 0.0:
-        raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
     try:
-        rate = _RATE_DISPATCH[type(model)](model, f_ghz)
+        raw = _RATE_DISPATCH[type(model)]
     except KeyError:
         raise TypeError(f"unknown spectrum model {model!r}") from None
+    if isinstance(f_ghz, np.ndarray):
+        if not np.all(f_ghz > 0.0):
+            raise SpectrumError("frequencies must be > 0")
+        with np.errstate(divide="ignore"):
+            rates = raw(model, f_ghz)
+        return rates if rate_cap is None else np.minimum(rates, rate_cap)
+    if not f_ghz > 0.0:
+        raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
+    rate = raw(model, f_ghz)
     if rate_cap is not None and rate > rate_cap:
         return rate_cap
     return rate
@@ -301,20 +328,24 @@ def eval_rate(
 
 def rate_fn(
     model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP
-) -> Callable[[float], float]:
+) -> Callable[[FloatOrArray], FloatOrArray]:
     """Capped rate evaluator specialized to one model (hot-loop form).
 
     Skips per-call dispatch and domain checks; callers must stay at
-    f > 0 and inside any tabulated domain.
+    f > 0 and inside any tabulated domain.  It also takes an ndarray
+    grid, for which the caller silences numpy's divide warning.
     """
     raw = _RATE_DISPATCH[type(model)]
     if rate_cap is None:
         return lambda f: raw(model, f)
     cap = rate_cap
 
-    def capped(f: float) -> float:
+    def capped(f: FloatOrArray) -> FloatOrArray:
         r = raw(model, f)
-        return cap if r > cap else r
+        try:
+            return cap if r > cap else r
+        except ValueError:  # an ndarray grid: the comparison is elementwise
+            return np.minimum(r, cap)
 
     return capped
 
@@ -369,7 +400,7 @@ def _leftmost_cap_edge(
 
 
 def _scan_max(
-    fn: Callable[[float], float],
+    fn: Callable[[FloatOrArray], FloatOrArray],
     f_lo: float,
     f_hi: float,
     grid_points: int,
@@ -378,19 +409,22 @@ def _scan_max(
 ) -> tuple[float, float, bool]:
     """Grid scan + golden refinement, ties broken toward smaller f.
 
-    Returns (f*, value*, cap_hit).  When the maximum sits on a capped
-    plateau with exact value ties, the plateau's left edge is returned.
+    ``fn`` evaluates the whole grid in one call and single points during
+    refinement.  Returns (f*, value*, cap_hit).  When the maximum sits on
+    a capped plateau with exact value ties, the plateau's left edge is
+    returned.
     """
     if grid_points < 3:
         raise SpectrumError(f"grid needs >= 3 points, got {grid_points}")
     step = (f_hi - f_lo) / (grid_points - 1)
-    fs = [f_lo + i * step for i in range(grid_points - 1)] + [f_hi]
-    vals = [fn(f) for f in fs]
-    best = 0
-    for i in range(1, len(vals)):
-        if vals[i] > vals[best]:
-            best = i
-    f_best, v_best = fs[best], vals[best]
+    fs = np.append(f_lo + np.arange(grid_points - 1) * step, f_hi)
+    with np.errstate(divide="ignore"):
+        vals = fn(fs)
+    best = int(np.argmax(vals))  # the first maximum: ties toward smaller f
+    # The grid only picks the index; the value is the scalar one, so the
+    # refinement below compares like with like.
+    f_best = float(fs[best])
+    v_best = fn(f_best)
     cap_hit = cap is not None and v_best >= cap
 
     if cap_hit:
@@ -400,15 +434,15 @@ def _scan_max(
         while left > 0 and vals[left - 1] >= cap:
             left -= 1
         if left == best and best > 0:
-            edge = _leftmost_cap_edge(fn, fs[best - 1], f_best, cap, tol)
+            edge = _leftmost_cap_edge(fn, float(fs[best - 1]), f_best, cap, tol)
         elif left > 0:
-            edge = _leftmost_cap_edge(fn, fs[left - 1], fs[left], cap, tol)
+            edge = _leftmost_cap_edge(fn, float(fs[left - 1]), float(fs[left]), cap, tol)
         else:
-            edge = fs[0]
+            edge = f_lo
         return edge, v_best, True
 
-    a = fs[best - 1] if best > 0 else fs[0]
-    b = fs[best + 1] if best < len(fs) - 1 else fs[-1]
+    a = float(fs[best - 1]) if best > 0 else f_lo
+    b = float(fs[best + 1]) if best < grid_points - 1 else f_hi
     if fn(a) == v_best and fn(b) == v_best:
         # Flat neighborhood (constant spectrum): keep the leftmost grid argmax.
         return f_best, v_best, False
@@ -491,16 +525,10 @@ def guideline_report(
     contrast = rate_cp / best.rate_per_us if best.rate_per_us > 0.0 else math.inf
 
     step = (bounds.f_max_ghz - bounds.f_min_ghz) / (grid_points - 1)
-    n = grid_points
+    fs = bounds.f_min_ghz + np.arange(grid_points) * step
     mean_f = bounds.f_min_ghz + 0.5 * (bounds.f_max_ghz - bounds.f_min_ghz)
-    num = 0.0
-    den = 0.0
-    for i in range(n):
-        f = bounds.f_min_ghz + i * step
-        df = f - mean_f
-        num += df * eval_rate(model, f, rate_cap)
-        den += df * df
-    slope = num / den
+    df = fs - mean_f
+    slope = float(df @ eval_rate(model, fs, rate_cap) / (df @ df))
     sign = 0 if slope == 0.0 else (1 if slope > 0.0 else -1)
 
     notes: list[str] = []

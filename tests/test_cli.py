@@ -180,6 +180,41 @@ def test_cmd_run_achievability_exit_code(tmp_path, capsys):
     assert "epsilon_min" in err
 
 
+@pytest.mark.parametrize(
+    "numerics",
+    [
+        {"step_log_bound": 0},
+        {"step_log_bound": math.nan},
+        {"grid_points": 2},
+        {"step_limit": 0},
+        {"rate_cap_per_us": -1.0},
+        {"control_drift_ghz": 0.0},
+        {"time_limit_t1": "long"},
+    ],
+)
+def test_cmd_run_invalid_numerics_exit_code(tmp_path, capsys, numerics):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"spectrum": "lz", "numerics": numerics}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cmd_run_invalid_grid_override_exit_code(tmp_path, capsys):
+    argv = ["run", "--scenario", "lz-default", "--grid", "2", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "grid_points" in capsys.readouterr().err
+
+
+def test_cmd_run_constant_law_below_floor_exit_code(tmp_path, capsys):
+    config = tmp_path / "mix.json"
+    config.write_text(
+        json.dumps({"spectrum": "mix", "control": "constant", "epsilon": 1e-5}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "thermal floor" in capsys.readouterr().err
+
+
 def test_parse_axis():
     assert parse_axis("epsilon=1e-6:1e-4:9") == ("epsilon", 1e-6, 1e-4, 9)
     with pytest.raises(ConfigError):
@@ -346,6 +381,22 @@ def test_calibration_single_spectrum_consistency():
     lz_only = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=24)
     diff = abs(prot_only.best_temperature_K - lz_only.best_temperature_K)
     assert diff / lz_only.best_temperature_K < 0.02
+
+
+def test_calibration_run_count(monkeypatch):
+    # Every temperature the scan and the golden-section refinement visit
+    # costs one run per target; the final report reuses the refinement's
+    # midpoint instead of running it again.
+    temperatures = []
+
+    def counted(model, env, *args, **kwargs):
+        temperatures.append(env.temperature_K)
+        return run_reset(model, env, *args, **kwargs)
+
+    monkeypatch.setattr("qreset.cli.run_reset", counted)
+    result = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=4)
+    assert len(temperatures) == len(set(temperatures)) == 27
+    assert temperatures[-1] == result.best_temperature_K
 
 
 def test_calibration_rejects_bad_targets():

@@ -16,6 +16,7 @@ from qreset import (
     JQF,
     Lorentzian,
     Mixed,
+    NoDescentError,
     Numerics,
     PopulationDeviation,
     Protected,
@@ -26,6 +27,7 @@ from qreset import (
     constant_restore_frequency,
     costate_along,
     equilibrium_population,
+    eval_rate,
     integrate_restore,
     optimal_frequency,
     run_deviation,
@@ -35,6 +37,9 @@ from qreset import (
     thermal_ratio,
     verify_pmp,
 )
+from qreset.control import _objective
+from qreset.spectra import REFINE_TOL_GHZ as SCAN_TOL_GHZ, _scan_max
+from helpers import KERNEL_MODELS, scan_max_scalar_reference
 
 
 def test_global_lorentzian_tracks_rate_peak(env10, bounds):
@@ -230,3 +235,51 @@ def test_fixed_schedule_rejects_frequencies_outside_window(f_bad, env10, bounds,
 def test_time_local_mode_validation():
     with pytest.raises(ValueError):
         TimeLocalOptimal(mode="greedy")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KERNEL_MODELS)),
+    p_e=st.floats(min_value=1e-5, max_value=1.0),
+    fs=st.lists(st.floats(min_value=2.0, max_value=8.0), min_size=1, max_size=40),
+)
+def test_objective_accepts_a_grid(kind, p_e, fs):
+    # numpy's exp may differ from math.exp by an ulp; measured against the
+    # size of the terms, the grid and scalar objectives agree to a few ulps.
+    model = KERNEL_MODELS[kind]
+    env = Environment(0.010)
+    j = _objective(model, env, 1.0e6, p_e)
+    grid = np.array(fs + [6.5])
+    with np.errstate(divide="ignore"):
+        values = j(grid)
+    assert isinstance(values, np.ndarray)
+    for f, got in zip(grid.tolist(), values.tolist()):
+        want = j(f)
+        scale = eval_rate(model, f, 1.0e6) * p_e
+        assert abs(got - want) <= 4 * math.ulp(scale), (f, got, want)
+
+
+@pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])
+def test_global_scan_matches_scalar_loop(kind, env10, bounds):
+    model = KERNEL_MODELS[kind]
+    for p_e in (0.5, 1e-2, 3e-4, 2e-5):
+        j = _objective(model, env10, 1.0e6, p_e)
+        args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, p_e * 1.0e6, SCAN_TOL_GHZ)
+        assert _scan_max(j, *args) == scan_max_scalar_reference(j, *args)
+
+
+def test_constant_law_below_its_floor_fails_fast(env10):
+    # The mixed spectrum's rate peaks at 2 GHz, where p_eq ~ 6.8e-5 at
+    # 10 mK: constant control relaxes toward that floor and never reaches
+    # epsilon = 1e-5, so the run must fail before its first step.
+    bounds = ControlBounds(epsilon=1e-5)
+    with pytest.raises(NoDescentError, match="thermal floor"):
+        integrate_restore(QubitState(0.5), ConstantAtPeak(), Mixed(), env10, bounds)
+    with pytest.raises(NoDescentError):
+        run_reset(Mixed(), env10, bounds, ConstantAtPeak(), Numerics())
+    # A horizon run holds the same frequency without a precision target.
+    trajectory = integrate_restore(
+        QubitState(0.5), ConstantAtPeak(), Mixed(), env10, bounds, t_final=1.0
+    )
+    assert trajectory.termination == "horizon"
+    assert trajectory.f_ghz[0] == 2.0

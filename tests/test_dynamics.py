@@ -239,3 +239,29 @@ def test_trajectory_csv_export(default_runs):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0
     assert first[2] == 0.5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step_log_bound", 0.0),
+        ("step_log_bound", math.nan),
+        ("step_log_bound", -0.05),
+        ("time_limit_t1", 0.0),
+        ("time_limit_t1", math.inf),
+        ("control_drift_ghz", 0.0),
+        ("control_drift_ghz", math.nan),
+        ("rate_cap", -1.0),
+        ("rate_cap", math.inf),
+        ("grid_points", 2),
+        ("step_limit", 0),
+    ],
+)
+def test_numerics_rejects_invalid_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        Numerics(**{field: value})
+
+
+def test_numerics_accepts_unset_optionals():
+    numerics = Numerics(rate_cap=None, control_drift_ghz=None, grid_points=3, step_limit=1)
+    assert numerics.rate_cap is None and numerics.control_drift_ghz is None

@@ -3,8 +3,9 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qreset import (
     ControlBounds,
@@ -23,7 +24,8 @@ from qreset import (
     guideline_report,
     load_tabulated,
 )
-from helpers import brute_force_argmax
+from qreset.spectra import REFINE_TOL_GHZ, _scan_max, rate_fn
+from helpers import KERNEL_MODELS, brute_force_argmax, scan_max_scalar_reference
 
 LZ_PEAK = 2.0e3 * math.pi * 0.107**2 / 0.044  # 1634.913... 1/us
 
@@ -241,3 +243,74 @@ def test_load_tabulated_errors_name_lines():
     assert err.value.line_no == 2
     with pytest.raises(SpectrumParseError):
         load_tabulated("2,1.0\n")
+
+
+def _close_to_ulps(got: float, want: float, ulps: int) -> bool:
+    return got == want or abs(got - want) <= ulps * math.ulp(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KERNEL_MODELS)),
+    cap=st.sampled_from([None, 1.0e6, 1.0]),
+    fs=st.lists(st.floats(min_value=2.0, max_value=8.0), min_size=1, max_size=40),
+)
+def test_array_kernel_matches_scalar_kernel(kind, cap, fs):
+    # Both entry points, on a random in-window grid that also holds the
+    # protected pole f_r = 6.5 GHz exactly and the window edges.
+    model = KERNEL_MODELS[kind]
+    grid = np.array(fs + [2.0, 6.5, 8.0])
+    evaluate = rate_fn(model, cap)
+    with np.errstate(divide="ignore"):
+        from_rate_fn = evaluate(grid)
+    from_eval_rate = eval_rate(model, grid, cap)
+    assert isinstance(from_rate_fn, np.ndarray) and isinstance(from_eval_rate, np.ndarray)
+    for f, a, b in zip(grid.tolist(), from_rate_fn.tolist(), from_eval_rate.tolist()):
+        want = eval_rate(model, f, cap)
+        assert evaluate(f) == want
+        assert _close_to_ulps(a, want, 4), (f, a, want)
+        assert _close_to_ulps(b, want, 4), (f, b, want)
+
+
+def test_scalar_kernels_return_python_floats():
+    for model in KERNEL_MODELS.values():
+        assert type(eval_rate(model, 5.0)) is float
+        assert type(rate_fn(model)(5.0)) is float
+
+
+def test_array_eval_rate_checks_the_domain():
+    for bad in (0.0, math.nan):
+        with pytest.raises(SpectrumError):
+            eval_rate(Lorentzian(), np.array([1.0, bad]))
+    with pytest.raises(SpectrumRangeError):
+        eval_rate(KERNEL_MODELS["tab"], np.array([2.0, 8.5]))
+
+
+@pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf", "tab"])
+def test_scan_max_matches_scalar_loop_on_rate(kind, bounds):
+    model = KERNEL_MODELS[kind]
+    args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, 1.0e6, REFINE_TOL_GHZ)
+    fn = lambda f: eval_rate(model, f)  # noqa: E731
+    got = _scan_max(fn, *args)
+    assert got == scan_max_scalar_reference(fn, *args)
+    assert all(type(x) in (float, bool) for x in got)
+    assert argmax_rate(model, bounds) == got
+
+
+@pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])
+def test_guideline_slope_matches_scalar_loop(kind, bounds):
+    # The trend is now a numpy dot product; the loop it replaced sums in
+    # another order, so the two agree to n * eps of the summed magnitudes.
+    model = KERNEL_MODELS[kind]
+    n = 4001
+    step = (bounds.f_max_ghz - bounds.f_min_ghz) / (n - 1)
+    mean_f = bounds.f_min_ghz + 0.5 * (bounds.f_max_ghz - bounds.f_min_ghz)
+    num = den = magnitude = 0.0
+    for i in range(n):
+        df = bounds.f_min_ghz + i * step - mean_f
+        term = df * eval_rate(model, bounds.f_min_ghz + i * step)
+        num += term
+        den += df * df
+        magnitude += abs(term)
+    got = guideline_report(model, bounds, grid_points=n).trend_slope
+    assert abs(got - num / den) <= n * 2.0**-52 * magnitude / den
