@@ -44,6 +44,7 @@ from .spectra import (
 )
 from .dynamics import (
     DecoherenceFactor,
+    InfiniteRateError,
     IntegrationError,
     NoDescentError,
     Numerics,

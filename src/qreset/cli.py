@@ -40,7 +40,6 @@ from .reset import (
     AchievabilityError,
     IntegrationLimitError,
     ResetReport,
-    epsilon_min,
     report_csv_header,
     report_to_csv_row,
     report_to_dict,
@@ -56,7 +55,6 @@ from .spectra import (
     Protected,
     SpectrumError,
     SpectrumModel,
-    Tabulated,
     eval_rate,
     load_tabulated,
     _golden_max,
@@ -116,7 +114,9 @@ class ScenarioNumerics:
         try:
             self.to_numerics()
         except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+            # Numerics calls the cap rate_cap; name the key this config has.
+            message = str(exc).replace("numerics.rate_cap ", "numerics.rate_cap_per_us ")
+            raise ConfigError(message) from None
 
     def to_numerics(self) -> Numerics:
         return Numerics(

@@ -35,7 +35,6 @@ from .spectra import (
     FloatOrArray,
     SpectrumModel,
     argmax_rate,
-    eval_rate,
     rate_fn,
     _golden_max,
     _scan_max,
@@ -77,16 +76,22 @@ def _objective(
     rate_cap: float | None,
     p_e: float,
 ) -> Callable[[FloatOrArray], FloatOrArray]:
-    rate = rate_fn(model, rate_cap)
+    """``J(f) = rate(f) * (p_e - p_eq(f))`` in one closure: raw kernel, cap, gap."""
+    raw = model.rate_kernel
+    cap = math.inf if rate_cap is None else rate_cap
     c = env.ratio_per_ghz
     exp = math.exp
 
     def j(f: FloatOrArray) -> FloatOrArray:
+        r = raw(f)
         try:
             e = exp(-c * f)
+            if r > cap:
+                r = cap
         except TypeError:  # an ndarray grid
             e = np.exp(-c * f)
-        return rate(f) * (p_e - e / (1.0 + e))
+            r = np.minimum(r, cap)
+        return r * (p_e - e / (1.0 + e))
 
     return j
 
@@ -459,7 +464,7 @@ def verify_pmp(
     alts = [
         bounds.f_min_ghz + i * span / (n_frequencies - 1) for i in range(n_frequencies)
     ]
-    alt_rates = [eval_rate(model, f, rate_cap) for f in alts]
+    alt_rates = list(map(rate_fn(model, rate_cap), alts))
     alt_peqs = [equilibrium_population(thermal_ratio(f, env)) for f in alts]
 
     worst = -math.inf

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, TextIO
+from typing import Protocol, TextIO
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "DecoherenceFactor",
     "IntegrationError",
     "NoDescentError",
+    "InfiniteRateError",
     "step_constant",
     "integrate_restore",
     "decoherence_factor",
@@ -40,6 +41,10 @@ class IntegrationError(RuntimeError):
 
 class NoDescentError(IntegrationError):
     """The control law cannot decrease the population toward the target."""
+
+
+class InfiniteRateError(IntegrationError):
+    """The rate at the control frequency is infinite (an uncapped pole)."""
 
 
 @dataclass(frozen=True)
@@ -296,6 +301,11 @@ def integrate_restore(
         f_next = None
         f_anchor = f
         rate = rate_at(f)
+        if rate == math.inf:
+            raise InfiniteRateError(
+                f"rate at f={f!r} GHz is infinite with no rate cap: the state"
+                " would jump to equilibrium in zero time"
+            )
         e = math.exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
@@ -350,9 +360,10 @@ def integrate_restore(
         if t_limit < math.inf and t_limit - t <= dt:
             dt, snap_to = t_limit - t, t_limit
         if not math.isfinite(dt):
-            # Zero rate and nothing to wait for: the state can never move.
-            termination, tau = "time_limit", t
-            break
+            raise NoDescentError(
+                f"rate at f={f!r} GHz is zero with no time limit or transition"
+                " ahead: the state can never move"
+            )
         dt = max(dt, 1.0e-18)
 
         if snap_to is not None:

@@ -13,10 +13,13 @@ published raw-number convention directly.
 
 Each spectrum has one rate kernel, written as elementwise arithmetic, so
 the same code evaluates a single float or a whole ``ndarray`` grid:
-``eval_rate`` and the evaluators from ``rate_fn`` accept either.  Window
-scans (``_scan_max`` and the tables built on ``eval_rate``) evaluate
-their grid in one call; the scalar path, which the integrator and the
-tracked control refresh call millions of times, pays nothing for it.
+``eval_rate`` and the evaluators from ``rate_fn`` accept either.  It is
+built once per model (``rate_kernel``, cached) with the constants folded
+in the formula's own left-to-right order, so hoisting them changes no
+bit; it neither caps nor checks f > 0.  Window scans (``_scan_max`` and
+the tables built on ``eval_rate``) evaluate their grid in one call; the
+scalar path, which the integrator and the tracked control refresh call
+millions of times, pays nothing for it.
 numpy's vectorized ``exp`` and ``pow`` may differ from the C library's
 by an ulp, so a grid value can differ from the scalar value at the same
 frequency by that much; the scans use the grid only to pick an index.
@@ -86,6 +89,19 @@ class SpectrumParseError(SpectrumError):
         self.line_no = line_no
 
 
+# A frequency argument and the rate it gives: a float, or an ndarray grid
+# evaluated elementwise.
+FloatOrArray = TypeVar("FloatOrArray", float, np.ndarray)
+RateKernel = Callable[[FloatOrArray], FloatOrArray]
+
+
+class _KernelCache:
+    """Keeps a model picklable: the cached kernel is a closure, rebuilt on use."""
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "rate_kernel"}
+
+
 def _require_positive(**fields: float) -> None:
     for name, value in fields.items():
         if not (value > 0.0 and math.isfinite(value)):
@@ -93,7 +109,7 @@ def _require_positive(**fields: float) -> None:
 
 
 @dataclass(frozen=True)
-class Lorentzian:
+class Lorentzian(_KernelCache):
     """Resonator-induced Lorentzian peak: coupling g, linewidth kappa, center f_r."""
 
     g_ghz: float = 0.107
@@ -103,9 +119,17 @@ class Lorentzian:
     def __post_init__(self) -> None:
         _require_positive(g=self.g_ghz, kappa=self.kappa_ghz, f_r=self.f_r_ghz)
 
+    @cached_property
+    def rate_kernel(self) -> RateKernel:
+        half = 0.5 * self.kappa_ghz
+        half2 = half * half
+        peak = RAD_PER_US_PER_GHZ * self.g_ghz * self.g_ghz / self.kappa_ghz
+        f_r = self.f_r_ghz
+        return lambda f: peak * (half2 / ((f - f_r) ** 2 + half2))
+
 
 @dataclass(frozen=True)
-class Protected:
+class Protected(_KernelCache):
     """Filtered line with a zero at f_f and a pole at f_r (both in the GHz window)."""
 
     kappa_ghz: float = 0.005
@@ -118,9 +142,28 @@ class Protected:
             kappa=self.kappa_ghz, g=self.g_ghz, f_f=self.f_f_ghz, f_r=self.f_r_ghz
         )
 
+    @cached_property
+    def rate_kernel(self) -> RateKernel:
+        ff2 = self.f_f_ghz * self.f_f_ghz
+        fr2 = self.f_r_ghz * self.f_r_ghz
+        scale = 4.0 * self.kappa_ghz * self.g_ghz**2 * self.f_r_ghz**3
+        span2 = (fr2 - ff2) ** 2
+
+        def rate(f: FloatOrArray) -> FloatOrArray:
+            f2 = f * f
+            try:
+                num = scale * (ff2 - f2) ** 2
+                return RAD_PER_US_PER_GHZ * num / (f * span2 * (fr2 - f2) ** 2)
+            except ZeroDivisionError:
+                # A float exactly at the pole.  A grid divides to IEEE inf there;
+                # its callers silence numpy's divide warning with np.errstate.
+                return math.inf
+
+        return rate
+
 
 @dataclass(frozen=True)
-class Mixed:
+class Mixed(_KernelCache):
     """Flux + dielectric + Purcell + residual background of a tunable flux qubit.
 
     Coefficients follow the published raw-number convention: frequencies
@@ -144,9 +187,18 @@ class Mixed:
             c_other=self.c_other,
         )
 
+    @cached_property
+    def rate_kernel(self) -> RateKernel:
+        c_phi, c_q, c_other, f_r = self.c_phi, self.c_q, self.c_other, self.f_r_ghz
+        k2 = self.kappa_ghz**2
+        purcell = self.c_purcell * k2
+        return lambda f: (
+            c_phi / f**0.9 + c_q * f + purcell / ((f - f_r) ** 2 + k2) + c_other
+        )
+
 
 @dataclass(frozen=True)
-class JQF:
+class JQF(_KernelCache):
     """Giant-atom filter: bare decay time tau0, filtered decay time tau, dip at f_0."""
 
     tau0_us: float = 9.1
@@ -162,9 +214,15 @@ class JQF:
             f_0=self.f_0_ghz,
         )
 
+    @cached_property
+    def rate_kernel(self) -> RateKernel:
+        w2 = self.four_kappa_j_ghz * self.four_kappa_j_ghz
+        tau0, tau, f_0 = self.tau0_us, self.tau_us, self.f_0_ghz
+        return lambda f: 1.0 / (tau0 + tau * (w2 / ((f - f_0) ** 2 + w2)))
+
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_KernelCache):
     """Piecewise-linear spectrum through strictly increasing (f_GHz, rate_1/us) points."""
 
     points: tuple[tuple[float, float], ...]
@@ -191,9 +249,22 @@ class Tabulated:
         return self.points[-1][0]
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        fs, rates = zip(*self.points)
-        return np.array(fs), np.array(rates)
+    def rate_kernel(self) -> RateKernel:
+        f_min, f_max = self.f_min_ghz, self.f_max_ghz
+        fs, rates = (np.array(column) for column in zip(*self.points))
+
+        def rate(f: FloatOrArray) -> FloatOrArray:
+            grid = isinstance(f, np.ndarray)
+            lo, hi = (float(f.min()), float(f.max())) if grid else (f, f)
+            if not (f_min <= lo and hi <= f_max):
+                where = f"[{lo!r}, {hi!r}]" if grid else repr(f)
+                raise SpectrumRangeError(
+                    f"f={where} outside tabulated domain [{f_min!r}, {f_max!r}]"
+                )
+            r = np.interp(f, fs, rates)
+            return r if grid else float(r)
+
+        return rate
 
 
 SpectrumModel = Union[Lorentzian, Protected, Mixed, JQF, Tabulated]
@@ -234,69 +305,6 @@ class ControlBounds:
         return self.f_cp_ghz + self.delta_f_ghz
 
 
-# A frequency argument and the rate it gives: a float, or an ndarray grid
-# evaluated elementwise.
-FloatOrArray = TypeVar("FloatOrArray", float, np.ndarray)
-
-
-def _lorentzian_rate(model: Lorentzian, f: FloatOrArray) -> FloatOrArray:
-    half = 0.5 * model.kappa_ghz
-    shape = half * half / ((f - model.f_r_ghz) ** 2 + half * half)
-    peak = RAD_PER_US_PER_GHZ * model.g_ghz * model.g_ghz / model.kappa_ghz
-    return peak * shape
-
-
-def _protected_rate(model: Protected, f: FloatOrArray) -> FloatOrArray:
-    ff2 = model.f_f_ghz * model.f_f_ghz
-    fr2 = model.f_r_ghz * model.f_r_ghz
-    f2 = f * f
-    num = 4.0 * model.kappa_ghz * model.g_ghz**2 * model.f_r_ghz**3 * (ff2 - f2) ** 2
-    den = f * (fr2 - ff2) ** 2 * (fr2 - f2) ** 2
-    try:
-        return RAD_PER_US_PER_GHZ * num / den
-    except ZeroDivisionError:
-        # A float exactly at the pole.  A grid divides to IEEE inf there;
-        # its callers silence numpy's divide warning with np.errstate.
-        return math.inf
-
-
-def _mixed_rate(model: Mixed, f: FloatOrArray) -> FloatOrArray:
-    purcell = (
-        model.c_purcell
-        * model.kappa_ghz**2
-        / ((f - model.f_r_ghz) ** 2 + model.kappa_ghz**2)
-    )
-    return model.c_phi / f**0.9 + model.c_q * f + purcell + model.c_other
-
-
-def _jqf_rate(model: JQF, f: FloatOrArray) -> FloatOrArray:
-    w2 = model.four_kappa_j_ghz * model.four_kappa_j_ghz
-    shape = w2 / ((f - model.f_0_ghz) ** 2 + w2)
-    return 1.0 / (model.tau0_us + model.tau_us * shape)
-
-
-def _tabulated_rate(model: Tabulated, f: FloatOrArray) -> FloatOrArray:
-    grid = isinstance(f, np.ndarray)
-    lo, hi = (float(f.min()), float(f.max())) if grid else (f, f)
-    if not (model.f_min_ghz <= lo and hi <= model.f_max_ghz):
-        where = f"[{lo!r}, {hi!r}]" if grid else repr(f)
-        raise SpectrumRangeError(
-            f"f={where} outside tabulated domain"
-            f" [{model.f_min_ghz!r}, {model.f_max_ghz!r}]"
-        )
-    rate = np.interp(f, *model._table)
-    return rate if grid else float(rate)
-
-
-_RATE_DISPATCH = {
-    Lorentzian: _lorentzian_rate,
-    Protected: _protected_rate,
-    Mixed: _mixed_rate,
-    JQF: _jqf_rate,
-    Tabulated: _tabulated_rate,
-}
-
-
 def eval_rate(
     model: SpectrumModel,
     f_ghz: FloatOrArray,
@@ -309,39 +317,37 @@ def eval_rate(
     a pole inside the default window); pass ``None`` for the raw value.
     """
     try:
-        raw = _RATE_DISPATCH[type(model)]
-    except KeyError:
+        raw = model.rate_kernel
+    except AttributeError:
         raise TypeError(f"unknown spectrum model {model!r}") from None
     if isinstance(f_ghz, np.ndarray):
         if not np.all(f_ghz > 0.0):
             raise SpectrumError("frequencies must be > 0")
         with np.errstate(divide="ignore"):
-            rates = raw(model, f_ghz)
+            rates = raw(f_ghz)
         return rates if rate_cap is None else np.minimum(rates, rate_cap)
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
-    rate = raw(model, f_ghz)
+    rate = raw(f_ghz)
     if rate_cap is not None and rate > rate_cap:
         return rate_cap
     return rate
 
 
-def rate_fn(
-    model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP
-) -> Callable[[FloatOrArray], FloatOrArray]:
-    """Capped rate evaluator specialized to one model (hot-loop form).
+def rate_fn(model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP) -> RateKernel:
+    """The model's bound rate kernel with the cap applied (hot-loop form).
 
-    Skips per-call dispatch and domain checks; callers must stay at
-    f > 0 and inside any tabulated domain.  It also takes an ndarray
-    grid, for which the caller silences numpy's divide warning.
+    Skips ``eval_rate``'s checks; callers must stay at f > 0 and inside
+    any tabulated domain.  It also takes an ndarray grid, for which the
+    caller silences numpy's divide warning.
     """
-    raw = _RATE_DISPATCH[type(model)]
+    raw = model.rate_kernel
     if rate_cap is None:
-        return lambda f: raw(model, f)
+        return raw
     cap = rate_cap
 
     def capped(f: FloatOrArray) -> FloatOrArray:
-        r = raw(model, f)
+        r = raw(f)
         try:
             return cap if r > cap else r
         except ValueError:  # an ndarray grid: the comparison is elementwise

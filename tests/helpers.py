@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's integration and scan machinery:
 closed-form chained exponentials for piecewise-constant dynamics, a
-plain dense scan for maximization, and the scalar-loop grid scan that
+plain dense scan for maximization, the scalar-loop grid scan that
 ``_scan_max`` replaced (it shares only the package's refinement helpers,
-which that change left as they were).
+which that change left as they were), and the ``(model, f)`` rate
+formulas and control objective that the bound rate kernels replaced.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from qreset import (
     JQF,
@@ -24,6 +27,7 @@ from qreset import (
     thermal_ratio,
 )
 from qreset.spectra import _golden_max, _leftmost_cap_edge
+from qreset.thermo import RAD_PER_US_PER_GHZ
 
 # One model of each spectrum kind; the tabulated one has a node at the
 # protected pole's frequency, 6.5 GHz.
@@ -94,3 +98,81 @@ def scan_max_scalar_reference(fn, f_lo, f_hi, grid_points, cap, tol):
     if v_ref > v_best or (v_ref == v_best and f_ref < f_best):
         f_best, v_best = f_ref, v_ref
     return f_best, v_best, False
+
+
+def _ref_lorentzian(model, f):
+    half = 0.5 * model.kappa_ghz
+    shape = half * half / ((f - model.f_r_ghz) ** 2 + half * half)
+    peak = RAD_PER_US_PER_GHZ * model.g_ghz * model.g_ghz / model.kappa_ghz
+    return peak * shape
+
+
+def _ref_protected(model, f):
+    ff2 = model.f_f_ghz * model.f_f_ghz
+    fr2 = model.f_r_ghz * model.f_r_ghz
+    f2 = f * f
+    num = 4.0 * model.kappa_ghz * model.g_ghz**2 * model.f_r_ghz**3 * (ff2 - f2) ** 2
+    den = f * (fr2 - ff2) ** 2 * (fr2 - f2) ** 2
+    try:
+        return RAD_PER_US_PER_GHZ * num / den
+    except ZeroDivisionError:
+        return math.inf
+
+
+def _ref_mixed(model, f):
+    purcell = (
+        model.c_purcell
+        * model.kappa_ghz**2
+        / ((f - model.f_r_ghz) ** 2 + model.kappa_ghz**2)
+    )
+    return model.c_phi / f**0.9 + model.c_q * f + purcell + model.c_other
+
+
+def _ref_jqf(model, f):
+    w2 = model.four_kappa_j_ghz * model.four_kappa_j_ghz
+    shape = w2 / ((f - model.f_0_ghz) ** 2 + w2)
+    return 1.0 / (model.tau0_us + model.tau_us * shape)
+
+
+def _ref_tabulated(model, f):
+    fs, rates = zip(*model.points)
+    rate = np.interp(f, np.array(fs), np.array(rates))
+    return rate if isinstance(f, np.ndarray) else float(rate)
+
+
+_REF_RATES = {
+    Lorentzian: _ref_lorentzian,
+    Protected: _ref_protected,
+    Mixed: _ref_mixed,
+    JQF: _ref_jqf,
+    Tabulated: _ref_tabulated,
+}
+
+
+def reference_rate(model: SpectrumModel, f, rate_cap: float | None = 1.0e6):
+    """Rate from the full ``(model, f)`` formula, every constant recomputed per call.
+
+    Takes a float or an ndarray grid (the caller silences numpy's divide
+    warning at the protected pole) and caps like ``eval_rate``.
+    """
+    rate = _REF_RATES[type(model)](model, f)
+    if rate_cap is None:
+        return rate
+    if isinstance(f, np.ndarray):
+        return np.minimum(rate, rate_cap)
+    return rate_cap if rate > rate_cap else rate
+
+
+def reference_objective(model: SpectrumModel, env: Environment, rate_cap, p_e: float):
+    """Scalar control objective ``reference_rate(f) * (p_e - p_eq(f))``.
+
+    Same signature as ``qreset.control._objective``, so a test can
+    substitute it there and rerun the integrator.
+    """
+    c = env.ratio_per_ghz
+
+    def j(f: float) -> float:
+        e = math.exp(-c * f)
+        return reference_rate(model, f, rate_cap) * (p_e - e / (1.0 + e))
+
+    return j

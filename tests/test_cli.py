@@ -199,6 +199,38 @@ def test_cmd_run_invalid_numerics_exit_code(tmp_path, capsys, numerics):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cmd_run_invalid_rate_cap_names_its_config_key(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps({"spectrum": "lz", "numerics": {"rate_cap_per_us": -1}}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "numerics.rate_cap_per_us must be finite and > 0" in capsys.readouterr().err
+
+
+def test_cmd_run_uncapped_pole_exit_code(tmp_path, capsys):
+    config = tmp_path / "prot.json"
+    config.write_text(
+        json.dumps({"spectrum": "prot", "numerics": {"rate_cap_per_us": None}}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "infinite" in capsys.readouterr().err
+
+
+def test_cmd_run_zero_rate_spectrum_exit_code(tmp_path, capsys):
+    table = tmp_path / "silent.csv"
+    table.write_text("f_GHz,rate_per_us\n1,0.0\n9,0.0\n", encoding="utf-8")
+    config = tmp_path / "silent.json"
+    config.write_text(
+        json.dumps({"name": "silent", "spectrum": "tabulated:silent.csv"}),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "never move" in capsys.readouterr().err
+
+
 def test_cmd_run_invalid_grid_override_exit_code(tmp_path, capsys):
     argv = ["run", "--scenario", "lz-default", "--grid", "2", "--out", str(tmp_path)]
     assert main(argv) == 1

@@ -37,9 +37,15 @@ from qreset import (
     thermal_ratio,
     verify_pmp,
 )
+import qreset.control
 from qreset.control import _objective
 from qreset.spectra import REFINE_TOL_GHZ as SCAN_TOL_GHZ, _scan_max
-from helpers import KERNEL_MODELS, scan_max_scalar_reference
+from helpers import (
+    KERNEL_MODELS,
+    reference_objective,
+    reference_rate,
+    scan_max_scalar_reference,
+)
 
 
 def test_global_lorentzian_tracks_rate_peak(env10, bounds):
@@ -257,6 +263,50 @@ def test_objective_accepts_a_grid(kind, p_e, fs):
         want = j(f)
         scale = eval_rate(model, f, 1.0e6) * p_e
         assert abs(got - want) <= 4 * math.ulp(scale), (f, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KERNEL_MODELS)),
+    cap=st.sampled_from([None, 1.0e6]),
+    p_e=st.floats(min_value=1e-6, max_value=1.0),
+    f=st.floats(min_value=2.0, max_value=8.0),
+)
+def test_fused_objective_equals_rate_times_gap_exactly(kind, cap, p_e, f):
+    model = KERNEL_MODELS[kind]
+    env = Environment(0.010)
+    j = _objective(model, env, cap, p_e)
+    c = env.ratio_per_ghz
+    for x in (f, 6.5, 6.5 + 1e-9):
+        e = math.exp(-c * x)
+        want = reference_rate(model, x, cap) * (p_e - e / (1.0 + e))
+        assert j(x) == want, (x, j(x), want)
+
+
+@pytest.mark.parametrize("kind, temperature_K", [("prot", 0.01003), ("mix", 0.010)])
+def test_fused_objective_reproduces_reference_trajectory(
+    kind, temperature_K, bounds, monkeypatch
+):
+    # The tracked refresh reads J to round-off: on the protected spectrum's
+    # capped plateau at 10.03 mK the chosen frequency chatters between
+    # near-equal values, so any change in J would move the trajectory.
+    # Both runs share one process and one libm, so the comparison is exact.
+    model = KERNEL_MODELS[kind]
+    env = Environment(temperature_K)
+    numerics = Numerics(step_limit=3000)
+
+    def run():
+        return integrate_restore(
+            QubitState(0.5), TimeLocalOptimal(), model, env, bounds, numerics
+        )
+
+    fused = run()
+    monkeypatch.setattr(qreset.control, "_objective", reference_objective)
+    reference = run()
+    assert fused.n_samples == reference.n_samples > 100
+    assert (fused.termination, fused.tau_st_us) == (reference.termination, reference.tau_st_us)
+    for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
+        assert np.array_equal(getattr(fused, name), getattr(reference, name)), name
 
 
 @pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])

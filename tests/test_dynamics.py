@@ -12,8 +12,10 @@ from qreset import (
     ControlBounds,
     Environment,
     FixedSchedule,
+    InfiniteRateError,
     NoDescentError,
     Numerics,
+    Protected,
     QubitState,
     Tabulated,
     TimeLocalOptimal,
@@ -207,6 +209,26 @@ def test_no_descent_error():
     assert floor > 0.3
     with pytest.raises(NoDescentError):
         integrate_restore(QubitState(0.3), ConstantAtPeak(), FLAT, env, bounds)
+
+
+@pytest.mark.parametrize(
+    "law", [TimeLocalOptimal(), TimeLocalOptimal(mode="global"), ConstantAtPeak()]
+)
+def test_uncapped_pole_raises_instead_of_crossing_in_zero_time(law, env10, bounds):
+    # Without a cap every law settles on the protected pole, where the rate
+    # is inf; the crossing time would come out as 0 and look like success.
+    with pytest.raises(InfiniteRateError, match="infinite"):
+        integrate_restore(
+            QubitState(0.5), law, Protected(), env10, bounds, Numerics(rate_cap=None)
+        )
+
+
+def test_zero_rate_spectrum_raises_no_descent(env10, bounds):
+    # Zero rate everywhere: T1 is infinite, so there is no time limit, and
+    # the state can never move.
+    silent = Tabulated(((1.0, 0.0), (9.0, 0.0)))
+    with pytest.raises(NoDescentError, match="never move"):
+        integrate_restore(QubitState(0.5), TimeLocalOptimal(), silent, env10, bounds)
 
 
 def test_step_limit_termination(env10):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from qreset import (
     load_tabulated,
 )
 from qreset.spectra import REFINE_TOL_GHZ, _scan_max, rate_fn
-from helpers import KERNEL_MODELS, brute_force_argmax, scan_max_scalar_reference
+from helpers import (
+    KERNEL_MODELS,
+    brute_force_argmax,
+    reference_rate,
+    scan_max_scalar_reference,
+)
 
 LZ_PEAK = 2.0e3 * math.pi * 0.107**2 / 0.044  # 1634.913... 1/us
 
@@ -270,6 +276,54 @@ def test_array_kernel_matches_scalar_kernel(kind, cap, fs):
         assert evaluate(f) == want
         assert _close_to_ulps(a, want, 4), (f, a, want)
         assert _close_to_ulps(b, want, 4), (f, b, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KERNEL_MODELS)),
+    cap=st.sampled_from([None, 1.0e6, 1.0]),
+    f=st.floats(min_value=2.0, max_value=8.0),
+)
+def test_bound_kernel_equals_full_formula_exactly(kind, cap, f):
+    # Hoisting the model-only constants keeps every IEEE operation, so the
+    # bound kernel equals the full formula bit for bit: at a random point,
+    # at the window edges, at the protected pole (inf uncapped) and just
+    # beside it (over the cap), on floats and on a grid.
+    model = KERNEL_MODELS[kind]
+    evaluate = rate_fn(model, cap)
+    points = [f, 2.0, 6.5, 6.5 + 1e-9, 8.0]
+    for x in points:
+        want = reference_rate(model, x, cap)
+        assert evaluate(x) == want, (x, evaluate(x), want)
+        assert eval_rate(model, x, cap) == want
+    grid = np.array(points)
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(evaluate(grid), reference_rate(model, grid, cap))
+
+
+def test_rate_kernel_is_bound_once_per_model():
+    model = Protected()
+    assert model.rate_kernel is model.rate_kernel
+    assert rate_fn(model, None) is model.rate_kernel
+    # Another model with other constants gets its own kernel.
+    other = Protected(g_ghz=0.3)
+    assert other.rate_kernel is not model.rate_kernel
+    assert other.rate_kernel(5.5) == 4.0 * model.rate_kernel(5.5)
+    assert other == Protected(g_ghz=0.3) and hash(other) == hash(Protected(g_ghz=0.3))
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+def test_model_with_a_bound_kernel_still_pickles(kind):
+    model = KERNEL_MODELS[kind]
+    want = eval_rate(model, 5.5)  # binds and caches the kernel
+    again = pickle.loads(pickle.dumps(model))
+    assert again == model
+    assert eval_rate(again, 5.5) == want
+
+
+def test_unknown_model_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown spectrum model"):
+        eval_rate(object(), 5.0)
 
 
 def test_scalar_kernels_return_python_floats():
