@@ -61,6 +61,7 @@ from .control import (
     DegenerateTransversalityError,
     FixedSchedule,
     PmpReport,
+    RefreshLimitError,
     ScheduleWindowError,
     TimeLocalOptimal,
     constant_restore_frequency,

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .dynamics import NoDescentError, Numerics, Trajectory
+from .dynamics import IntegrationError, NoDescentError, Numerics, Trajectory
 from .spectra import (
     ControlBounds,
     DEFAULT_GRID_POINTS,
@@ -36,6 +36,7 @@ from .spectra import (
     SpectrumModel,
     argmax_rate,
     rate_fn,
+    _cap_edge,
     _golden_max,
     _scan_max,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "NoDescentError",
     "DegenerateTransversalityError",
     "ScheduleWindowError",
+    "RefreshLimitError",
     "CostateTrajectory",
     "PmpReport",
     "optimal_frequency",
@@ -68,6 +70,10 @@ class DegenerateTransversalityError(RuntimeError):
 
 class ScheduleWindowError(ValueError):
     """A fixed schedule holds a frequency that is non-finite or outside the window."""
+
+
+class RefreshLimitError(IntegrationError):
+    """The tracked refresh moved its search window too often without settling."""
 
 
 def _objective(
@@ -96,6 +102,22 @@ def _objective(
     return j
 
 
+def _plateau_right_edge(
+    raw: Callable[[float], float], on: float, hi: float, cap: float, probe: float, tol: float
+) -> float:
+    """Right edge of the capped plateau through ``on``, or ``hi`` if it reaches that far.
+
+    Assumes raw(on) >= cap.  Probes one step right first, so an edge
+    already at ``on`` costs one evaluation.
+    """
+    off = min(on + probe, hi)
+    if raw(off) >= cap:
+        if raw(hi) >= cap:
+            return hi
+        on, off = off, hi
+    return _cap_edge(raw, off, on, cap, tol)
+
+
 def optimal_frequency(
     p_e: float,
     model: SpectrumModel,
@@ -107,6 +129,7 @@ def optimal_frequency(
     near: float | None = None,
     window_ghz: float = 0.02,
     refine_tol_ghz: float = REFINE_TOL_GHZ,
+    cap_in_window: bool = True,
 ) -> float:
     """Frequency maximizing the restoring objective for the current population.
 
@@ -116,6 +139,14 @@ def optimal_frequency(
     previous frequency as ``near`` instead refines the local maximum of
     the same objective around it, which is how the tracked law follows a
     continuous extremal branch.
+
+    On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
+    round-off, but ``p_eq`` falls with f, so the tracked refresh returns
+    the plateau's right edge, a point whose raw rate still reaches the
+    cap.  ``cap_in_window=False`` (the rate stays below the cap across
+    the window) skips those plateau checks.  Raises
+    ``RefreshLimitError`` if the search window moves 2048 times without
+    settling.
     """
     if not 0.0 < p_e <= 1.0:
         raise ValueError(f"p_e must lie in (0, 1], got {p_e!r}")
@@ -134,6 +165,7 @@ def optimal_frequency(
 
     f = min(max(near, f_lo), f_hi)
     probe = max(refine_tol_ghz, 1.0e-7)
+    raw = model.rate_kernel if cap_in_window and rate_cap is not None else None
     for _ in range(2048):
         lo = max(f_lo, f - window_ghz)
         hi = min(f_hi, f + window_ghz)
@@ -142,6 +174,14 @@ def optimal_frequency(
             return f_lo
         if hi == f_hi and f_hi - f <= probe and j(f_hi) >= j(f_hi - probe):
             return f_hi
+        # Anchored on a plateau: its right edge, if J falls past it.
+        if raw is not None and raw(f) >= rate_cap:
+            edge = _plateau_right_edge(raw, f, hi, rate_cap, probe, refine_tol_ghz)
+            if edge == hi < f_hi:
+                f = hi
+                continue
+            if j(edge) >= j(min(edge + probe, f_hi)):
+                return edge
         f_new, _ = _golden_max(j, lo, hi, refine_tol_ghz)
         if f_new <= lo + 2.0 * refine_tol_ghz and lo > f_lo:
             f = lo
@@ -149,8 +189,20 @@ def optimal_frequency(
         if f_new >= hi - 2.0 * refine_tol_ghz and hi < f_hi:
             f = hi
             continue
+        if raw is not None:
+            # The golden result on a plateau or one step past its right kink.
+            on = f_new if raw(f_new) >= rate_cap else f_new - refine_tol_ghz
+            if raw(on) >= rate_cap:
+                edge = _plateau_right_edge(raw, on, hi, rate_cap, probe, refine_tol_ghz)
+                if edge == hi < f_hi:
+                    f = hi
+                    continue
+                return edge
         return min(max(f_new, f_lo), f_hi)
-    return f
+    raise RefreshLimitError(
+        f"tracked refresh from near={near!r} GHz moved its {window_ghz!r} GHz"
+        f" window 2048 times without settling (last at f={f!r} GHz)"
+    )
 
 
 def constant_restore_frequency(
@@ -202,6 +254,8 @@ class _TimeLocalRuntime:
         self._numerics = numerics
 
     held_ghz = None
+    # Whether the rate cap binds in the window, from the start scan.
+    _cap_in_window = True
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
         if self._law.mode == "global":
@@ -214,12 +268,13 @@ class _TimeLocalRuntime:
                 rate_cap=self._numerics.rate_cap,
             )
         if f_anchor is None:
-            f_anchor = constant_restore_frequency(
+            start = argmax_rate(
                 self._model,
                 self._bounds,
                 grid_points=self._numerics.grid_points,
                 rate_cap=self._numerics.rate_cap,
             )
+            f_anchor, self._cap_in_window = start.f_ghz, start.cap_hit
         return optimal_frequency(
             p_e,
             self._model,
@@ -230,6 +285,7 @@ class _TimeLocalRuntime:
             near=f_anchor,
             window_ghz=self._law.window_ghz,
             refine_tol_ghz=self._law.refine_tol_ghz,
+            cap_in_window=self._cap_in_window,
         )
 
     def next_transition_after(self, t_us: float) -> float | None:

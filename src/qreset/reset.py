@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TextIO
 
 from .dynamics import Numerics, QubitState, Trajectory, integrate_restore
 from .spectra import ControlBounds, SpectrumModel, coherence_time
@@ -235,10 +234,3 @@ def report_to_csv_row(report: ResetReport) -> list[str]:
         value = getattr(report, f.name)
         row.append("inf" if isinstance(value, float) and math.isinf(value) else repr(value))
     return row
-
-
-def write_report_csv(reports: list[tuple[list[str], ResetReport]], lead_header: list[str], stream: TextIO) -> None:
-    """Write reports as CSV rows with caller-provided leading columns."""
-    stream.write(",".join(lead_header + report_csv_header()) + "\n")
-    for lead, report in reports:
-        stream.write(",".join(lead + report_to_csv_row(report)) + "\n")

@@ -348,10 +348,9 @@ def rate_fn(model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP) -> 
 
     def capped(f: FloatOrArray) -> FloatOrArray:
         r = raw(f)
-        try:
-            return cap if r > cap else r
-        except ValueError:  # an ndarray grid: the comparison is elementwise
+        if isinstance(r, np.ndarray):
             return np.minimum(r, cap)
+        return cap if r > cap else r
 
     return capped
 
@@ -388,21 +387,22 @@ def _golden_max(
     return mid, fn(mid)
 
 
-def _leftmost_cap_edge(
-    fn: Callable[[float], float], a: float, b: float, cap: float, tol: float
+def _cap_edge(
+    fn: Callable[[float], float], off: float, on: float, cap: float, tol: float
 ) -> float:
-    """Leftmost f in (a, b] with fn(f) >= cap, located by bisection.
+    """Edge of a capped plateau between ``off`` and ``on``, located by bisection.
 
-    Assumes fn(a) < cap <= fn(b).
+    Assumes fn(off) < cap <= fn(on); either may be the larger.  Returns a
+    point within ``tol`` of the crossing with fn >= cap: the leftmost
+    plateau point when ``off < on``, the rightmost when ``on < off``.
     """
-    lo, hi = a, b
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while abs(on - off) > tol:
+        mid = 0.5 * (on + off)
         if fn(mid) >= cap:
-            hi = mid
+            on = mid
         else:
-            lo = mid
-    return hi
+            off = mid
+    return on
 
 
 def _scan_max(
@@ -440,9 +440,9 @@ def _scan_max(
         while left > 0 and vals[left - 1] >= cap:
             left -= 1
         if left == best and best > 0:
-            edge = _leftmost_cap_edge(fn, float(fs[best - 1]), f_best, cap, tol)
+            edge = _cap_edge(fn, float(fs[best - 1]), f_best, cap, tol)
         elif left > 0:
-            edge = _leftmost_cap_edge(fn, float(fs[left - 1]), float(fs[left]), cap, tol)
+            edge = _cap_edge(fn, float(fs[left - 1]), float(fs[left]), cap, tol)
         else:
             edge = f_lo
         return edge, v_best, True
@@ -456,7 +456,7 @@ def _scan_max(
     if cap is not None and v_ref >= cap:
         # Refinement climbed onto a capped plateau narrower than the grid
         # spacing; every grid value was below the cap, so fn(a) < cap.
-        edge = _leftmost_cap_edge(fn, a, f_ref, cap, tol)
+        edge = _cap_edge(fn, a, f_ref, cap, tol)
         return edge, v_ref, True
     if v_ref > v_best or (v_ref == v_best and f_ref < f_best):
         f_best, v_best = f_ref, v_ref

@@ -4,8 +4,10 @@ These deliberately avoid the package's integration and scan machinery:
 closed-form chained exponentials for piecewise-constant dynamics, a
 plain dense scan for maximization, the scalar-loop grid scan that
 ``_scan_max`` replaced (it shares only the package's refinement helpers,
-which that change left as they were), and the ``(model, f)`` rate
-formulas and control objective that the bound rate kernels replaced.
+which that change left as they were), the ``(model, f)`` rate
+formulas and control objective that the bound rate kernels replaced, and
+the tracked refresh as it was before it learned the capped plateau's
+right edge.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from qreset import (
     eval_rate,
     thermal_ratio,
 )
-from qreset.spectra import _golden_max, _leftmost_cap_edge
+import qreset.control
+from qreset.spectra import _cap_edge, _golden_max
 from qreset.thermo import RAD_PER_US_PER_GHZ
 
 # One model of each spectrum kind; the tabulated one has a node at the
@@ -82,9 +85,9 @@ def scan_max_scalar_reference(fn, f_lo, f_hi, grid_points, cap, tol):
         while left > 0 and vals[left - 1] >= cap:
             left -= 1
         if left == best and best > 0:
-            edge = _leftmost_cap_edge(fn, fs[best - 1], f_best, cap, tol)
+            edge = _cap_edge(fn, fs[best - 1], f_best, cap, tol)
         elif left > 0:
-            edge = _leftmost_cap_edge(fn, fs[left - 1], fs[left], cap, tol)
+            edge = _cap_edge(fn, fs[left - 1], fs[left], cap, tol)
         else:
             edge = fs[0]
         return edge, v_best, True
@@ -94,7 +97,7 @@ def scan_max_scalar_reference(fn, f_lo, f_hi, grid_points, cap, tol):
         return f_best, v_best, False
     f_ref, v_ref = _golden_max(fn, a, b, tol)
     if cap is not None and v_ref >= cap:
-        return _leftmost_cap_edge(fn, a, f_ref, cap, tol), v_ref, True
+        return _cap_edge(fn, a, f_ref, cap, tol), v_ref, True
     if v_ref > v_best or (v_ref == v_best and f_ref < f_best):
         f_best, v_best = f_ref, v_ref
     return f_best, v_best, False
@@ -176,3 +179,45 @@ def reference_objective(model: SpectrumModel, env: Environment, rate_cap, p_e: f
         return reference_rate(model, f, rate_cap) * (p_e - e / (1.0 + e))
 
     return j
+
+
+def reference_optimal_frequency(
+    p_e,
+    model,
+    env,
+    bounds,
+    *,
+    grid_points=4001,
+    rate_cap=1.0e6,
+    near=None,
+    window_ghz=0.02,
+    refine_tol_ghz=1.0e-9,
+    cap_in_window=True,
+):
+    """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
+
+    Same signature, so a test can substitute it there for tracked runs;
+    ``grid_points`` and ``cap_in_window`` are accepted and ignored.  The
+    objective is looked up on ``qreset.control`` at call time, as the
+    package does.
+    """
+    j = qreset.control._objective(model, env, rate_cap, p_e)
+    f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
+    f = min(max(near, f_lo), f_hi)
+    probe = max(refine_tol_ghz, 1.0e-7)
+    for _ in range(2048):
+        lo = max(f_lo, f - window_ghz)
+        hi = min(f_hi, f + window_ghz)
+        if lo == f_lo and f - f_lo <= probe and j(f_lo) >= j(f_lo + probe):
+            return f_lo
+        if hi == f_hi and f_hi - f <= probe and j(f_hi) >= j(f_hi - probe):
+            return f_hi
+        f_new, _ = _golden_max(j, lo, hi, refine_tol_ghz)
+        if f_new <= lo + 2.0 * refine_tol_ghz and lo > f_lo:
+            f = lo
+            continue
+        if f_new >= hi - 2.0 * refine_tol_ghz and hi < f_hi:
+            f = hi
+            continue
+        return min(max(f_new, f_lo), f_hi)
+    return f

@@ -13,6 +13,7 @@ from qreset import (
     ControlBounds,
     Environment,
     FixedSchedule,
+    IntegrationError,
     JQF,
     Lorentzian,
     Mixed,
@@ -21,6 +22,7 @@ from qreset import (
     PopulationDeviation,
     Protected,
     QubitState,
+    RefreshLimitError,
     ScheduleWindowError,
     Tabulated,
     TimeLocalOptimal,
@@ -43,6 +45,7 @@ from qreset.spectra import REFINE_TOL_GHZ as SCAN_TOL_GHZ, _scan_max
 from helpers import (
     KERNEL_MODELS,
     reference_objective,
+    reference_optimal_frequency,
     reference_rate,
     scan_max_scalar_reference,
 )
@@ -252,6 +255,7 @@ def test_time_local_mode_validation():
 def test_objective_accepts_a_grid(kind, p_e, fs):
     # numpy's exp may differ from math.exp by an ulp; measured against the
     # size of the terms, the grid and scalar objectives agree to a few ulps.
+    # The larger term is rate * p_eq where p_eq exceeds p_e (low f, small p_e).
     model = KERNEL_MODELS[kind]
     env = Environment(0.010)
     j = _objective(model, env, 1.0e6, p_e)
@@ -261,7 +265,8 @@ def test_objective_accepts_a_grid(kind, p_e, fs):
     assert isinstance(values, np.ndarray)
     for f, got in zip(grid.tolist(), values.tolist()):
         want = j(f)
-        scale = eval_rate(model, f, 1.0e6) * p_e
+        p_eq = equilibrium_population(thermal_ratio(f, env))
+        scale = eval_rate(model, f, 1.0e6) * max(p_e, p_eq)
         assert abs(got - want) <= 4 * math.ulp(scale), (f, got, want)
 
 
@@ -287,9 +292,10 @@ def test_fused_objective_equals_rate_times_gap_exactly(kind, cap, p_e, f):
 def test_fused_objective_reproduces_reference_trajectory(
     kind, temperature_K, bounds, monkeypatch
 ):
-    # The tracked refresh reads J to round-off: on the protected spectrum's
-    # capped plateau at 10.03 mK the chosen frequency chatters between
-    # near-equal values, so any change in J would move the trajectory.
+    # The tracked refresh compares J values to round-off (the golden section
+    # on mix; on the protected spectrum's capped plateau at 10.03 mK, the
+    # check that J falls past the plateau's right edge), so any change in J
+    # would move the trajectory.
     # Both runs share one process and one libm, so the comparison is exact.
     model = KERNEL_MODELS[kind]
     env = Environment(temperature_K)
@@ -307,6 +313,83 @@ def test_fused_objective_reproduces_reference_trajectory(
     assert (fused.termination, fused.tau_st_us) == (reference.termination, reference.tau_st_us)
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(fused, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("temperature_K", [0.0095, 0.010, 0.01002, 0.01003, 0.0105])
+def test_tracked_protected_holds_the_plateau_right_edge(temperature_K, bounds):
+    # On the capped plateau J = cap * (p_e - p_eq(f)) is flat to round-off
+    # while p_eq falls with f: the refresh settles on the plateau's right
+    # edge, with the held rate exactly the cap, instead of hopping between
+    # round-off maxima (10.02 and 10.03 mK used to take about 49,500 steps).
+    model = Protected()
+    trajectory = integrate_restore(
+        QubitState(0.5), TimeLocalOptimal(), model, Environment(temperature_K), bounds
+    )
+    assert trajectory.termination == "precision"
+    assert trajectory.n_samples <= 300
+    assert np.all(trajectory.rate_per_us == 1.0e6)
+    for f in np.unique(trajectory.f_ghz).tolist():
+        assert model.rate_kernel(f + 2.0e-7) < 1.0e6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    temperature_mK=st.floats(min_value=9.0, max_value=11.0),
+    log_eps=st.floats(min_value=math.log(3.0e-6), max_value=math.log(3.0e-5)),
+)
+def test_tracked_protected_reaches_precision_in_few_steps(temperature_mK, log_eps):
+    bounds = ControlBounds(epsilon=math.exp(log_eps))
+    trajectory = integrate_restore(
+        QubitState(0.5),
+        TimeLocalOptimal(),
+        Protected(),
+        Environment(temperature_mK * 1.0e-3),
+        bounds,
+        Numerics(step_limit=400),
+    )
+    assert trajectory.termination == "precision"
+
+
+@pytest.mark.parametrize("kind", ["lz", "mix", "jqf"])
+def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
+    kind, env10, bounds, monkeypatch
+):
+    # These rates stay below the cap across the window, so the start scan
+    # turns the plateau checks off: every refresh evaluates the rate kernel
+    # exactly where the refresh without them did, and no more often.
+    model = type(KERNEL_MODELS[kind])()
+    kernel = model.rate_kernel
+    calls = [0]
+
+    def counted(f):
+        calls[0] += 1
+        return kernel(f)
+
+    model.__dict__["rate_kernel"] = counted  # the cached_property's slot
+
+    def run():
+        calls[0] = 0
+        trajectory = integrate_restore(
+            QubitState(0.5), TimeLocalOptimal(), model, env10, bounds
+        )
+        return trajectory, calls[0]
+
+    current, current_calls = run()
+    monkeypatch.setattr(qreset.control, "optimal_frequency", reference_optimal_frequency)
+    reference, reference_calls = run()
+    assert current_calls == reference_calls
+    assert current.n_samples == reference.n_samples
+    assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
+    for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
+        assert np.array_equal(getattr(current, name), getattr(reference, name)), name
+
+
+def test_tracked_refresh_fails_loudly_when_its_window_never_settles(env10, bounds):
+    # A 1e-5 GHz window 2.9 GHz below the Lorentzian peak would have to
+    # move about 290,000 times to climb there.
+    assert issubclass(RefreshLimitError, IntegrationError)
+    with pytest.raises(RefreshLimitError, match="2048 times"):
+        optimal_frequency(0.5, Lorentzian(), env10, bounds, near=2.5, window_ghz=1.0e-5)
 
 
 @pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])

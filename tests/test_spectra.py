@@ -332,6 +332,17 @@ def test_scalar_kernels_return_python_floats():
         assert type(rate_fn(model)(5.0)) is float
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_capped_rate_fn_returns_an_array_for_any_grid_size(size):
+    # A one-element array compares to the cap without raising, so the
+    # capped evaluator must tell grids from floats by type.
+    grid = np.full(size, 6.5)
+    with np.errstate(divide="ignore"):
+        rates = rate_fn(Protected())(grid)
+    assert isinstance(rates, np.ndarray)
+    assert np.array_equal(rates, np.full(size, 1.0e6))
+
+
 def test_array_eval_rate_checks_the_domain():
     for bad in (0.0, math.nan):
         with pytest.raises(SpectrumError):
