@@ -129,7 +129,6 @@ def optimal_frequency(
     near: float | None = None,
     window_ghz: float = 0.02,
     refine_tol_ghz: float = REFINE_TOL_GHZ,
-    cap_in_window: bool = True,
 ) -> float:
     """Frequency maximizing the restoring objective for the current population.
 
@@ -143,10 +142,8 @@ def optimal_frequency(
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
     the plateau's right edge, a point whose raw rate still reaches the
-    cap.  ``cap_in_window=False`` (the rate stays below the cap across
-    the window) skips those plateau checks.  Raises
-    ``RefreshLimitError`` if the search window moves 2048 times without
-    settling.
+    cap.  Raises ``RefreshLimitError`` if the search window moves 2048
+    times without settling.
     """
     if not 0.0 < p_e <= 1.0:
         raise ValueError(f"p_e must lie in (0, 1], got {p_e!r}")
@@ -165,7 +162,8 @@ def optimal_frequency(
 
     f = min(max(near, f_lo), f_hi)
     probe = max(refine_tol_ghz, 1.0e-7)
-    raw = model.rate_kernel if cap_in_window and rate_cap is not None else None
+    raw = None if rate_cap is None else model.rate_kernel
+    past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
         lo = max(f_lo, f - window_ghz)
         hi = min(f_hi, f + window_ghz)
@@ -174,31 +172,32 @@ def optimal_frequency(
             return f_lo
         if hi == f_hi and f_hi - f <= probe and j(f_hi) >= j(f_hi - probe):
             return f_hi
-        # Anchored on a plateau: its right edge, if J falls past it.
-        if raw is not None and raw(f) >= rate_cap:
-            edge = _plateau_right_edge(raw, f, hi, rate_cap, probe, refine_tol_ghz)
-            if edge == hi < f_hi:
+        # Anchored on a plateau, or the golden result on one or one step
+        # past its right kink: that plateau's right edge.
+        anchored = raw is not None and f != past_edge and raw(f) >= rate_cap
+        if anchored:
+            on = f
+        else:
+            f_new, _ = _golden_max(j, lo, hi, refine_tol_ghz)
+            if f_new <= lo + 2.0 * refine_tol_ghz and lo > f_lo:
+                f = lo
+                continue
+            if f_new >= hi - 2.0 * refine_tol_ghz and hi < f_hi:
                 f = hi
                 continue
-            if j(edge) >= j(min(edge + probe, f_hi)):
-                return edge
-        f_new, _ = _golden_max(j, lo, hi, refine_tol_ghz)
-        if f_new <= lo + 2.0 * refine_tol_ghz and lo > f_lo:
-            f = lo
-            continue
-        if f_new >= hi - 2.0 * refine_tol_ghz and hi < f_hi:
+            if raw is None:
+                return min(max(f_new, f_lo), f_hi)
+            on = f_new if raw(f_new) >= rate_cap else f_new - refine_tol_ghz
+            if raw(on) < rate_cap:
+                return min(max(f_new, f_lo), f_hi)
+        edge = _plateau_right_edge(raw, on, hi, rate_cap, probe, refine_tol_ghz)
+        if edge == hi < f_hi:
             f = hi
             continue
-        if raw is not None:
-            # The golden result on a plateau or one step past its right kink.
-            on = f_new if raw(f_new) >= rate_cap else f_new - refine_tol_ghz
-            if raw(on) >= rate_cap:
-                edge = _plateau_right_edge(raw, on, hi, rate_cap, probe, refine_tol_ghz)
-                if edge == hi < f_hi:
-                    f = hi
-                    continue
-                return edge
-        return min(max(f_new, f_lo), f_hi)
+        if anchored and j(edge) < j(min(edge + probe, f_hi)):
+            past_edge = f
+            continue
+        return edge
     raise RefreshLimitError(
         f"tracked refresh from near={near!r} GHz moved its {window_ghz!r} GHz"
         f" window 2048 times without settling (last at f={f!r} GHz)"
@@ -252,10 +251,13 @@ class _TimeLocalRuntime:
         self._env = env
         self._bounds = bounds
         self._numerics = numerics
+        # The cap the tracked refresh applies.  Where the start scan finds
+        # the rate below it across the window it cannot bind, so it is left
+        # out, and with it the plateau checks that would cost every refresh
+        # extra rate evaluations.
+        self._tracked_cap = numerics.rate_cap
 
     held_ghz = None
-    # Whether the rate cap binds in the window, from the start scan.
-    _cap_in_window = True
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
         if self._law.mode == "global":
@@ -274,18 +276,19 @@ class _TimeLocalRuntime:
                 grid_points=self._numerics.grid_points,
                 rate_cap=self._numerics.rate_cap,
             )
-            f_anchor, self._cap_in_window = start.f_ghz, start.cap_hit
+            f_anchor = start.f_ghz
+            if not start.cap_hit:
+                self._tracked_cap = None
         return optimal_frequency(
             p_e,
             self._model,
             self._env,
             self._bounds,
             grid_points=self._numerics.grid_points,
-            rate_cap=self._numerics.rate_cap,
+            rate_cap=self._tracked_cap,
             near=f_anchor,
             window_ghz=self._law.window_ghz,
             refine_tol_ghz=self._law.refine_tol_ghz,
-            cap_in_window=self._cap_in_window,
         )
 
     def next_transition_after(self, t_us: float) -> float | None:

@@ -192,14 +192,12 @@ def reference_optimal_frequency(
     near=None,
     window_ghz=0.02,
     refine_tol_ghz=1.0e-9,
-    cap_in_window=True,
 ):
     """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
 
     Same signature, so a test can substitute it there for tracked runs;
-    ``grid_points`` and ``cap_in_window`` are accepted and ignored.  The
-    objective is looked up on ``qreset.control`` at call time, as the
-    package does.
+    ``grid_points`` is accepted and ignored.  The objective is looked up
+    on ``qreset.control`` at call time, as the package does.
     """
     j = qreset.control._objective(model, env, rate_cap, p_e)
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz

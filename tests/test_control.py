@@ -255,7 +255,6 @@ def test_time_local_mode_validation():
 def test_objective_accepts_a_grid(kind, p_e, fs):
     # numpy's exp may differ from math.exp by an ulp; measured against the
     # size of the terms, the grid and scalar objectives agree to a few ulps.
-    # The larger term is rate * p_eq where p_eq exceeds p_e (low f, small p_e).
     model = KERNEL_MODELS[kind]
     env = Environment(0.010)
     j = _objective(model, env, 1.0e6, p_e)
@@ -265,8 +264,7 @@ def test_objective_accepts_a_grid(kind, p_e, fs):
     assert isinstance(values, np.ndarray)
     for f, got in zip(grid.tolist(), values.tolist()):
         want = j(f)
-        p_eq = equilibrium_population(thermal_ratio(f, env))
-        scale = eval_rate(model, f, 1.0e6) * max(p_e, p_eq)
+        scale = eval_rate(model, f, 1.0e6) * p_e
         assert abs(got - want) <= 4 * math.ulp(scale), (f, got, want)
 
 
@@ -355,8 +353,9 @@ def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     kind, env10, bounds, monkeypatch
 ):
     # These rates stay below the cap across the window, so the start scan
-    # turns the plateau checks off: every refresh evaluates the rate kernel
-    # exactly where the refresh without them did, and no more often.
+    # leaves the cap, and with it the plateau checks, out of the refresh:
+    # every refresh evaluates the rate kernel exactly where the refresh
+    # without them did, and no more often.
     model = type(KERNEL_MODELS[kind])()
     kernel = model.rate_kernel
     calls = [0]
@@ -382,6 +381,16 @@ def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("near", [6.4992, 6.5, 6.5008, 6.501])
+def test_direct_tracked_refresh_returns_the_plateau_right_edge(near, env10, bounds):
+    # Called directly with a cap, the refresh always applies the plateau
+    # rule, from an anchor on the plateau or just past it.
+    model = Protected()
+    f = optimal_frequency(1.0e-3, model, env10, bounds, near=near)
+    assert model.rate_kernel(f) >= 1.0e6
+    assert model.rate_kernel(f + 2.0e-7) < 1.0e6
 
 
 def test_tracked_refresh_fails_loudly_when_its_window_never_settles(env10, bounds):
