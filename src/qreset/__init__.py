@@ -100,15 +100,15 @@ from .robustness import (
     run_deviation,
     sensitivity_report,
 )
-from .cli import (
+from .scenario import (
     BUILTIN_SCENARIO_NAMES,
-    CalibrationResult,
     ConfigError,
     PAPER_W_EX_NORM_TARGETS,
     Scenario,
-    ScenarioNumerics,
     builtin_scenario,
-    calibrate_temperature,
+    load_scenario,
+    scenario_hash,
 )
+from .cli import CalibrationResult, calibrate_temperature
 
 __version__ = "0.1.0"

@@ -8,33 +8,23 @@ Commands::
     qreset calibrate-temperature  best-fit environment temperature
     qreset spectra              rate tables for the built-in spectra
 
-Scenarios are flat JSON objects with an optional nested ``numerics``
-object; unknown keys are errors, not warnings, because silent typos in
-physics parameters are the main reproduction hazard.  Outputs are
+Scenario configs are described in ``qreset.scenario``.  Outputs are
 deterministic: identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .control import (
-    ConstantAtPeak,
-    FixedSchedule,
-    ScheduleWindowError,
-    TimeLocalOptimal,
-    schedule_from_csv,
-    schedule_to_csv,
-)
+from .control import schedule_to_csv
 from .dynamics import IntegrationError, Numerics, Trajectory
 from .reset import (
     AchievabilityError,
@@ -47,250 +37,26 @@ from .reset import (
     thermodynamic_length_bound,
 )
 from .robustness import fidelity_sweep, make_baseline
-from .spectra import (
-    JQF,
-    ControlBounds,
-    Lorentzian,
-    Mixed,
-    Protected,
-    SpectrumError,
-    SpectrumModel,
-    eval_rate,
-    load_tabulated,
-    _golden_max,
+from .scenario import (
+    BUILTIN_SCENARIO_NAMES,
+    PAPER_W_EX_NORM_TARGETS,
+    ConfigError,
+    Scenario,
+    _SPECTRUM_CLASSES,
+    _SPECTRUM_KINDS,
+    builtin_scenario,
+    load_scenario,
+    scenario_hash,
 )
-from .thermo import LN2, Environment
+from .spectra import ControlBounds, SpectrumError, eval_rate, _golden_max
+from .thermo import LN2
 
 __all__ = [
-    "ConfigError",
-    "ScenarioNumerics",
-    "Scenario",
-    "BUILTIN_SCENARIO_NAMES",
-    "builtin_scenario",
     "CalibrationResult",
     "calibrate_temperature",
-    "PAPER_W_EX_NORM_TARGETS",
     "main",
     "console_main",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration."""
-
-
-_SPECTRUM_KINDS = ("lz", "prot", "mix", "jqf")
-
-_SPECTRUM_CLASSES = {
-    "lz": Lorentzian,
-    "prot": Protected,
-    "mix": Mixed,
-    "jqf": JQF,
-}
-
-# Published normalized extra-work values for the four built-in spectra,
-# used as default calibration targets.
-PAPER_W_EX_NORM_TARGETS = {"lz": 18.53, "prot": 22.51, "mix": 6.24, "jqf": 6.37}
-
-BUILTIN_SCENARIO_NAMES = ("lz-default", "prot-default", "mix-default", "jqf-default")
-
-
-@dataclass(frozen=True)
-class ScenarioNumerics:
-    grid_points: int = 4001
-    step_log_bound: float = 0.05
-    rate_cap_per_us: float | None = 1.0e6
-    control_drift_ghz: float | None = None
-    step_limit: int = 10_000_000
-    time_limit_t1: float = 1.0e4
-    control_mode: str = "tracked"
-
-    def __post_init__(self) -> None:
-        if self.control_mode not in ("tracked", "global"):
-            raise ConfigError(
-                f"numerics.control_mode must be 'tracked' or 'global',"
-                f" got {self.control_mode!r}"
-            )
-        try:
-            self.to_numerics()
-        except (TypeError, ValueError) as exc:
-            # Numerics calls the cap rate_cap; name the key this config has.
-            message = str(exc).replace("numerics.rate_cap ", "numerics.rate_cap_per_us ")
-            raise ConfigError(message) from None
-
-    def to_numerics(self) -> Numerics:
-        return Numerics(
-            step_log_bound=self.step_log_bound,
-            grid_points=self.grid_points,
-            rate_cap=self.rate_cap_per_us,
-            control_drift_ghz=self.control_drift_ghz,
-            step_limit=self.step_limit,
-            time_limit_t1=self.time_limit_t1,
-        )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One fully specified reset run."""
-
-    name: str
-    spectrum: str = "lz"
-    spectrum_params: Mapping[str, float] = field(default_factory=dict)
-    temperature_K: float = 0.010
-    f_cp_GHz: float = 5.0
-    delta_f_GHz: float = 3.0
-    tau_sw_us: float = 0.010
-    epsilon: float = 1.0e-5
-    control: str = "time_local"
-    numerics: ScenarioNumerics = field(default_factory=ScenarioNumerics)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "spectrum": self.spectrum,
-            "spectrum_params": dict(self.spectrum_params),
-            "temperature_K": self.temperature_K,
-            "f_cp_GHz": self.f_cp_GHz,
-            "delta_f_GHz": self.delta_f_GHz,
-            "tau_sw_us": self.tau_sw_us,
-            "epsilon": self.epsilon,
-            "control": self.control,
-            "numerics": {
-                f.name: getattr(self.numerics, f.name)
-                for f in fields(ScenarioNumerics)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"scenario must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario key(s): {sorted(unknown)}")
-        payload = dict(data)
-        num_data = payload.pop("numerics", {})
-        if not isinstance(num_data, Mapping):
-            raise ConfigError("numerics must be a JSON object")
-        num_known = {f.name for f in fields(ScenarioNumerics)}
-        num_unknown = set(num_data) - num_known
-        if num_unknown:
-            raise ConfigError(f"unknown numerics key(s): {sorted(num_unknown)}")
-        params = payload.pop("spectrum_params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigError("spectrum_params must be a JSON object")
-        if "spectrum" not in payload:
-            raise ConfigError("scenario is missing the 'spectrum' key")
-        if "name" not in payload:
-            payload["name"] = str(payload["spectrum"])
-        try:
-            numerics = ScenarioNumerics(**num_data)
-            return cls(spectrum_params=dict(params), numerics=numerics, **payload)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def build_model(self, base_dir: Path | None = None) -> SpectrumModel:
-        kind = self.spectrum
-        if kind.startswith("tabulated:"):
-            path = Path(kind.split(":", 1)[1])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            if self.spectrum_params:
-                raise ConfigError("spectrum_params not applicable to tabulated spectra")
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return load_tabulated(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read tabulated spectrum: {exc}") from None
-        if kind not in _SPECTRUM_KINDS:
-            raise ConfigError(
-                f"spectrum must be one of {_SPECTRUM_KINDS} or 'tabulated:<path>',"
-                f" got {kind!r}"
-            )
-        cls = _SPECTRUM_CLASSES[kind]
-        valid = {f.name for f in fields(cls)}
-        unknown = set(self.spectrum_params) - valid
-        if unknown:
-            raise ConfigError(
-                f"unknown {kind} spectrum parameter(s): {sorted(unknown)};"
-                f" valid: {sorted(valid)}"
-            )
-        try:
-            return cls(**self.spectrum_params)
-        except SpectrumError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def build_law(self, base_dir: Path | None = None):
-        mode = self.numerics.control_mode
-        if self.control == "time_local":
-            return TimeLocalOptimal(mode=mode)
-        if self.control == "constant":
-            return ConstantAtPeak()
-        if self.control.startswith("schedule:"):
-            path = Path(self.control.split(":", 1)[1])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return schedule_from_csv(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read schedule: {exc}") from None
-            except ValueError as exc:
-                raise ConfigError(f"invalid schedule {path}: {exc}") from None
-        raise ConfigError(
-            f"control must be 'time_local', 'constant' or 'schedule:<path>',"
-            f" got {self.control!r}"
-        )
-
-    def build(self, base_dir: Path | None = None):
-        model = self.build_model(base_dir)
-        try:
-            env = Environment(temperature_K=self.temperature_K)
-            bounds = ControlBounds(
-                f_cp_ghz=self.f_cp_GHz,
-                delta_f_ghz=self.delta_f_GHz,
-                tau_sw_us=self.tau_sw_us,
-                epsilon=self.epsilon,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        law = self.build_law(base_dir)
-        if isinstance(law, FixedSchedule):
-            try:
-                law.check_window(bounds)
-            except ScheduleWindowError as exc:
-                raise ConfigError(str(exc)) from None
-        return model, env, bounds, law, self.numerics.to_numerics()
-
-
-def builtin_scenario(name: str) -> Scenario:
-    key = name.removesuffix("-default")
-    if key not in _SPECTRUM_KINDS or name not in BUILTIN_SCENARIO_NAMES:
-        raise ConfigError(
-            f"unknown builtin scenario {name!r}; valid: {BUILTIN_SCENARIO_NAMES}"
-        )
-    return Scenario(name=name, spectrum=key)
-
-
-def load_scenario(path: Path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return Scenario.from_dict(data)
-
-
-def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def scenario_hash(scenario: Scenario) -> str:
-    digest = hashlib.sha256(_canonical_json(scenario.to_dict()).encode()).hexdigest()
-    return digest[:12]
 
 
 def _write_json(path: Path, data) -> None:
@@ -354,14 +120,17 @@ def _config_base_dir(args: argparse.Namespace) -> Path | None:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    numerics = scenario.numerics
+    changes = {}
     if getattr(args, "grid", None) is not None:
-        numerics = replace(numerics, grid_points=args.grid)
+        changes["grid_points"] = args.grid
     if getattr(args, "cap", None) is not None:
-        numerics = replace(numerics, rate_cap_per_us=args.cap)
-    if numerics is not scenario.numerics:
-        scenario = replace(scenario, numerics=numerics)
-    return scenario
+        changes["rate_cap_per_us"] = args.cap
+    if not changes:
+        return scenario
+    try:
+        return replace(scenario, numerics=replace(scenario.numerics, **changes))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------------
@@ -397,7 +166,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                     )
             model, env, bounds, law, numerics = scenario.build()
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
-            rates = eval_rate(model, grid, numerics.rate_cap)
+            rates = eval_rate(model, grid, numerics.rate_cap_per_us)
             with open(out_dir / f"fig2_spectrum_{key}.csv", "w", encoding="utf-8") as fh:
                 fh.write("f_GHz,rate_per_us\n")
                 for f, rate in zip(grid.tolist(), rates.tolist()):
@@ -520,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # Coarser but much faster settings for the temperature scan; the W values
 # they produce agree with the default numerics to ~1e-3 relative.
-CALIBRATION_NUMERICS = ScenarioNumerics(grid_points=2001, control_drift_ghz=3.0e-3)
+CALIBRATION_NUMERICS = Numerics(grid_points=2001, control_drift_ghz=3.0e-3)
 
 
 @dataclass(frozen=True)
@@ -538,7 +307,7 @@ def calibrate_temperature(
     t_lo_K: float = 0.005,
     t_hi_K: float = 0.020,
     n_scan: int = 64,
-    numerics: ScenarioNumerics = CALIBRATION_NUMERICS,
+    numerics: Numerics = CALIBRATION_NUMERICS,
 ) -> CalibrationResult:
     """Best-fit environment temperature against target W_ex/(k_B T ln 2) values.
 
@@ -613,14 +382,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             f" residual={result.residuals[key] * 100.0:+.2f}%"
         )
     if args.out:
-        payload = {
-            "best_temperature_K": result.best_temperature_K,
-            "sse": result.sse,
-            "computed": result.computed,
-            "targets": result.targets,
-            "residuals": result.residuals,
-        }
-        _write_json(Path(args.out), payload)
+        _write_json(Path(args.out), asdict(result))
     return 0
 
 

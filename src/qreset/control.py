@@ -255,7 +255,7 @@ class _TimeLocalRuntime:
         # the rate below it across the window it cannot bind, so it is left
         # out, and with it the plateau checks that would cost every refresh
         # extra rate evaluations.
-        self._tracked_cap = numerics.rate_cap
+        self._tracked_cap = numerics.rate_cap_per_us
 
     held_ghz = None
 
@@ -267,14 +267,14 @@ class _TimeLocalRuntime:
                 self._env,
                 self._bounds,
                 grid_points=self._numerics.grid_points,
-                rate_cap=self._numerics.rate_cap,
+                rate_cap=self._numerics.rate_cap_per_us,
             )
         if f_anchor is None:
             start = argmax_rate(
                 self._model,
                 self._bounds,
                 grid_points=self._numerics.grid_points,
-                rate_cap=self._numerics.rate_cap,
+                rate_cap=self._numerics.rate_cap_per_us,
             )
             f_anchor = start.f_ghz
             if not start.cap_hit:
@@ -307,7 +307,7 @@ class ConstantAtPeak:
         numerics: Numerics,
     ) -> "_ConstantRuntime":
         f = constant_restore_frequency(
-            model, bounds, grid_points=numerics.grid_points, rate_cap=numerics.rate_cap
+            model, bounds, grid_points=numerics.grid_points, rate_cap=numerics.rate_cap_per_us
         )
         return _ConstantRuntime(f)
 

@@ -16,6 +16,7 @@ from typing import Protocol, TextIO
 
 import numpy as np
 
+from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP
 from .spectra import ControlBounds, SpectrumModel, coherence_time, eval_rate, rate_fn
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
@@ -81,15 +82,15 @@ class Numerics:
     (default: 1/16 of the scan-grid resolution).
     """
 
+    grid_points: int = DEFAULT_GRID_POINTS
     step_log_bound: float = 0.05
-    grid_points: int = 4001
-    rate_cap: float | None = 1.0e6
+    rate_cap_per_us: float | None = DEFAULT_RATE_CAP
     control_drift_ghz: float | None = None
     step_limit: int = 10_000_000
     time_limit_t1: float = 1.0e4
 
     def __post_init__(self) -> None:
-        for name in ("step_log_bound", "rate_cap", "control_drift_ghz", "time_limit_t1"):
+        for name in ("step_log_bound", "rate_cap_per_us", "control_drift_ghz", "time_limit_t1"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
@@ -255,7 +256,7 @@ def integrate_restore(
 
     runtime = law.bind(model, env, bounds, numerics)
     drift_cap = numerics.drift_cap(bounds)
-    rate_at = rate_fn(model, numerics.rate_cap)
+    rate_at = rate_fn(model, numerics.rate_cap_per_us)
     ratio_c = env.ratio_per_ghz
     if precision_mode and runtime.held_ghz is not None:
         floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
@@ -265,7 +266,7 @@ def integrate_restore(
                 f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
                 " target is unreachable"
             )
-    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap).t1_us
+    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
     t_limit = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
     if t_final is not None:
         t_limit = math.inf

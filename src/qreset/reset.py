@@ -181,7 +181,7 @@ def run_reset(
             trajectory,
         )
     ledger = work_ledger(trajectory, bounds, env)
-    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap).t1_us
+    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
     tau = trajectory.tau_st_us
     ratio = tau / t1 if math.isfinite(t1) else 0.0
     t_reset = tau + 2.0 * bounds.tau_sw_us

@@ -160,7 +160,7 @@ class _SegmentMaps:
         numerics: Numerics,
     ) -> None:
         schedule.check_window(bounds)
-        rate_at = rate_fn(model, numerics.rate_cap)
+        rate_at = rate_fn(model, numerics.rate_cap_per_us)
         self.t_us = np.array([t for t, _ in schedule.breakpoints])
         self.f_ghz = np.array([f for _, f in schedule.breakpoints])
         self.rate_per_us = np.array([rate_at(f) for _, f in schedule.breakpoints])

@@ -12,7 +12,6 @@ from qreset import (
     Environment,
     Numerics,
     Scenario,
-    ScenarioNumerics,
     builtin_scenario,
     calibrate_temperature,
     run_reset,
@@ -74,7 +73,8 @@ def test_scenario_dict_roundtrip():
         spectrum="jqf",
         spectrum_params={"tau0_us": 10.0},
         temperature_K=0.009,
-        numerics=ScenarioNumerics(grid_points=1001, control_mode="global"),
+        numerics=Numerics(grid_points=1001),
+        control_mode="global",
     )
     again = Scenario.from_dict(scenario.to_dict())
     assert again == scenario
@@ -90,6 +90,77 @@ def test_scenario_unknown_keys_rejected():
         Scenario.from_dict({"spectrum": "lz", "spectrum_params": {"g": 0.1}}).build_model()
     with pytest.raises(ConfigError):
         Scenario.from_dict({"name": "x"})  # missing spectrum
+
+
+BUILTIN_HASHES = {
+    "lz-default": "d3eb1a58161f",
+    "prot-default": "a25204f88614",
+    "mix-default": "4ee9b8af4f8b",
+    "jqf-default": "b518e33d75e0",
+}
+
+LZ_DEFAULT_CONFIG_JSON = """\
+{
+  "name": "lz-default",
+  "spectrum": "lz",
+  "spectrum_params": {},
+  "temperature_K": 0.01,
+  "f_cp_GHz": 5.0,
+  "delta_f_GHz": 3.0,
+  "tau_sw_us": 0.01,
+  "epsilon": 1e-05,
+  "control": "time_local",
+  "numerics": {
+    "grid_points": 4001,
+    "step_log_bound": 0.05,
+    "rate_cap_per_us": 1000000.0,
+    "control_drift_ghz": null,
+    "step_limit": 10000000,
+    "time_limit_t1": 10000.0,
+    "control_mode": "tracked"
+  }
+}
+"""
+
+
+def test_builtin_scenario_hashes_are_stable():
+    # Run directories are named by these hashes; a config-layout change
+    # that moves one would orphan every existing output directory.
+    assert {n: scenario_hash(builtin_scenario(n)) for n in BUILTIN_SCENARIO_NAMES} == (
+        BUILTIN_HASHES
+    )
+
+
+def test_cmd_run_writes_the_config_contract(tmp_path):
+    assert main(["run", "--scenario", "lz-default", "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / f"lz-default-{BUILTIN_HASHES['lz-default']}"
+    assert (run_dir / "config.json").read_text(encoding="utf-8") == LZ_DEFAULT_CONFIG_JSON
+
+
+def test_build_returns_the_scenario_numerics():
+    scenario = replace(builtin_scenario("jqf-default"), numerics=Numerics(grid_points=1001))
+    assert scenario.build()[4] is scenario.numerics
+
+
+def test_control_mode_lives_under_numerics(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown scenario key"):
+        Scenario.from_dict({"spectrum": "lz", "control_mode": "global"})
+    scenario = Scenario.from_dict({"spectrum": "lz", "numerics": {"control_mode": "global"}})
+    assert scenario.build_law().mode == "global"
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps({"spectrum": "lz", "numerics": {"control_mode": "fast"}}), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error: numerics.control_mode" in capsys.readouterr().err
+
+
+def test_tabulated_spectrum_must_cover_the_window(tmp_path):
+    table = tmp_path / "narrow.csv"
+    table.write_text("f_GHz,rate_per_us\n3,1.0\n7,1.0\n", encoding="utf-8")
+    scenario = Scenario(name="narrow", spectrum=f"tabulated:{table}")
+    with pytest.raises(ConfigError, match=r"\[3\.0, 7\.0\].*\[2\.0, 8\.0\]"):
+        scenario.build()
 
 
 def test_scenario_control_variants(tmp_path):
@@ -235,6 +306,16 @@ def test_cmd_run_invalid_grid_override_exit_code(tmp_path, capsys):
     argv = ["run", "--scenario", "lz-default", "--grid", "2", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "grid_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--grid", "2", "grid_points"), ("--cap", "-1", "rate_cap_per_us")],
+)
+def test_cmd_run_invalid_override_names_its_config_key(tmp_path, capsys, flag, value, key):
+    argv = ["run", "--scenario", "lz-default", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"configuration error: numerics.{key} " in capsys.readouterr().err
 
 
 def test_cmd_run_constant_law_below_floor_exit_code(tmp_path, capsys):

@@ -255,6 +255,8 @@ def test_time_local_mode_validation():
 def test_objective_accepts_a_grid(kind, p_e, fs):
     # numpy's exp may differ from math.exp by an ulp; measured against the
     # size of the terms, the grid and scalar objectives agree to a few ulps.
+    # The larger term of J = rate * (p_e - p_eq) is rate * p_eq where the
+    # thermal population exceeds p_e.
     model = KERNEL_MODELS[kind]
     env = Environment(0.010)
     j = _objective(model, env, 1.0e6, p_e)
@@ -264,7 +266,8 @@ def test_objective_accepts_a_grid(kind, p_e, fs):
     assert isinstance(values, np.ndarray)
     for f, got in zip(grid.tolist(), values.tolist()):
         want = j(f)
-        scale = eval_rate(model, f, 1.0e6) * p_e
+        p_eq = equilibrium_population(env.ratio_per_ghz * f)
+        scale = eval_rate(model, f, 1.0e6) * max(p_e, p_eq)
         assert abs(got - want) <= 4 * math.ulp(scale), (f, got, want)
 
 

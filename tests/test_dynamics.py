@@ -219,7 +219,7 @@ def test_uncapped_pole_raises_instead_of_crossing_in_zero_time(law, env10, bound
     # is inf; the crossing time would come out as 0 and look like success.
     with pytest.raises(InfiniteRateError, match="infinite"):
         integrate_restore(
-            QubitState(0.5), law, Protected(), env10, bounds, Numerics(rate_cap=None)
+            QubitState(0.5), law, Protected(), env10, bounds, Numerics(rate_cap_per_us=None)
         )
 
 
@@ -273,8 +273,8 @@ def test_trajectory_csv_export(default_runs):
         ("time_limit_t1", math.inf),
         ("control_drift_ghz", 0.0),
         ("control_drift_ghz", math.nan),
-        ("rate_cap", -1.0),
-        ("rate_cap", math.inf),
+        ("rate_cap_per_us", -1.0),
+        ("rate_cap_per_us", math.inf),
         ("grid_points", 2),
         ("step_limit", 0),
     ],
@@ -285,5 +285,5 @@ def test_numerics_rejects_invalid_settings(field, value):
 
 
 def test_numerics_accepts_unset_optionals():
-    numerics = Numerics(rate_cap=None, control_drift_ghz=None, grid_points=3, step_limit=1)
-    assert numerics.rate_cap is None and numerics.control_drift_ghz is None
+    numerics = Numerics(rate_cap_per_us=None, control_drift_ghz=None, grid_points=3, step_limit=1)
+    assert numerics.rate_cap_per_us is None and numerics.control_drift_ghz is None
