@@ -20,9 +20,7 @@ for key, value in result.computed.items():
 
 print()
 for key in ("lz", "prot"):
-    single = q.calibrate_temperature(
-        {key: PAPER_W_EX_NORM_TARGETS[key]}, n_scan=32
-    )
+    single = q.calibrate_temperature({key: PAPER_W_EX_NORM_TARGETS[key]})
     print(f"{key}-only fit: {single.best_temperature_K * 1e3:.4f} mK")
 
 # The quick analytic check: under constant control the extra work is

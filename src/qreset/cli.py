@@ -81,7 +81,7 @@ def _execute(
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    scenario = _apply_overrides(scenario, args)
+    scenario = replace(scenario, numerics=_override_numerics(scenario.numerics, args))
     out_dir = Path(args.out)
     report, trajectory = _execute(scenario, _config_base_dir(args))
     run_dir = _run_dir(out_dir, scenario)
@@ -119,16 +119,15 @@ def _config_base_dir(args: argparse.Namespace) -> Path | None:
     return None
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+def _override_numerics(numerics: Numerics, args: argparse.Namespace) -> Numerics:
+    """``numerics`` with the ``--grid``/``--cap`` values that were given, validated."""
     changes = {}
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         changes["grid_points"] = args.grid
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         changes["rate_cap_per_us"] = args.cap
-    if not changes:
-        return scenario
     try:
-        return replace(scenario, numerics=replace(scenario.numerics, **changes))
+        return replace(numerics, **changes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -287,7 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # calibrate-temperature
 # ----------------------------------------------------------------------------
 
-# Coarser but much faster settings for the temperature scan; the W values
+# Coarser but much faster settings for the calibration runs; the W values
 # they produce agree with the default numerics to ~1e-3 relative.
 CALIBRATION_NUMERICS = Numerics(grid_points=2001, control_drift_ghz=3.0e-3)
 
@@ -306,14 +305,13 @@ def calibrate_temperature(
     *,
     t_lo_K: float = 0.005,
     t_hi_K: float = 0.020,
-    n_scan: int = 64,
-    numerics: Numerics = CALIBRATION_NUMERICS,
 ) -> CalibrationResult:
     """Best-fit environment temperature against target W_ex/(k_B T ln 2) values.
 
-    Scans ``n_scan`` temperatures uniformly, minimizing the sum of squared
-    relative errors over the named built-in spectra, then refines with a
-    golden-section pass inside the best bracket.
+    Minimizes the sum of squared relative errors over the named built-in
+    spectra with one golden-section search on ``[t_lo_K, t_hi_K]`` to
+    1e-6 K.  That assumes the error has a single minimum in the bracket,
+    which holds because each ``W_ex_norm`` falls roughly as 1/T.
     """
     unknown = set(targets) - set(_SPECTRUM_KINDS)
     if unknown:
@@ -323,6 +321,11 @@ def calibrate_temperature(
     for key, value in targets.items():
         if not value > 0.0:
             raise ConfigError(f"target for {key!r} must be > 0, got {value!r}")
+    if not (math.isfinite(t_hi_K) and 0.0 < t_lo_K < t_hi_K):
+        raise ConfigError(
+            f"temperature bracket needs finite 0 < t_lo_K < t_hi_K,"
+            f" got [{t_lo_K!r}, {t_hi_K!r}]"
+        )
 
     computed_cache: dict[float, dict[str, float]] = {}
 
@@ -331,7 +334,10 @@ def calibrate_temperature(
             out = {}
             for key in targets:
                 scenario = Scenario(
-                    name=key, spectrum=key, temperature_K=temperature, numerics=numerics
+                    name=key,
+                    spectrum=key,
+                    temperature_K=temperature,
+                    numerics=CALIBRATION_NUMERICS,
                 )
                 report, _ = _execute(scenario)
                 out[key] = report.W_ex_norm
@@ -344,13 +350,7 @@ def calibrate_temperature(
             ((values[k] - targets[k]) / targets[k]) ** 2 for k in targets
         )
 
-    temps = list(np.linspace(t_lo_K, t_hi_K, n_scan))
-    errors = [sse_at(float(t)) for t in temps]
-    best = min(range(n_scan), key=lambda i: (errors[i], i))
-    lo = temps[best - 1] if best > 0 else temps[0]
-    hi = temps[best + 1] if best < n_scan - 1 else temps[-1]
-
-    best_t, _ = _golden_max(lambda t: -sse_at(t), float(lo), float(hi), 1.0e-6)
+    best_t, _ = _golden_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, 1.0e-6)
     computed = computed_at(best_t)
     residuals = {k: (computed[k] - targets[k]) / targets[k] for k in targets}
     sse = sum(r * r for r in residuals.values())
@@ -371,9 +371,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             f" got {len(raw)}"
         )
     targets = dict(zip(_SPECTRUM_KINDS, raw))
-    result = calibrate_temperature(
-        targets, t_lo_K=args.t_lo, t_hi_K=args.t_hi, n_scan=args.n_scan
-    )
+    result = calibrate_temperature(targets, t_lo_K=args.t_lo, t_hi_K=args.t_hi)
     print(f"best-fit temperature: {result.best_temperature_K * 1e3:.4f} mK")
     for key in _SPECTRUM_KINDS:
         print(
@@ -393,12 +391,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_spectra(args: argparse.Namespace) -> int:
     bounds = ControlBounds()
-    grid = args.grid or 601
-    cap = args.cap if args.cap is not None else 1.0e6
+    numerics = _override_numerics(Numerics(grid_points=601), args)
     models = {k: _SPECTRUM_CLASSES[k]() for k in _SPECTRUM_KINDS}
     lines = ["f_GHz," + ",".join(_SPECTRUM_KINDS)]
-    fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, grid)
-    columns = [eval_rate(models[k], fs, cap).tolist() for k in _SPECTRUM_KINDS]
+    fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, numerics.grid_points)
+    columns = [
+        eval_rate(models[k], fs, numerics.rate_cap_per_us).tolist() for k in _SPECTRUM_KINDS
+    ]
     for f, *vals in zip(fs.tolist(), *columns):
         lines.append(f"{f!r}," + ",".join(repr(v) for v in vals))
     text = "\n".join(lines) + "\n"
@@ -452,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(repr(PAPER_W_EX_NORM_TARGETS[k]) for k in _SPECTRUM_KINDS),
         help="four W_ex/(kT ln2) targets: lz,prot,mix,jqf",
     )
-    cal.add_argument("--t-lo", type=float, default=0.005, help="scan floor (K)")
-    cal.add_argument("--t-hi", type=float, default=0.020, help="scan ceiling (K)")
-    cal.add_argument("--n-scan", type=int, default=64, help="scan points")
+    cal.add_argument("--t-lo", type=float, default=0.005, help="search floor (K)")
+    cal.add_argument("--t-hi", type=float, default=0.020, help="search ceiling (K)")
     cal.add_argument("--out", help="optional JSON result path")
     cal.set_defaults(func=cmd_calibrate)
 

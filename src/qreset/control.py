@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 REFINE_TOL_GHZ = 1.0e-9
+# The tracked refresh searches a window this wide on each side of the
+# previous frequency, to this tolerance, which is also its plateau probe.
+TRACK_WINDOW_GHZ = 0.02
+TRACK_TOL_GHZ = 1.0e-7
 
 
 class DegenerateTransversalityError(RuntimeError):
@@ -103,14 +107,14 @@ def _objective(
 
 
 def _plateau_right_edge(
-    raw: Callable[[float], float], on: float, hi: float, cap: float, probe: float, tol: float
+    raw: Callable[[float], float], on: float, hi: float, cap: float, tol: float
 ) -> float:
     """Right edge of the capped plateau through ``on``, or ``hi`` if it reaches that far.
 
-    Assumes raw(on) >= cap.  Probes one step right first, so an edge
-    already at ``on`` costs one evaluation.
+    Assumes raw(on) >= cap.  Probes one ``tol`` step right first, so an
+    edge already at ``on`` costs one evaluation.
     """
-    off = min(on + probe, hi)
+    off = min(on + tol, hi)
     if raw(off) >= cap:
         if raw(hi) >= cap:
             return hi
@@ -127,8 +131,6 @@ def optimal_frequency(
     grid_points: int = DEFAULT_GRID_POINTS,
     rate_cap: float | None = DEFAULT_RATE_CAP,
     near: float | None = None,
-    window_ghz: float = 0.02,
-    refine_tol_ghz: float = REFINE_TOL_GHZ,
 ) -> float:
     """Frequency maximizing the restoring objective for the current population.
 
@@ -161,16 +163,16 @@ def optimal_frequency(
         return f_best
 
     f = min(max(near, f_lo), f_hi)
-    probe = max(refine_tol_ghz, 1.0e-7)
+    tol = TRACK_TOL_GHZ
     raw = None if rate_cap is None else model.rate_kernel
     past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
-        lo = max(f_lo, f - window_ghz)
-        hi = min(f_hi, f + window_ghz)
+        lo = max(f_lo, f - TRACK_WINDOW_GHZ)
+        hi = min(f_hi, f + TRACK_WINDOW_GHZ)
         # Fast path: pinned at a window-boundary that is a domain bound.
-        if lo == f_lo and f - f_lo <= probe and j(f_lo) >= j(f_lo + probe):
+        if lo == f_lo and f - f_lo <= tol and j(f_lo) >= j(f_lo + tol):
             return f_lo
-        if hi == f_hi and f_hi - f <= probe and j(f_hi) >= j(f_hi - probe):
+        if hi == f_hi and f_hi - f <= tol and j(f_hi) >= j(f_hi - tol):
             return f_hi
         # Anchored on a plateau, or the golden result on one or one step
         # past its right kink: that plateau's right edge.
@@ -178,28 +180,28 @@ def optimal_frequency(
         if anchored:
             on = f
         else:
-            f_new, _ = _golden_max(j, lo, hi, refine_tol_ghz)
-            if f_new <= lo + 2.0 * refine_tol_ghz and lo > f_lo:
+            f_new, _ = _golden_max(j, lo, hi, tol)
+            if f_new <= lo + 2.0 * tol and lo > f_lo:
                 f = lo
                 continue
-            if f_new >= hi - 2.0 * refine_tol_ghz and hi < f_hi:
+            if f_new >= hi - 2.0 * tol and hi < f_hi:
                 f = hi
                 continue
             if raw is None:
                 return min(max(f_new, f_lo), f_hi)
-            on = f_new if raw(f_new) >= rate_cap else f_new - refine_tol_ghz
+            on = f_new if raw(f_new) >= rate_cap else f_new - tol
             if raw(on) < rate_cap:
                 return min(max(f_new, f_lo), f_hi)
-        edge = _plateau_right_edge(raw, on, hi, rate_cap, probe, refine_tol_ghz)
+        edge = _plateau_right_edge(raw, on, hi, rate_cap, tol)
         if edge == hi < f_hi:
             f = hi
             continue
-        if anchored and j(edge) < j(min(edge + probe, f_hi)):
+        if anchored and j(edge) < j(min(edge + tol, f_hi)):
             past_edge = f
             continue
         return edge
     raise RefreshLimitError(
-        f"tracked refresh from near={near!r} GHz moved its {window_ghz!r} GHz"
+        f"tracked refresh from near={near!r} GHz moved its {TRACK_WINDOW_GHZ!r} GHz"
         f" window 2048 times without settling (last at f={f!r} GHz)"
     )
 
@@ -220,8 +222,6 @@ class TimeLocalOptimal:
     """State-feedback law refreshing the optimal frequency at every step."""
 
     mode: str = "tracked"
-    window_ghz: float = 0.02
-    refine_tol_ghz: float = 1.0e-7
 
     def __post_init__(self) -> None:
         if self.mode not in ("tracked", "global"):
@@ -287,8 +287,6 @@ class _TimeLocalRuntime:
             grid_points=self._numerics.grid_points,
             rate_cap=self._tracked_cap,
             near=f_anchor,
-            window_ghz=self._law.window_ghz,
-            refine_tol_ghz=self._law.refine_tol_ghz,
         )
 
     def next_transition_after(self, t_us: float) -> float | None:

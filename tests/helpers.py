@@ -191,12 +191,13 @@ def reference_optimal_frequency(
     rate_cap=1.0e6,
     near=None,
     window_ghz=0.02,
-    refine_tol_ghz=1.0e-9,
+    refine_tol_ghz=1.0e-7,
 ):
     """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
 
-    Same signature, so a test can substitute it there for tracked runs;
-    ``grid_points`` is accepted and ignored.  The objective is looked up
+    Accepts its signature, so a test can substitute it there for tracked
+    runs; ``grid_points`` is ignored, and the window and tolerance
+    defaults are the package's constants.  The objective is looked up
     on ``qreset.control`` at call time, as the package does.
     """
     j = qreset.control._objective(model, env, rate_cap, p_e)

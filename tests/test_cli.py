@@ -18,6 +18,7 @@ from qreset import (
 )
 from qreset.cli import (
     BUILTIN_SCENARIO_NAMES,
+    CALIBRATION_NUMERICS,
     PAPER_W_EX_NORM_TARGETS,
     main,
     parse_axis,
@@ -476,12 +477,28 @@ def test_cmd_spectra_table(tmp_path):
     assert len(lines) == 8
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--grid", "0", "grid_points"),
+        ("--grid", "2", "grid_points"),
+        ("--cap", "0", "rate_cap_per_us"),
+        ("--cap", "-1", "rate_cap_per_us"),
+    ],
+)
+def test_cmd_spectra_invalid_override_names_its_config_key(
+    tmp_path, capsys, flag, value, key
+):
+    out = tmp_path / "rates.csv"
+    assert main(["spectra", flag, value, "--out", str(out)]) == 1
+    assert f"configuration error: numerics.{key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibration_scaled_targets_halve_temperature():
-    base = calibrate_temperature(
-        {"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=24, t_lo_K=0.003
-    )
+    base = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, t_lo_K=0.003)
     doubled = calibrate_temperature(
-        {"lz": 2.0 * PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=24, t_lo_K=0.003
+        {"lz": 2.0 * PAPER_W_EX_NORM_TARGETS["lz"]}, t_lo_K=0.003
     )
     ratio = doubled.best_temperature_K / base.best_temperature_K
     assert 0.45 <= ratio <= 0.55
@@ -490,16 +507,17 @@ def test_calibration_scaled_targets_halve_temperature():
 def test_calibration_single_spectrum_consistency():
     # The prot value alone pins nearly the same temperature as the lz one;
     # the full four-target fit is checked in the acceptance suite.
-    prot_only = calibrate_temperature({"prot": PAPER_W_EX_NORM_TARGETS["prot"]}, n_scan=24)
-    lz_only = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=24)
+    prot_only = calibrate_temperature({"prot": PAPER_W_EX_NORM_TARGETS["prot"]})
+    lz_only = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]})
     diff = abs(prot_only.best_temperature_K - lz_only.best_temperature_K)
     assert diff / lz_only.best_temperature_K < 0.02
 
 
 def test_calibration_run_count(monkeypatch):
-    # Every temperature the scan and the golden-section refinement visit
-    # costs one run per target; the final report reuses the refinement's
-    # midpoint instead of running it again.
+    # Every temperature the golden-section search visits costs one run per
+    # target: its two first probes, one point for each of the 20 steps that
+    # shrink [5, 20] mK below 1e-6 K, and the final midpoint, which the
+    # report reuses instead of running it again.
     temperatures = []
 
     def counted(model, env, *args, **kwargs):
@@ -507,8 +525,8 @@ def test_calibration_run_count(monkeypatch):
         return run_reset(model, env, *args, **kwargs)
 
     monkeypatch.setattr("qreset.cli.run_reset", counted)
-    result = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, n_scan=4)
-    assert len(temperatures) == len(set(temperatures)) == 27
+    result = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]})
+    assert len(temperatures) == len(set(temperatures)) == 23
     assert temperatures[-1] == result.best_temperature_K
 
 
@@ -519,3 +537,70 @@ def test_calibration_rejects_bad_targets():
         calibrate_temperature({})
     with pytest.raises(ConfigError):
         calibrate_temperature({"lz": -1.0})
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi",
+    [
+        (0.02, 0.005),
+        (0.01, 0.01),
+        (0.0, 0.02),
+        (-0.005, 0.02),
+        (0.005, math.inf),
+        (math.nan, 0.02),
+        (0.005, math.nan),
+    ],
+)
+def test_calibration_rejects_bad_brackets(t_lo, t_hi):
+    with pytest.raises(ConfigError, match="t_lo_K < t_hi_K"):
+        calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, t_lo_K=t_lo, t_hi_K=t_hi)
+
+
+def test_cmd_calibrate_reversed_bracket_exit_code(tmp_path, capsys):
+    out = tmp_path / "calibration.json"
+    argv = ["calibrate-temperature", "--t-lo", "0.02", "--t-hi", "0.005", "--out", str(out)]
+    assert main(argv) == 1
+    assert "configuration error: temperature bracket" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_calibrate_has_no_scan_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-temperature", "--n-scan", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-scan" in capsys.readouterr().err
+
+
+def test_calibration_error_has_a_single_minimum():
+    # calibrate_temperature runs one golden-section search, which finds the
+    # minimum only if the error falls and then rises across the bracket.
+    # Check that shape on a 16-point grid over [5, 20] mK, for the paper
+    # targets, for them scaled by 0.98 and 1.02, and for lz alone.
+    temperatures = [0.005 + 0.001 * k for k in range(16)]
+    computed = [
+        {
+            key: run_reset(
+                *Scenario(
+                    name=key, spectrum=key, temperature_K=t, numerics=CALIBRATION_NUMERICS
+                ).build()
+            )[0].W_ex_norm
+            for key in PAPER_W_EX_NORM_TARGETS
+        }
+        for t in temperatures
+    ]
+
+    def sse(targets):
+        return [
+            sum(((row[k] - t) / t) ** 2 for k, t in targets.items()) for row in computed
+        ]
+
+    cases = {
+        f"x{scale}": {k: scale * t for k, t in PAPER_W_EX_NORM_TARGETS.items()}
+        for scale in (0.98, 1.0, 1.02)
+    }
+    cases["lz"] = {"lz": PAPER_W_EX_NORM_TARGETS["lz"]}
+    for name, targets in cases.items():
+        errors = sse(targets)
+        rising = [b > a for a, b in zip(errors, errors[1:])]
+        first_rise = rising.index(True) if True in rising else len(rising)
+        assert all(rising[first_rise:]), (name, errors)

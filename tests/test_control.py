@@ -396,12 +396,15 @@ def test_direct_tracked_refresh_returns_the_plateau_right_edge(near, env10, boun
     assert model.rate_kernel(f + 2.0e-7) < 1.0e6
 
 
-def test_tracked_refresh_fails_loudly_when_its_window_never_settles(env10, bounds):
+def test_tracked_refresh_fails_loudly_when_its_window_never_settles(
+    env10, bounds, monkeypatch
+):
     # A 1e-5 GHz window 2.9 GHz below the Lorentzian peak would have to
     # move about 290,000 times to climb there.
     assert issubclass(RefreshLimitError, IntegrationError)
+    monkeypatch.setattr(qreset.control, "TRACK_WINDOW_GHZ", 1.0e-5)
     with pytest.raises(RefreshLimitError, match="2048 times"):
-        optimal_frequency(0.5, Lorentzian(), env10, bounds, near=2.5, window_ghz=1.0e-5)
+        optimal_frequency(0.5, Lorentzian(), env10, bounds, near=2.5)
 
 
 @pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])
