@@ -289,6 +289,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # Coarser but much faster settings for the calibration runs; the W values
 # they produce agree with the default numerics to ~1e-3 relative.
 CALIBRATION_NUMERICS = Numerics(grid_points=2001, control_drift_ghz=3.0e-3)
+# Width at which the search stops, and how near a bracket end a fit may lie.
+CALIBRATION_TOL_K = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,8 @@ def calibrate_temperature(
     Minimizes the sum of squared relative errors over the named built-in
     spectra with one golden-section search on ``[t_lo_K, t_hi_K]`` to
     1e-6 K.  That assumes the error has a single minimum in the bracket,
-    which holds because each ``W_ex_norm`` falls roughly as 1/T.
+    which holds because each ``W_ex_norm`` falls roughly as 1/T.  A search
+    that ends within 1e-6 K of either end raises ``ConfigError``.
     """
     unknown = set(targets) - set(_SPECTRUM_KINDS)
     if unknown:
@@ -350,7 +353,12 @@ def calibrate_temperature(
             ((values[k] - targets[k]) / targets[k]) ** 2 for k in targets
         )
 
-    best_t, _ = _golden_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, 1.0e-6)
+    best_t, _ = _golden_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, CALIBRATION_TOL_K)
+    if min(best_t - t_lo_K, t_hi_K - best_t) <= CALIBRATION_TOL_K:
+        raise ConfigError(
+            f"best-fit temperature {best_t!r} K lies at the edge of the search"
+            f" bracket [{t_lo_K!r}, {t_hi_K!r}] K; the fit is outside it"
+        )
     computed = computed_at(best_t)
     residuals = {k: (computed[k] - targets[k]) / targets[k] for k in targets}
     sse = sum(r * r for r in residuals.values())

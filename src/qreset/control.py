@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -34,10 +35,12 @@ from .spectra import (
     DEFAULT_RATE_CAP,
     FloatOrArray,
     SpectrumModel,
+    TableParseError,
     argmax_rate,
     rate_fn,
     _cap_edge,
     _golden_max,
+    _read_rows,
     _scan_max,
 )
 from .thermo import Environment, equilibrium_population, thermal_ratio
@@ -66,6 +69,13 @@ REFINE_TOL_GHZ = 1.0e-9
 # previous frequency, to this tolerance, which is also its plateau probe.
 TRACK_WINDOW_GHZ = 0.02
 TRACK_TOL_GHZ = 1.0e-7
+# verify_pmp probes this many sample times (drawn with this seed) against
+# this many window frequencies, with these tolerances.
+PMP_PROBE_TIMES = 64
+PMP_ALT_FREQUENCIES = 33
+PMP_SEED = 0
+PMP_MINIMALITY_TOL = 1.0e-6
+PMP_HAMILTONIAN_TOL = 1.0e-3
 
 
 class DegenerateTransversalityError(RuntimeError):
@@ -303,22 +313,11 @@ class ConstantAtPeak:
         env: Environment,
         bounds: ControlBounds,
         numerics: Numerics,
-    ) -> "_ConstantRuntime":
+    ) -> "_ScheduleRuntime":
         f = constant_restore_frequency(
             model, bounds, grid_points=numerics.grid_points, rate_cap=numerics.rate_cap_per_us
         )
-        return _ConstantRuntime(f)
-
-
-class _ConstantRuntime:
-    def __init__(self, f_ghz: float) -> None:
-        self.held_ghz = f_ghz
-
-    def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        return self.held_ghz
-
-    def next_transition_after(self, t_us: float) -> float | None:
-        return None
+        return _ScheduleRuntime(((0.0, f),))
 
 
 @dataclass(frozen=True)
@@ -337,8 +336,10 @@ class FixedSchedule:
             raise ValueError("schedule needs at least one breakpoint")
         prev = -math.inf
         for t, _ in self.breakpoints:
-            if t <= prev:
-                raise ValueError("breakpoint times must be strictly increasing")
+            if not prev < t < math.inf:
+                raise ValueError(
+                    f"breakpoint times must be finite and strictly increasing, got t={t!r}"
+                )
             prev = t
         if self.breakpoints[0][0] != 0.0:
             raise ValueError("schedule must start at t=0")
@@ -368,31 +369,18 @@ class FixedSchedule:
 
 
 class _ScheduleRuntime:
+    """Right-continuous step lookup in (t_us, f_GHz) breakpoints from t=0."""
+
     def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
         self._times = [t for t, _ in breakpoints]
         self._freqs = [f for _, f in breakpoints]
-        self._cursor = 0
-
-    held_ghz = None
+        self.held_ghz = self._freqs[0] if len(self._freqs) == 1 else None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        # Right-continuous step lookup; the cursor only moves forward in
-        # normal integration but probes may ask slightly ahead, so rescan
-        # from a safe point when needed.
-        i = self._cursor
-        if i >= len(self._times) or self._times[i] > t_us:
-            i = 0
-        while i + 1 < len(self._times) and self._times[i + 1] <= t_us:
-            i += 1
-        self._cursor = i
-        return self._freqs[i]
+        return self._freqs[bisect_right(self._times, t_us) - 1]
 
     def next_transition_after(self, t_us: float) -> float | None:
-        i = self._cursor
-        if i >= len(self._times) or self._times[i] > t_us:
-            i = 0
-        while i < len(self._times) and self._times[i] <= t_us:
-            i += 1
+        i = bisect_right(self._times, t_us)
         return self._times[i] if i < len(self._times) else None
 
 
@@ -406,18 +394,9 @@ def schedule_to_csv(schedule: Iterable[tuple[float, float]], stream: TextIO) -> 
 
 
 def schedule_from_csv(stream: TextIO) -> FixedSchedule:
-    points: list[tuple[float, float]] = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line_no == 1 and line.lower().replace(" ", "") == "t_us,f_ghz":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected 't_us,f_GHz', got {line!r}")
-        points.append((float(parts[0]), float(parts[1])))
-    return FixedSchedule(tuple(points))
+    """Parse ``t_us,f_GHz`` rows; errors name the offending line."""
+    rows = _read_rows(stream, "t_us,f_ghz", TableParseError)
+    return FixedSchedule(tuple((t, f) for _, t, f in rows))
 
 
 @dataclass(frozen=True)
@@ -495,31 +474,27 @@ def verify_pmp(
     env: Environment,
     bounds: ControlBounds,
     *,
-    n_times: int = 64,
-    n_frequencies: int = 33,
-    minimality_tol: float = 1.0e-6,
-    hamiltonian_tol: float = 1.0e-3,
     rate_cap: float | None = DEFAULT_RATE_CAP,
-    seed: int = 0,
 ) -> PmpReport:
     """Check costate positivity, Hamiltonian smallness and pointwise minimality.
 
-    Minimality is probed at ``n_times`` deterministic random sample times
-    against ``n_frequencies`` alternatives spanning the window: the
-    Hamiltonian at the chosen frequency must not exceed any alternative
-    by more than ``minimality_tol``.
+    Minimality is probed at ``PMP_PROBE_TIMES`` deterministic random sample
+    times against ``PMP_ALT_FREQUENCIES`` alternatives spanning the window:
+    the Hamiltonian at the chosen frequency must not exceed any alternative
+    by more than ``PMP_MINIMALITY_TOL``.  ``rate_cap`` must be the checked
+    run's cap.
     """
     n = trajectory.n_samples
     if costate.t_us.size != n:
         raise ValueError("trajectory and costate sample counts differ")
-    rng = random.Random(seed)
-    if n <= n_times:
+    if n <= PMP_PROBE_TIMES:
         indices = list(range(n))
     else:
-        indices = sorted(rng.sample(range(n), n_times))
+        indices = sorted(random.Random(PMP_SEED).sample(range(n), PMP_PROBE_TIMES))
     span = bounds.f_max_ghz - bounds.f_min_ghz
     alts = [
-        bounds.f_min_ghz + i * span / (n_frequencies - 1) for i in range(n_frequencies)
+        bounds.f_min_ghz + i * span / (PMP_ALT_FREQUENCIES - 1)
+        for i in range(PMP_ALT_FREQUENCIES)
     ]
     alt_rates = list(map(rate_fn(model, rate_cap), alts))
     alt_peqs = [equilibrium_population(thermal_ratio(f, env)) for f in alts]
@@ -542,13 +517,13 @@ def verify_pmp(
     min_lam = costate.min_costate
     return PmpReport(
         max_abs_hamiltonian=max_h,
-        hamiltonian_ok=max_h < hamiltonian_tol,
+        hamiltonian_ok=max_h < PMP_HAMILTONIAN_TOL,
         min_costate=min_lam,
         costate_positive=min_lam > 0.0,
         worst_minimality_violation=worst,
-        pointwise_minimal=worst <= minimality_tol,
+        pointwise_minimal=worst <= PMP_MINIMALITY_TOL,
         n_probed_times=len(indices),
-        n_alt_frequencies=n_frequencies,
+        n_alt_frequencies=PMP_ALT_FREQUENCIES,
         violation_t_us=worst_t,
         violation_f_ghz=worst_f,
     )

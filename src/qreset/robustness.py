@@ -35,6 +35,7 @@ from .dynamics import (
     integrate_restore,
     staircase_integral,
 )
+from .reset import IntegrationLimitError
 from .spectra import ControlBounds, SpectrumModel, rate_fn
 from .thermo import Environment, RAD_PER_US_PER_GHZ
 
@@ -220,8 +221,10 @@ def make_baseline(
         QubitState(0.5, 0.0, 0.0), law, model, env, bounds, numerics
     )
     if trajectory.termination != "precision":
-        raise RuntimeError(
-            f"baseline run terminated by {trajectory.termination!r}, not precision"
+        raise IntegrationLimitError(
+            f"baseline run terminated by {trajectory.termination!r} at"
+            f" t={trajectory.tau_st_us!r} us without reaching precision",
+            trajectory,
         )
     return Baseline(
         model=model,
@@ -285,6 +288,12 @@ def run_deviation(spec: DeviationSpec, baseline: Baseline) -> DeviationResult:
     )
 
 
+# sensitivity_report's central differences: p_e and |c| steps, and dtau / tau.
+SENSITIVITY_DP = 1.0e-3
+SENSITIVITY_DC = 1.0e-3
+SENSITIVITY_DTAU_FRAC = 1.0e-3
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     """Finite-difference sensitivities against closed-form predictions.
@@ -307,31 +316,25 @@ class SensitivityReport:
     control_time_rel_diff: float
 
 
-def sensitivity_report(
-    baseline: Baseline,
-    *,
-    dp: float = 1.0e-3,
-    dc: float = 1.0e-3,
-    dtau_frac: float = 1.0e-3,
-) -> SensitivityReport:
+def sensitivity_report(baseline: Baseline) -> SensitivityReport:
     tau = baseline.tau_st_us
     eps = baseline.bounds.epsilon
     eta = baseline.eta().at_terminal
 
-    hi = run_deviation(PopulationDeviation(0.5 + dp), baseline).final_state.p_e
-    lo = run_deviation(PopulationDeviation(0.5 - dp), baseline).final_state.p_e
-    pop_fd = (hi - lo) / (2.0 * dp)
+    hi = run_deviation(PopulationDeviation(0.5 + SENSITIVITY_DP), baseline).final_state.p_e
+    lo = run_deviation(PopulationDeviation(0.5 - SENSITIVITY_DP), baseline).final_state.p_e
+    pop_fd = (hi - lo) / (2.0 * SENSITIVITY_DP)
     pop_rel = abs(pop_fd - eta) / eta
 
     c0 = 0.25
-    chi = run_deviation(CoherenceDeviation(c0 + dc), baseline).final_state.coherence_abs
-    clo = run_deviation(CoherenceDeviation(c0 - dc), baseline).final_state.coherence_abs
-    coh_fd = (chi - clo) / (2.0 * dc)
+    chi = run_deviation(CoherenceDeviation(c0 + SENSITIVITY_DC), baseline).final_state.coherence_abs
+    clo = run_deviation(CoherenceDeviation(c0 - SENSITIVITY_DC), baseline).final_state.coherence_abs
+    coh_fd = (chi - clo) / (2.0 * SENSITIVITY_DC)
     sqrt_eta = math.sqrt(eta)
     coh_rel_sqrt = abs(coh_fd - sqrt_eta) / sqrt_eta
     coh_rel_eta = abs(coh_fd - eta) / eta
 
-    dtau = dtau_frac * tau
+    dtau = SENSITIVITY_DTAU_FRAC * tau
     rate_term = float(baseline.trajectory.rate_per_us[-1])
     pe_plus = run_deviation(ControlTimeDeviation(+dtau), baseline).final_state.p_e
     pe_minus = run_deviation(ControlTimeDeviation(-dtau), baseline).final_state.p_e

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TextIO
 
 from .control import (
     ConstantAtPeak,
@@ -124,16 +124,9 @@ class Scenario:
     def build_model(self, base_dir: Path | None = None) -> SpectrumModel:
         kind = self.spectrum
         if kind.startswith("tabulated:"):
-            path = Path(kind.split(":", 1)[1])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
             if self.spectrum_params:
                 raise ConfigError("spectrum_params not applicable to tabulated spectra")
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return load_tabulated(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read tabulated spectrum: {exc}") from None
+            return _read_table(kind, base_dir, "tabulated spectrum", load_tabulated)
         if kind not in _SPECTRUM_KINDS:
             raise ConfigError(
                 f"spectrum must be one of {_SPECTRUM_KINDS} or 'tabulated:<path>',"
@@ -158,16 +151,7 @@ class Scenario:
         if self.control == "constant":
             return ConstantAtPeak()
         if self.control.startswith("schedule:"):
-            path = Path(self.control.split(":", 1)[1])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return schedule_from_csv(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read schedule: {exc}") from None
-            except ValueError as exc:
-                raise ConfigError(f"invalid schedule {path}: {exc}") from None
+            return _read_table(self.control, base_dir, "schedule", schedule_from_csv)
         raise ConfigError(
             f"control must be 'time_local', 'constant' or 'schedule:<path>',"
             f" got {self.control!r}"
@@ -200,6 +184,23 @@ class Scenario:
             except ScheduleWindowError as exc:
                 raise ConfigError(str(exc)) from None
         return model, env, bounds, law, self.numerics
+
+
+def _read_table(spec: str, base_dir: Path | None, what: str, parse: Callable[[TextIO], object]):
+    """Parse the file named after ``kind:`` in ``spec``, relative to ``base_dir``.
+
+    An unreadable file or a parse error becomes a ``ConfigError``.
+    """
+    path = Path(spec.split(":", 1)[1])
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} {path}: {exc}") from None
 
 
 def builtin_scenario(name: str) -> Scenario:

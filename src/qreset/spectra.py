@@ -81,12 +81,16 @@ class SpectrumRangeError(SpectrumError):
     """Evaluation outside a tabulated spectrum's domain."""
 
 
-class SpectrumParseError(SpectrumError):
-    """Malformed tabulated-spectrum input."""
+class TableParseError(ValueError):
+    """Malformed two-column CSV input (a tabulated spectrum or a schedule)."""
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class SpectrumParseError(TableParseError, SpectrumError):
+    """Malformed tabulated-spectrum input."""
 
 
 # A frequency argument and the rate it gives: a float, or an ndarray grid
@@ -435,16 +439,10 @@ def _scan_max(
 
     if cap_hit:
         # Exact ties across the capped plateau: honor the smaller-f tie-break
-        # by bisecting for the plateau's left edge.
-        left = best
-        while left > 0 and vals[left - 1] >= cap:
-            left -= 1
-        if left == best and best > 0:
-            edge = _cap_edge(fn, float(fs[best - 1]), f_best, cap, tol)
-        elif left > 0:
-            edge = _cap_edge(fn, float(fs[left - 1]), float(fs[left]), cap, tol)
-        else:
-            edge = f_lo
+        # by bisecting for the plateau's left edge.  Grid values never exceed
+        # the cap and ``best`` is the first maximum, so the grid point to its
+        # left is below the cap.
+        edge = _cap_edge(fn, float(fs[best - 1]), f_best, cap, tol) if best > 0 else f_lo
         return edge, v_best, True
 
     a = float(fs[best - 1]) if best > 0 else f_lo
@@ -559,30 +557,33 @@ def guideline_report(
     )
 
 
-def load_tabulated(source: str | TextIO) -> Tabulated:
-    """Parse a tabulated spectrum from CSV rows ``f_GHz,rate_per_us``.
+def _read_rows(source: str | TextIO, header: str, error: type[TableParseError]):
+    """Yield ``(line number, x, y)`` for each row of a two-column CSV table.
 
-    A single header row is allowed.  Parsing is locale-independent (dot
-    decimal separator); errors name the offending line.
+    Blank lines and a first-line ``header`` (lower-cased, spaces removed)
+    are skipped; ``error`` names the line of a malformed row.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    points: list[tuple[float, float]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line_no == 1 and line.lower().replace(" ", "") == "f_ghz,rate_per_us":
+        if not line or (line_no == 1 and line.lower().replace(" ", "") == header):
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise SpectrumParseError(line_no, f"expected 2 comma-separated fields, got {len(parts)}")
+            raise error(line_no, f"expected 2 comma-separated fields, got {len(parts)}")
         try:
-            f = float(parts[0])
-            rate = float(parts[1])
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            raise SpectrumParseError(line_no, f"not numeric: {line!r}") from None
+            raise error(line_no, f"not numeric: {line!r}") from None
+        yield line_no, x, y
+
+
+def load_tabulated(source: str | TextIO) -> Tabulated:
+    """Parse a tabulated spectrum from ``f_GHz,rate_per_us`` rows; errors name the line."""
+    points: list[tuple[float, float]] = []
+    for line_no, f, rate in _read_rows(source, "f_ghz,rate_per_us", SpectrumParseError):
         if not math.isfinite(f) or not math.isfinite(rate):
-            raise SpectrumParseError(line_no, f"non-finite value: {line!r}")
+            raise SpectrumParseError(line_no, f"non-finite value: {f!r},{rate!r}")
         if rate < 0.0:
             raise SpectrumParseError(line_no, f"negative rate {rate!r}")
         if points and f <= points[-1][0]:

@@ -229,6 +229,9 @@ def test_cmd_run_config_error_exit_code(tmp_path, capsys):
         ("0.0,5.4\n0.001,50.0\n", "outside the control window"),
         ("0.0,5.4\n0.001,nan\n", "outside the control window"),
         ("0.0,5.4\n0.0,6.0\n", "strictly increasing"),
+        ("0.0,5.4\nnan,2.0\n0.5,5.4\n", "finite and strictly increasing, got t=nan"),
+        ("0.0,5.4\nabc,2.0\n", "line 3: not numeric"),
+        ("0.0,5.4\n1.0\n", "line 3: expected 2 comma-separated fields"),
     ],
 )
 def test_cmd_run_bad_schedule_exit_code(tmp_path, capsys, rows, message):
@@ -240,6 +243,49 @@ def test_cmd_run_bad_schedule_exit_code(tmp_path, capsys, rows, message):
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cmd_run_malformed_tabulated_spectrum_names_the_line(tmp_path, capsys):
+    (tmp_path / "bad.csv").write_text("f_GHz,rate_per_us\n2,1.0\n8;1.0\n", encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"spectrum": "tabulated:bad.csv"}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid tabulated spectrum ")
+    assert "line 3: expected 2 comma-separated fields" in err
+
+
+def test_cmd_run_replays_its_own_schedule(tmp_path, capsys):
+    # A run's schedule.csv, read back as the control of a second run,
+    # reproduces the first run's precision time.
+    assert main(["run", "--scenario", "lz-default", "--out", str(tmp_path)]) == 0
+    (recorded,) = tmp_path.glob("lz-default-*/schedule.csv")
+    config = tmp_path / "replay.json"
+    config.write_text(
+        json.dumps({"spectrum": "lz", "control": f"schedule:{recorded}"}), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    first, replayed = capsys.readouterr().out.splitlines()
+    assert first.split()[1] == replayed.split()[1]  # tau_st_us
+
+
+@pytest.mark.parametrize("command", ["run", "fig4"])
+def test_cmd_step_limit_exit_code(tmp_path, capsys, command):
+    # A run and a fig4 baseline that stop on the step limit are numerical
+    # failures: exit 2 with one stderr line.
+    for key in ("lz", "prot", "mix", "jqf"):
+        (tmp_path / f"{key}.json").write_text(
+            json.dumps({"spectrum": key, "numerics": {"step_limit": 10}}), encoding="utf-8"
+        )
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path / "lz.json")]
+    else:
+        argv = ["figure", "fig4", "--config-dir", str(tmp_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "terminated by 'step_limit'" in err
+    assert err.count("\n") == 1
 
 
 def test_cmd_run_achievability_exit_code(tmp_path, capsys):
@@ -554,6 +600,24 @@ def test_calibration_rejects_bad_targets():
 def test_calibration_rejects_bad_brackets(t_lo, t_hi):
     with pytest.raises(ConfigError, match="t_lo_K < t_hi_K"):
         calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]}, t_lo_K=t_lo, t_hi_K=t_hi)
+
+
+@pytest.mark.parametrize("scale", [3.0, 1.0 / 3.0], ids=["below-t_lo", "above-t_hi"])
+def test_calibration_fails_at_a_bracket_edge(scale):
+    # Three times the lz target needs about 3 mK, a third of it about 29 mK:
+    # the search ends within its tolerance of an edge instead of at a fit.
+    with pytest.raises(ConfigError, match=r"edge of the search bracket \[0\.005, 0\.02\] K"):
+        calibrate_temperature({"lz": scale * PAPER_W_EX_NORM_TARGETS["lz"]})
+
+
+def test_cmd_calibrate_bracket_edge_exit_code(tmp_path, capsys):
+    out = tmp_path / "calibration.json"
+    argv = ["calibrate-temperature", "--t-lo", "0.012", "--t-hi", "0.02", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: best-fit temperature 0.0120")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cmd_calibrate_reversed_bracket_exit_code(tmp_path, capsys):

@@ -93,6 +93,9 @@ def test_tracked_equals_global_for_single_peaked_spectra(env10, bounds):
             f_global = optimal_frequency(p_e, model, env10, bounds)
             assert f_tracked == pytest.approx(f_global, abs=1e-3)
             f_prev = f_tracked
+    # From 2.1 GHz above the Lorentzian peak the search window walks down to it.
+    f_down = optimal_frequency(0.4, Lorentzian(), env10, bounds, near=7.5)
+    assert f_down == pytest.approx(optimal_frequency(0.4, Lorentzian(), env10, bounds), abs=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,6 +119,9 @@ def test_monotone_objective_reduces_to_f_max():
     for p_e in (0.5, 0.4, 0.3):
         assert p_e > p_floor
         assert optimal_frequency(p_e, flat, env, bounds) == pytest.approx(8.0, abs=1e-9)
+    # A tracked refresh pinned at the upper bound of a rising spectrum stays there.
+    rising = Tabulated(((1.0, 0.5), (9.0, 5.0)))
+    assert optimal_frequency(0.4, rising, Environment(0.010), ControlBounds(), near=8.0) == 8.0
 
 
 def test_argmax_invariance_under_rate_scaling(env10, bounds):
@@ -225,6 +231,9 @@ def test_fixed_schedule_validation():
         FixedSchedule(((1.0, 5.0),))  # must start at zero
     with pytest.raises(ValueError):
         FixedSchedule(((0.0, 5.0), (0.0, 6.0)))
+    for t_bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            FixedSchedule(((0.0, 5.0), (t_bad, 2.0), (0.5, 5.0)))
 
 
 @pytest.mark.parametrize("f_bad", [50.0, 1.0, math.nan, math.inf])
@@ -386,14 +395,31 @@ def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
 
 
-@pytest.mark.parametrize("near", [6.4992, 6.5, 6.5008, 6.501])
-def test_direct_tracked_refresh_returns_the_plateau_right_edge(near, env10, bounds):
+@pytest.mark.parametrize(
+    "near, temperature_K, p_e, cap",
+    [
+        *(
+            pytest.param(near, 0.010, 1.0e-3, 1.0e6, id=repr(near))
+            for near in (6.4992, 6.5, 6.5008, 6.501)
+        ),
+        # A plateau wider than the search window: the window moves right
+        # until the plateau ends inside it.
+        pytest.param(6.5, 0.010, 0.4, 1.0e3, id="wider-than-window"),
+        # Anchored on the plateau, but J still rises one step past its
+        # right edge: the refresh searches from the anchor instead.
+        pytest.param(6.500743, 0.02516543, 4.144744e-6, 1554.487, id="past-edge"),
+    ],
+)
+def test_direct_tracked_refresh_returns_the_plateau_right_edge(
+    near, temperature_K, p_e, cap, bounds
+):
     # Called directly with a cap, the refresh always applies the plateau
     # rule, from an anchor on the plateau or just past it.
     model = Protected()
-    f = optimal_frequency(1.0e-3, model, env10, bounds, near=near)
-    assert model.rate_kernel(f) >= 1.0e6
-    assert model.rate_kernel(f + 2.0e-7) < 1.0e6
+    env = Environment(temperature_K)
+    f = optimal_frequency(p_e, model, env, bounds, rate_cap=cap, near=near)
+    assert model.rate_kernel(f) >= cap
+    assert model.rate_kernel(f + 2.0e-7) < cap
 
 
 def test_tracked_refresh_fails_loudly_when_its_window_never_settles(
@@ -431,3 +457,9 @@ def test_constant_law_below_its_floor_fails_fast(env10):
     )
     assert trajectory.termination == "horizon"
     assert trajectory.f_ghz[0] == 2.0
+    # Constant control binds a one-breakpoint schedule, which holds its
+    # frequency and so is checked against its floor the same way.
+    held = FixedSchedule(((0.0, 2.0),))
+    assert held.bind(Mixed(), env10, bounds, Numerics()).held_ghz == 2.0
+    with pytest.raises(NoDescentError, match="thermal floor"):
+        integrate_restore(QubitState(0.5), held, Mixed(), env10, bounds)

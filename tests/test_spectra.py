@@ -351,15 +351,23 @@ def test_array_eval_rate_checks_the_domain():
         eval_rate(KERNEL_MODELS["tab"], np.array([2.0, 8.5]))
 
 
-@pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf", "tab"])
-def test_scan_max_matches_scalar_loop_on_rate(kind, bounds):
+@pytest.mark.parametrize(
+    "kind, grid_points",
+    [
+        *(pytest.param(kind, 4001, id=kind) for kind in ("lz", "prot", "mix", "jqf", "tab")),
+        # No grid point reaches the capped plateau around the protected pole;
+        # the refinement climbs onto it.
+        pytest.param("prot", 1000, id="prot-plateau-between-grid-points"),
+    ],
+)
+def test_scan_max_matches_scalar_loop_on_rate(kind, grid_points, bounds):
     model = KERNEL_MODELS[kind]
-    args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, 1.0e6, REFINE_TOL_GHZ)
+    args = (bounds.f_min_ghz, bounds.f_max_ghz, grid_points, 1.0e6, REFINE_TOL_GHZ)
     fn = lambda f: eval_rate(model, f)  # noqa: E731
     got = _scan_max(fn, *args)
     assert got == scan_max_scalar_reference(fn, *args)
     assert all(type(x) in (float, bool) for x in got)
-    assert argmax_rate(model, bounds) == got
+    assert argmax_rate(model, bounds, grid_points=grid_points) == got
 
 
 @pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])
