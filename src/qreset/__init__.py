@@ -80,7 +80,6 @@ from .reset import (
     constant_control_work_approx,
     epsilon_min,
     report_to_dict,
-    report_to_json,
     run_reset,
     thermodynamic_length_bound,
     work_ledger,

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,8 +30,6 @@ from .reset import (
     AchievabilityError,
     IntegrationLimitError,
     ResetReport,
-    report_csv_header,
-    report_to_csv_row,
     report_to_dict,
     run_reset,
     thermodynamic_length_bound,
@@ -48,7 +46,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _golden_max
+from .spectra import ControlBounds, SpectrumError, eval_rate, _golden_max, _write_rows
 from .thermo import LN2
 
 __all__ = [
@@ -59,8 +57,16 @@ __all__ = [
 ]
 
 
+_REPORT_HEADER = ",".join(f.name for f in fields(ResetReport))
+
+
 def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_rows(fh, header, rows)
 
 
 def _run_dir(out_dir: Path, scenario: Scenario) -> Path:
@@ -88,9 +94,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / "config.json", scenario.to_dict())
     if args.format == "csv":
-        with open(run_dir / "report.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(report_csv_header()) + "\n")
-            fh.write(",".join(report_to_csv_row(report)) + "\n")
+        _write_csv(run_dir / "report.csv", _REPORT_HEADER, [astuple(report)])
     else:
         _write_json(run_dir / "report.json", report_to_dict(report))
     with open(run_dir / "trajectory.csv", "w", encoding="utf-8") as fh:
@@ -139,90 +143,68 @@ def _override_numerics(numerics: Numerics, args: argparse.Namespace) -> Numerics
 _FIG4_POINTS = {"population": 41, "coherence": 21, "control_time": 31}
 
 
-def _figure_scenarios(args: argparse.Namespace) -> list[Scenario]:
+def _figure_scenarios(args: argparse.Namespace) -> tuple[list[Scenario], Path | None]:
+    """The four figure scenarios and the directory their relative paths resolve against."""
     if getattr(args, "config_dir", None):
-        base = Path(args.config_dir)
-        return [load_scenario(base / f"{k}.json") for k in _SPECTRUM_KINDS]
-    return [builtin_scenario(n) for n in BUILTIN_SCENARIO_NAMES]
+        base = Path(args.config_dir).resolve()
+        return [load_scenario(base / f"{k}.json") for k in _SPECTRUM_KINDS], base
+    return [builtin_scenario(n) for n in BUILTIN_SCENARIO_NAMES], None
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenarios = _figure_scenarios(args)
+    scenarios, base_dir = _figure_scenarios(args)
     which = args.which
 
     if which == "fig2":
         for scenario in scenarios:
             key = scenario.spectrum
-            report, trajectory = _execute(scenario)
-            with open(out_dir / f"fig2_control_{key}.csv", "w", encoding="utf-8") as fh:
-                fh.write("t_us,p_e,f_GHz\n")
-                for k in range(trajectory.n_samples):
-                    fh.write(
-                        f"{float(trajectory.t_us[k])!r},{float(trajectory.p_e[k])!r},"
-                        f"{float(trajectory.f_ghz[k])!r}\n"
-                    )
-            model, env, bounds, law, numerics = scenario.build()
+            model, env, bounds, law, numerics = scenario.build(base_dir)
+            _, traj = run_reset(model, env, bounds, law, numerics)
+            control = np.column_stack((traj.t_us, traj.p_e, traj.f_ghz)).tolist()
+            _write_csv(out_dir / f"fig2_control_{key}.csv", "t_us,p_e,f_GHz", control)
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
             rates = eval_rate(model, grid, numerics.rate_cap_per_us)
-            with open(out_dir / f"fig2_spectrum_{key}.csv", "w", encoding="utf-8") as fh:
-                fh.write("f_GHz,rate_per_us\n")
-                for f, rate in zip(grid.tolist(), rates.tolist()):
-                    fh.write(f"{f!r},{rate!r}\n")
+            spectrum = np.column_stack((grid, rates)).tolist()
+            _write_csv(out_dir / f"fig2_spectrum_{key}.csv", "f_GHz,rate_per_us", spectrum)
         return 0
 
+    # T1 is infinite for prot, where t / T1 and T_reset / T1 read 0.0.
     if which == "fig3a":
-        terminal_rows = []
+        terminals = []
         for scenario in scenarios:
             key = scenario.spectrum
-            report, trajectory = _execute(scenario)
-            t1 = report.T1
-            idx = _decimate_indices(trajectory.n_samples, 2000)
-            with open(out_dir / f"fig3a_{key}.csv", "w", encoding="utf-8") as fh:
-                fh.write("t_us,t_over_T1,p_e\n")
-                for k in idx:
-                    t = float(trajectory.t_us[k])
-                    ratio = t / t1 if math.isfinite(t1) else 0.0
-                    fh.write(f"{t!r},{ratio!r},{float(trajectory.p_e[k])!r}\n")
-            terminal_rows.append(
-                (key, float(trajectory.t_us[-1]), report.tau_st_over_T1, float(trajectory.p_e[-1]))
-            )
-        with open(out_dir / "fig3a_terminals.csv", "w", encoding="utf-8") as fh:
-            fh.write("spectrum,t_us,t_over_T1,p_e\n")
-            for key, t, ratio, pe in terminal_rows:
-                fh.write(f"{key},{t!r},{ratio!r},{pe!r}\n")
+            report, traj = _execute(scenario, base_dir)
+            t_us, p_e = traj.t_us.tolist(), traj.p_e.tolist()
+            idx = _decimate_indices(traj.n_samples, 2000)
+            rows = [(t_us[k], t_us[k] / report.T1, p_e[k]) for k in idx]
+            _write_csv(out_dir / f"fig3a_{key}.csv", "t_us,t_over_T1,p_e", rows)
+            terminals.append((key, t_us[-1], report.tau_st_over_T1, p_e[-1]))
+        _write_csv(out_dir / "fig3a_terminals.csv", "spectrum,t_us,t_over_T1,p_e", terminals)
         return 0
 
     if which == "fig3b":
-        rows = []
+        points = []
         for scenario in scenarios:
-            report, _ = _execute(scenario)
-            ratio = (
-                report.T_reset / report.T1 if math.isfinite(report.T1) else 0.0
-            )
-            rows.append((scenario.spectrum, ratio, report.W_ex_norm, report.t1_infinite))
-        with open(out_dir / "fig3b_points.csv", "w", encoding="utf-8") as fh:
-            fh.write("spectrum,T_reset_over_T1,W_ex_norm,t1_infinite\n")
-            for key, ratio, w, flag in rows:
-                fh.write(f"{key},{ratio!r},{w!r},{str(flag).lower()}\n")
-        xs = np.logspace(-3, 1, 121)
-        with open(out_dir / "fig3b_bound.csv", "w", encoding="utf-8") as fh:
-            fh.write("T_reset_over_T1,W_TL_norm\n")
-            for x in xs:
-                fh.write(f"{float(x)!r},{thermodynamic_length_bound(float(x)) / LN2!r}\n")
+            report, _ = _execute(scenario, base_dir)
+            flag = str(report.t1_infinite).lower()
+            points.append((scenario.spectrum, report.T_reset / report.T1, report.W_ex_norm, flag))
+        header = "spectrum,T_reset_over_T1,W_ex_norm,t1_infinite"
+        _write_csv(out_dir / "fig3b_points.csv", header, points)
+        xs = np.logspace(-3, 1, 121).tolist()
+        bound = [(x, thermodynamic_length_bound(x) / LN2) for x in xs]
+        _write_csv(out_dir / "fig3b_bound.csv", "T_reset_over_T1,W_TL_norm", bound)
         return 0
 
     if which == "fig4":
         for scenario in scenarios:
             key = scenario.spectrum
-            model, env, bounds, law, numerics = scenario.build()
+            model, env, bounds, law, numerics = scenario.build(base_dir)
             baseline = make_baseline(model, env, bounds, law, numerics)
             for axis, n_points in _FIG4_POINTS.items():
                 curve = fidelity_sweep(baseline, axis, n_points)
-                with open(
-                    out_dir / f"fig4_{key}_{axis}.csv", "w", encoding="utf-8"
-                ) as fh:
+                with open(out_dir / f"fig4_{key}_{axis}.csv", "w", encoding="utf-8") as fh:
                     curve.to_csv(fh)
         return 0
 
@@ -270,14 +252,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
-        point = replace(scenario, **{name: float(value)})
-        report, _ = _execute(point, _config_base_dir(args))
-        rows.append((float(value), report))
+        report, _ = _execute(replace(scenario, **{name: float(value)}), _config_base_dir(args))
+        rows.append((value, *astuple(report)))
     path = out_dir / f"sweep_{scenario.name}_{name}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([name] + report_csv_header()) + "\n")
-        for value, report in rows:
-            fh.write(",".join([repr(value)] + report_to_csv_row(report)) + "\n")
+    _write_csv(path, f"{name},{_REPORT_HEADER}", rows)
     print(f"wrote {path}")
     return 0
 
@@ -322,8 +300,8 @@ def calibrate_temperature(
     if not targets:
         raise ConfigError("at least one target is required")
     for key, value in targets.items():
-        if not value > 0.0:
-            raise ConfigError(f"target for {key!r} must be > 0, got {value!r}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"target for {key!r} must be finite and > 0, got {value!r}")
     if not (math.isfinite(t_hi_K) and 0.0 < t_lo_K < t_hi_K):
         raise ConfigError(
             f"temperature bracket needs finite 0 < t_lo_K < t_hi_K,"
@@ -372,7 +350,10 @@ def calibrate_temperature(
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    raw = [float(x) for x in args.targets.split(",")]
+    try:
+        raw = [float(x) for x in args.targets.split(",")]
+    except ValueError:
+        raise ConfigError(f"--targets must be numbers, got {args.targets!r}") from None
     if len(raw) != 4:
         raise ConfigError(
             f"--targets needs four comma-separated values (lz,prot,mix,jqf),"
@@ -400,20 +381,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_spectra(args: argparse.Namespace) -> int:
     bounds = ControlBounds()
     numerics = _override_numerics(Numerics(grid_points=601), args)
-    models = {k: _SPECTRUM_CLASSES[k]() for k in _SPECTRUM_KINDS}
-    lines = ["f_GHz," + ",".join(_SPECTRUM_KINDS)]
     fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, numerics.grid_points)
-    columns = [
-        eval_rate(models[k], fs, numerics.rate_cap_per_us).tolist() for k in _SPECTRUM_KINDS
-    ]
-    for f, *vals in zip(fs.tolist(), *columns):
-        lines.append(f"{f!r}," + ",".join(repr(v) for v in vals))
-    text = "\n".join(lines) + "\n"
+    cap = numerics.rate_cap_per_us
+    rates = [eval_rate(_SPECTRUM_CLASSES[k](), fs, cap) for k in _SPECTRUM_KINDS]
+    header = "f_GHz," + ",".join(_SPECTRUM_KINDS)
+    rows = np.column_stack((fs, *rates)).tolist()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_csv(Path(args.out), header, rows)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        _write_rows(sys.stdout, header, rows)
     return 0
 
 

@@ -42,6 +42,7 @@ from .spectra import (
     _golden_max,
     _read_rows,
     _scan_max,
+    _write_rows,
 )
 from .thermo import Environment, equilibrium_population, thermal_ratio
 
@@ -388,9 +389,7 @@ ControlLaw = TimeLocalOptimal | ConstantAtPeak | FixedSchedule
 
 
 def schedule_to_csv(schedule: Iterable[tuple[float, float]], stream: TextIO) -> None:
-    stream.write("t_us,f_GHz\n")
-    for t, f in schedule:
-        stream.write(f"{t!r},{f!r}\n")
+    _write_rows(stream, "t_us,f_GHz", schedule)
 
 
 def schedule_from_csv(stream: TextIO) -> FixedSchedule:

@@ -17,7 +17,7 @@ from typing import Protocol, TextIO
 import numpy as np
 
 from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP
-from .spectra import ControlBounds, SpectrumModel, coherence_time, eval_rate, rate_fn
+from .spectra import ControlBounds, SpectrumModel, coherence_time, eval_rate, rate_fn, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
 __all__ = [
@@ -174,10 +174,12 @@ class Trajectory:
         return self._cum_rate
 
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq\n")
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
-        for k in range(self.n_samples):
-            stream.write(",".join(repr(float(col[k])) for col in cols) + "\n")
+        _write_rows(
+            stream,
+            "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq",
+            zip(*(col.tolist() for col in cols)),
+        )
 
 
 def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:

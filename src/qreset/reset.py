@@ -31,9 +31,6 @@ __all__ = [
     "constant_control_work_approx",
     "thermodynamic_length_bound",
     "report_to_dict",
-    "report_to_json",
-    "report_csv_header",
-    "report_to_csv_row",
 ]
 
 # Constant-rate lower-bound coefficient for the extra work, consumed as a
@@ -216,21 +213,3 @@ def report_to_dict(report: ResetReport) -> dict:
         value = getattr(report, f.name)
         out[f.name] = None if isinstance(value, float) and math.isinf(value) else value
     return out
-
-
-def report_to_json(report: ResetReport) -> str:
-    import json
-
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
-def report_csv_header() -> list[str]:
-    return [f.name for f in fields(ResetReport)]
-
-
-def report_to_csv_row(report: ResetReport) -> list[str]:
-    row = []
-    for f in fields(ResetReport):
-        value = getattr(report, f.name)
-        row.append("inf" if isinstance(value, float) and math.isinf(value) else repr(value))
-    return row

@@ -36,7 +36,7 @@ from .dynamics import (
     staircase_integral,
 )
 from .reset import IntegrationLimitError
-from .spectra import ControlBounds, SpectrumModel, rate_fn
+from .spectra import ControlBounds, SpectrumModel, rate_fn, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ
 
 __all__ = [
@@ -365,10 +365,12 @@ class SweepCurve:
     final_coh_abs: np.ndarray
 
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("deviation_value,fidelity,final_p_e,final_coh_abs\n")
         cols = (self.deviation, self.fidelity, self.final_p_e, self.final_coh_abs)
-        for k in range(self.deviation.size):
-            stream.write(",".join(repr(float(col[k])) for col in cols) + "\n")
+        _write_rows(
+            stream,
+            "deviation_value,fidelity,final_p_e,final_coh_abs",
+            zip(*(col.tolist() for col in cols)),
+        )
 
 
 _AXES = ("population", "coherence", "control_time")

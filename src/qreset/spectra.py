@@ -67,8 +67,8 @@ DEFAULT_RATE_CAP = 1.0e6
 
 DEFAULT_GRID_POINTS = 4001
 
-# Bracket width at which golden-section refinement stops, in GHz.
-REFINE_TOL_GHZ = 1.0e-6
+# Bracket width at which the rate argmax's golden-section refinement stops, in GHz.
+ARGMAX_TOL_GHZ = 1.0e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -479,7 +479,7 @@ def argmax_rate(
         bounds.f_max_ghz,
         grid_points,
         rate_cap,
-        REFINE_TOL_GHZ,
+        ARGMAX_TOL_GHZ,
     )
     return ArgmaxResult(f, rate, cap_hit)
 
@@ -578,6 +578,18 @@ def _read_rows(source: str | TextIO, header: str, error: type[TableParseError]):
         yield line_no, x, y
 
 
+def _write_rows(stream: TextIO, header: str, rows) -> None:
+    """Write ``header``, then one comma-separated line per row.
+
+    A ``str`` cell is written as given; any other cell as
+    ``repr(float(cell))``, which ``float`` and ``_read_rows`` read back
+    exactly.
+    """
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join([c if isinstance(c, str) else repr(float(c)) for c in row]) + "\n")
+
+
 def load_tabulated(source: str | TextIO) -> Tabulated:
     """Parse a tabulated spectrum from ``f_GHz,rate_per_us`` rows; errors name the line."""
     points: list[tuple[float, float]] = []
@@ -596,7 +608,6 @@ def load_tabulated(source: str | TextIO) -> Tabulated:
 
 def dump_tabulated(model: Tabulated) -> str:
     """Serialize a tabulated spectrum; round-trips exactly through load_tabulated."""
-    lines = ["f_GHz,rate_per_us"]
-    for f, rate in model.points:
-        lines.append(f"{f!r},{rate!r}")
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    _write_rows(buffer, "f_GHz,rate_per_us", model.points)
+    return buffer.getvalue()

@@ -515,6 +515,28 @@ def test_cmd_figure_fig4_with_config_dir(tmp_path):
     assert min(fid) > 0.9999
 
 
+def test_cmd_figure_config_dir_resolves_relative_paths(tmp_path, monkeypatch):
+    # As with `run --config`, a relative `tabulated:` path in a --config-dir
+    # config is read from that directory, not from the working directory.
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    (config_dir / "tent.csv").write_text(
+        "f_GHz,rate_per_us\n1.5,0.1\n4.0,2.0\n8.5,0.2\n", encoding="utf-8"
+    )
+    for key in ("lz", "prot", "mix", "jqf"):
+        (config_dir / f"{key}.json").write_text(
+            json.dumps({"name": key, "spectrum": "tabulated:tent.csv"}), encoding="utf-8"
+        )
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    argv = ["figure", "fig3b", "--config-dir", "../configs", "--out", "figures"]
+    assert main(argv) == 0
+    points = (elsewhere / "figures" / "fig3b_points.csv").read_text().splitlines()
+    assert len(points) == 5
+    assert all(line.startswith("tabulated:tent.csv,") for line in points[1:])
+
+
 def test_cmd_spectra_table(tmp_path):
     out = tmp_path / "rates.csv"
     assert main(["spectra", "--grid", "7", "--out", str(out)]) == 0
@@ -583,6 +605,16 @@ def test_calibration_rejects_bad_targets():
         calibrate_temperature({})
     with pytest.raises(ConfigError):
         calibrate_temperature({"lz": -1.0})
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="must be finite and > 0"):
+            calibrate_temperature({"lz": value})
+
+
+def test_cmd_calibrate_non_numeric_targets_exit_code(capsys):
+    assert main(["calibrate-temperature", "--targets", "a,b,c,d"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --targets must be numbers")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

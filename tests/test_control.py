@@ -41,7 +41,7 @@ from qreset import (
 )
 import qreset.control
 from qreset.control import _objective
-from qreset.spectra import REFINE_TOL_GHZ as SCAN_TOL_GHZ, _scan_max
+from qreset.spectra import ARGMAX_TOL_GHZ, _scan_max
 from helpers import (
     KERNEL_MODELS,
     reference_objective,
@@ -438,7 +438,7 @@ def test_global_scan_matches_scalar_loop(kind, env10, bounds):
     model = KERNEL_MODELS[kind]
     for p_e in (0.5, 1e-2, 3e-4, 2e-5):
         j = _objective(model, env10, 1.0e6, p_e)
-        args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, p_e * 1.0e6, SCAN_TOL_GHZ)
+        args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, p_e * 1.0e6, ARGMAX_TOL_GHZ)
         assert _scan_max(j, *args) == scan_max_scalar_reference(j, *args)
 
 

@@ -258,9 +258,20 @@ def test_trajectory_csv_export(default_runs):
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq"
     assert len(lines) == trajectory.n_samples + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0
-    assert first[2] == 0.5
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert table[0, 0] == 0.0
+    assert table[0, 2] == 0.5
+    columns = (
+        trajectory.t_us,
+        trajectory.f_ghz,
+        trajectory.p_e,
+        trajectory.p_r,
+        trajectory.p_i,
+        trajectory.rate_per_us,
+        trajectory.p_eq,
+    )
+    for k, column in enumerate(columns):
+        assert np.array_equal(table[:, k], column)
 
 
 @pytest.mark.parametrize(

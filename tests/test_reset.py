@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -20,12 +19,11 @@ from qreset import (
     constant_control_work_approx,
     epsilon_min,
     report_to_dict,
-    report_to_json,
     run_reset,
     thermodynamic_length_bound,
     work_ledger,
 )
-from qreset.reset import report_csv_header, report_to_csv_row
+from qreset.cli import main
 
 
 def test_reset_time_composition(default_runs, bounds):
@@ -155,7 +153,7 @@ def test_achievability_error_names_floor(models):
     assert repr(floor) in str(err.value)
 
 
-def test_report_serialization(default_runs):
+def test_report_serialization(default_runs, tmp_path):
     expected_fields = [
         "tau_st",
         "T1",
@@ -173,16 +171,23 @@ def test_report_serialization(default_runs):
         "W_TL_norm",
         "epsilon_min",
     ]
-    assert report_csv_header() == expected_fields
     for name, (report, _) in default_runs.items():
-        payload = json.loads(report_to_json(report))
-        assert list(payload.keys()) == expected_fields
-        row = report_to_csv_row(report)
-        assert len(row) == len(expected_fields)
+        assert list(report_to_dict(report)) == expected_fields
     prot = report_to_dict(default_runs["prot"][0])
     assert prot["T1"] is None
     assert prot["W_TL_norm"] is None
-    assert "inf" in report_to_csv_row(default_runs["prot"][0])
+    # `qreset run --format csv` writes the same fields, and every cell reads
+    # back as the report's value.
+    for name in ("lz", "prot"):
+        argv = ["run", "--scenario", f"{name}-default", "--format", "csv", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        (path,) = tmp_path.glob(f"{name}-default-*/report.csv")
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        assert header.split(",") == expected_fields
+        cells = dict(zip(expected_fields, row.split(",")))
+        report = default_runs[name][0]
+        assert all(float(cells[f]) == getattr(report, f) for f in expected_fields)
+    assert cells["T1"] == cells["W_TL_norm"] == "inf"
 
 
 def test_entropy_sign_convention(default_runs):

@@ -25,7 +25,7 @@ from qreset import (
     guideline_report,
     load_tabulated,
 )
-from qreset.spectra import REFINE_TOL_GHZ, _scan_max, rate_fn
+from qreset.spectra import ARGMAX_TOL_GHZ, _scan_max, rate_fn
 from helpers import (
     KERNEL_MODELS,
     brute_force_argmax,
@@ -362,7 +362,7 @@ def test_array_eval_rate_checks_the_domain():
 )
 def test_scan_max_matches_scalar_loop_on_rate(kind, grid_points, bounds):
     model = KERNEL_MODELS[kind]
-    args = (bounds.f_min_ghz, bounds.f_max_ghz, grid_points, 1.0e6, REFINE_TOL_GHZ)
+    args = (bounds.f_min_ghz, bounds.f_max_ghz, grid_points, 1.0e6, ARGMAX_TOL_GHZ)
     fn = lambda f: eval_rate(model, f)  # noqa: E731
     got = _scan_max(fn, *args)
     assert got == scan_max_scalar_reference(fn, *args)
