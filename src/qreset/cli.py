@@ -46,7 +46,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _golden_max, _write_rows
+from .spectra import ControlBounds, SpectrumError, eval_rate, _brent_max, _write_rows
 from .thermo import LN2
 
 __all__ = [
@@ -155,11 +155,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenarios, base_dir = _figure_scenarios(args)
+    # Files and rows are named by the config kind, not by the spectrum:
+    # --config-dir configs may share one tabulated spectrum.
+    keyed = list(zip(_SPECTRUM_KINDS, scenarios))
     which = args.which
 
     if which == "fig2":
-        for scenario in scenarios:
-            key = scenario.spectrum
+        for key, scenario in keyed:
             model, env, bounds, law, numerics = scenario.build(base_dir)
             _, traj = run_reset(model, env, bounds, law, numerics)
             control = np.column_stack((traj.t_us, traj.p_e, traj.f_ghz)).tolist()
@@ -173,8 +175,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # T1 is infinite for prot, where t / T1 and T_reset / T1 read 0.0.
     if which == "fig3a":
         terminals = []
-        for scenario in scenarios:
-            key = scenario.spectrum
+        for key, scenario in keyed:
             report, traj = _execute(scenario, base_dir)
             t_us, p_e = traj.t_us.tolist(), traj.p_e.tolist()
             idx = _decimate_indices(traj.n_samples, 2000)
@@ -186,10 +187,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
     if which == "fig3b":
         points = []
-        for scenario in scenarios:
+        for key, scenario in keyed:
             report, _ = _execute(scenario, base_dir)
             flag = str(report.t1_infinite).lower()
-            points.append((scenario.spectrum, report.T_reset / report.T1, report.W_ex_norm, flag))
+            points.append((key, report.T_reset / report.T1, report.W_ex_norm, flag))
         header = "spectrum,T_reset_over_T1,W_ex_norm,t1_infinite"
         _write_csv(out_dir / "fig3b_points.csv", header, points)
         xs = np.logspace(-3, 1, 121).tolist()
@@ -198,8 +199,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 0
 
     if which == "fig4":
-        for scenario in scenarios:
-            key = scenario.spectrum
+        for key, scenario in keyed:
             model, env, bounds, law, numerics = scenario.build(base_dir)
             baseline = make_baseline(model, env, bounds, law, numerics)
             for axis, n_points in _FIG4_POINTS.items():
@@ -289,10 +289,13 @@ def calibrate_temperature(
     """Best-fit environment temperature against target W_ex/(k_B T ln 2) values.
 
     Minimizes the sum of squared relative errors over the named built-in
-    spectra with one golden-section search on ``[t_lo_K, t_hi_K]`` to
-    1e-6 K.  That assumes the error has a single minimum in the bracket,
-    which holds because each ``W_ex_norm`` falls roughly as 1/T.  A search
-    that ends within 1e-6 K of either end raises ``ConfigError``.
+    spectra with one Brent search (``spectra._brent_max``: parabolic steps,
+    golden-section fallback) on ``[t_lo_K, t_hi_K]`` to 1e-6 K.  That
+    assumes the error has a single minimum in the bracket, which holds
+    because each ``W_ex_norm`` falls roughly as 1/T.  On [5, 20] mK the
+    search visits 11 or 12 temperatures, one run per target at each; the
+    best one is reported from the memo, not run again.  A search that ends
+    within 1e-6 K of either end raises ``ConfigError``.
     """
     unknown = set(targets) - set(_SPECTRUM_KINDS)
     if unknown:
@@ -331,7 +334,7 @@ def calibrate_temperature(
             ((values[k] - targets[k]) / targets[k]) ** 2 for k in targets
         )
 
-    best_t, _ = _golden_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, CALIBRATION_TOL_K)
+    best_t, _ = _brent_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, CALIBRATION_TOL_K)
     if min(best_t - t_lo_K, t_hi_K - best_t) <= CALIBRATION_TOL_K:
         raise ConfigError(
             f"best-fit temperature {best_t!r} K lies at the edge of the search"
@@ -350,6 +353,10 @@ def calibrate_temperature(
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    out = Path(args.out) if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        # Checked before the search, which would otherwise run to the end first.
+        raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
     try:
         raw = [float(x) for x in args.targets.split(",")]
     except ValueError:
@@ -368,8 +375,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             f" target={result.targets[key]:.4f}"
             f" residual={result.residuals[key] * 100.0:+.2f}%"
         )
-    if args.out:
-        _write_json(Path(args.out), asdict(result))
+    if out is not None:
+        _write_json(out, asdict(result))
     return 0
 
 
@@ -463,6 +470,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SpectrumError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ from typing import Protocol, TextIO
 
 import numpy as np
 
-from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP
+from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected
 from .spectra import ControlBounds, SpectrumModel, coherence_time, eval_rate, rate_fn, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
@@ -250,11 +250,26 @@ def integrate_restore(
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
     moves by at most the drift cap per step.
+
+    With no rate cap, a protected spectrum whose pole lies in the window
+    raises ``InfiniteRateError`` before the first step: the rate-seeking
+    laws settle on the pole, and a scan sees its infinite rate only if a
+    grid point lands exactly on it.
     """
     eps = bounds.epsilon
     precision_mode = t_final is None
     if precision_mode and initial.p_e <= eps:
         raise ValueError(f"initial p_e={initial.p_e!r} must exceed epsilon={eps!r}")
+    if (
+        numerics.rate_cap_per_us is None
+        and isinstance(model, Protected)
+        and bounds.f_min_ghz <= model.f_r_ghz <= bounds.f_max_ghz
+    ):
+        raise InfiniteRateError(
+            f"the rate is infinite at the protected pole f_r={model.f_r_ghz!r} GHz,"
+            f" inside the control window [{bounds.f_min_ghz!r}, {bounds.f_max_ghz!r}]"
+            " GHz, with no rate cap: the state would jump to equilibrium in zero time"
+        )
 
     runtime = law.bind(model, env, bounds, numerics)
     drift_cap = numerics.drift_cap(bounds)

@@ -327,14 +327,21 @@ def test_cmd_run_invalid_rate_cap_names_its_config_key(tmp_path, capsys):
     assert "numerics.rate_cap_per_us must be finite and > 0" in capsys.readouterr().err
 
 
-def test_cmd_run_uncapped_pole_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("grid_points", [4001, 4000, 1000])
+@pytest.mark.parametrize("control", ["time_local", "constant"])
+def test_cmd_run_uncapped_pole_exit_code(tmp_path, capsys, control, grid_points):
+    # Only the 4001-point scan lands on the pole; the others found a huge
+    # finite rate there and reported tau_st ~ 1e-14 us with exit 0.
     config = tmp_path / "prot.json"
+    numerics = {"rate_cap_per_us": None, "grid_points": grid_points}
     config.write_text(
-        json.dumps({"spectrum": "prot", "numerics": {"rate_cap_per_us": None}}),
+        json.dumps({"spectrum": "prot", "control": control, "numerics": numerics}),
         encoding="utf-8",
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert "infinite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "infinite" in err
+    assert err.count("\n") == 1
 
 
 def test_cmd_run_zero_rate_spectrum_exit_code(tmp_path, capsys):
@@ -515,9 +522,8 @@ def test_cmd_figure_fig4_with_config_dir(tmp_path):
     assert min(fid) > 0.9999
 
 
-def test_cmd_figure_config_dir_resolves_relative_paths(tmp_path, monkeypatch):
-    # As with `run --config`, a relative `tabulated:` path in a --config-dir
-    # config is read from that directory, not from the working directory.
+def _tent_config_dir(tmp_path: Path) -> Path:
+    """A --config-dir whose four configs share one relative tabulated spectrum."""
     config_dir = tmp_path / "configs"
     config_dir.mkdir()
     (config_dir / "tent.csv").write_text(
@@ -527,14 +533,44 @@ def test_cmd_figure_config_dir_resolves_relative_paths(tmp_path, monkeypatch):
         (config_dir / f"{key}.json").write_text(
             json.dumps({"name": key, "spectrum": "tabulated:tent.csv"}), encoding="utf-8"
         )
+    return config_dir
+
+
+def test_cmd_figure_config_dir_resolves_relative_paths(tmp_path, monkeypatch):
+    # As with `run --config`, a relative `tabulated:` path in a --config-dir
+    # config is read from that directory, not from the working directory.
+    _tent_config_dir(tmp_path)
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
     argv = ["figure", "fig3b", "--config-dir", "../configs", "--out", "figures"]
     assert main(argv) == 0
     points = (elsewhere / "figures" / "fig3b_points.csv").read_text().splitlines()
-    assert len(points) == 5
-    assert all(line.startswith("tabulated:tent.csv,") for line in points[1:])
+    assert [line.split(",")[0] for line in points[1:]] == ["lz", "prot", "mix", "jqf"]
+    assert len(set(line.split(",", 1)[1] for line in points[1:])) == 1
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig3a", "fig4"])
+def test_cmd_figure_names_files_and_rows_by_config_kind(tmp_path, which):
+    # Four configs sharing one tabulated spectrum give four files (and four
+    # terminal rows), named by config, not one file overwritten four times.
+    config_dir = _tent_config_dir(tmp_path)
+    out = tmp_path / "figures"
+    assert main(["figure", which, "--config-dir", str(config_dir), "--out", str(out)]) == 0
+    kinds = ("lz", "prot", "mix", "jqf")
+    names = {
+        "fig2": [f"fig2_{part}_{k}.csv" for k in kinds for part in ("control", "spectrum")],
+        "fig3a": [f"fig3a_{k}.csv" for k in kinds] + ["fig3a_terminals.csv"],
+        "fig4": [
+            f"fig4_{k}_{axis}.csv"
+            for k in kinds
+            for axis in ("population", "coherence", "control_time")
+        ],
+    }[which]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    if which == "fig3a":
+        terminals = (out / "fig3a_terminals.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in terminals[1:]] == list(kinds)
 
 
 def test_cmd_spectra_table(tmp_path):
@@ -582,10 +618,10 @@ def test_calibration_single_spectrum_consistency():
 
 
 def test_calibration_run_count(monkeypatch):
-    # Every temperature the golden-section search visits costs one run per
-    # target: its two first probes, one point for each of the 20 steps that
-    # shrink [5, 20] mK below 1e-6 K, and the final midpoint, which the
-    # report reuses instead of running it again.
+    # Every temperature the Brent search visits costs one run per target:
+    # 11 on [5, 20] mK to 1e-6 K, where golden section took 23.  The search
+    # returns the best point it visited, which the report reuses instead of
+    # running it again.
     temperatures = []
 
     def counted(model, env, *args, **kwargs):
@@ -594,8 +630,8 @@ def test_calibration_run_count(monkeypatch):
 
     monkeypatch.setattr("qreset.cli.run_reset", counted)
     result = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]})
-    assert len(temperatures) == len(set(temperatures)) == 23
-    assert temperatures[-1] == result.best_temperature_K
+    assert len(temperatures) == len(set(temperatures)) == 11
+    assert result.best_temperature_K in temperatures
 
 
 def test_calibration_rejects_bad_targets():
@@ -652,6 +688,27 @@ def test_cmd_calibrate_bracket_edge_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["nodir/x.json", "."], ids=["missing-dir", "a-dir"])
+def test_cmd_calibrate_unwritable_out_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, out
+):
+    calls = []
+    monkeypatch.setattr("qreset.cli.run_reset", lambda *a, **k: calls.append(a))
+    assert main(["calibrate-temperature", "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out must name a file in an existing directory")
+    assert err.count("\n") == 1
+    assert calls == []
+
+
+def test_cmd_spectra_unwritable_out_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "nodir" / "rates.csv"
+    assert main(["spectra", "--grid", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "nodir" in err
+    assert err.count("\n") == 1
+
+
 def test_cmd_calibrate_reversed_bracket_exit_code(tmp_path, capsys):
     out = tmp_path / "calibration.json"
     argv = ["calibrate-temperature", "--t-lo", "0.02", "--t-hi", "0.005", "--out", str(out)]
@@ -668,7 +725,7 @@ def test_cmd_calibrate_has_no_scan_option(capsys):
 
 
 def test_calibration_error_has_a_single_minimum():
-    # calibrate_temperature runs one golden-section search, which finds the
+    # calibrate_temperature runs one bracketed (Brent) search, which finds the
     # minimum only if the error falls and then rises across the bracket.
     # Check that shape on a 16-point grid over [5, 20] mK, for the paper
     # targets, for them scaled by 0.98 and 1.02, and for lz alone.

@@ -211,16 +211,33 @@ def test_no_descent_error():
         integrate_restore(QubitState(0.3), ConstantAtPeak(), FLAT, env, bounds)
 
 
+@pytest.mark.parametrize("grid_points", [4001, 4000, 1000])
 @pytest.mark.parametrize(
-    "law", [TimeLocalOptimal(), TimeLocalOptimal(mode="global"), ConstantAtPeak()]
+    "law",
+    [TimeLocalOptimal(), TimeLocalOptimal(mode="global"), ConstantAtPeak()],
+    ids=["tracked", "global", "constant"],
 )
-def test_uncapped_pole_raises_instead_of_crossing_in_zero_time(law, env10, bounds):
+def test_uncapped_pole_raises_instead_of_crossing_in_zero_time(
+    law, grid_points, env10, bounds
+):
     # Without a cap every law settles on the protected pole, where the rate
-    # is inf; the crossing time would come out as 0 and look like success.
+    # is inf; the crossing time would come out as ~0 and look like success.
+    # Only the 4001-point grid has a point exactly on the pole at 6.5 GHz;
+    # the others must fail as well.
+    numerics = Numerics(grid_points=grid_points, rate_cap_per_us=None)
     with pytest.raises(InfiniteRateError, match="infinite"):
-        integrate_restore(
-            QubitState(0.5), law, Protected(), env10, bounds, Numerics(rate_cap_per_us=None)
-        )
+        integrate_restore(QubitState(0.5), law, Protected(), env10, bounds, numerics)
+
+
+def test_uncapped_protected_runs_when_its_pole_is_outside_the_window(env10):
+    # The pole check asks the model: with the window below f_r = 6.5 GHz the
+    # uncapped rate is finite everywhere the control can go.
+    bounds = ControlBounds(f_cp_ghz=4.0, delta_f_ghz=2.0)
+    numerics = Numerics(rate_cap_per_us=None)
+    trajectory = integrate_restore(
+        QubitState(0.5), ConstantAtPeak(), Protected(), env10, bounds, numerics
+    )
+    assert trajectory.termination == "precision"
 
 
 def test_zero_rate_spectrum_raises_no_descent(env10, bounds):
