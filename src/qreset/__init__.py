@@ -52,7 +52,6 @@ from .dynamics import (
     Trajectory,
     decoherence_factor,
     integrate_restore,
-    step_constant,
 )
 from .control import (
     ConstantAtPeak,

@@ -345,10 +345,6 @@ class FixedSchedule:
         if self.breakpoints[0][0] != 0.0:
             raise ValueError("schedule must start at t=0")
 
-    @classmethod
-    def from_trajectory(cls, trajectory: Trajectory) -> "FixedSchedule":
-        return cls(trajectory.schedule())
-
     def check_window(self, bounds: ControlBounds) -> None:
         """Raise ``ScheduleWindowError`` unless every frequency lies in the window."""
         for t, f in self.breakpoints:

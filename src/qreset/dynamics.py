@@ -17,7 +17,7 @@ from typing import Protocol, TextIO
 import numpy as np
 
 from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected
-from .spectra import ControlBounds, SpectrumModel, coherence_time, eval_rate, rate_fn, _write_rows
+from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "IntegrationError",
     "NoDescentError",
     "InfiniteRateError",
-    "step_constant",
     "integrate_restore",
     "decoherence_factor",
 ]
@@ -92,7 +91,9 @@ class Numerics:
     def __post_init__(self) -> None:
         for name in ("step_log_bound", "rate_cap_per_us", "control_drift_ghz", "time_limit_t1"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
+            if value is None and name in ("rate_cap_per_us", "control_drift_ghz"):
+                continue
+            if value is None or not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
         if not self.grid_points >= 3:
             raise ValueError(f"numerics.grid_points must be >= 3, got {self.grid_points!r}")
@@ -212,24 +213,6 @@ def _advance(
     return p_e2, p_r2, p_i2
 
 
-def step_constant(
-    state: QubitState,
-    f_ghz: float,
-    dt_us: float,
-    model: SpectrumModel,
-    env: Environment,
-    *,
-    rate_cap: float | None = None,
-) -> QubitState:
-    """Advance the state by ``dt_us`` at a fixed control frequency."""
-    if not dt_us > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt_us!r}")
-    rate = eval_rate(model, f_ghz, rate_cap)
-    p_eq = equilibrium_population(thermal_ratio(f_ghz, env))
-    p_e, p_r, p_i = _advance(state.p_e, state.p_r, state.p_i, rate, p_eq, f_ghz, dt_us)
-    return QubitState(p_e, p_r, p_i)
-
-
 def integrate_restore(
     initial: QubitState,
     law: ControlLawProtocol,
@@ -283,10 +266,12 @@ def integrate_restore(
                 f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
                 " target is unreachable"
             )
-    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
-    t_limit = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
-    if t_final is not None:
-        t_limit = math.inf
+    # One stop time: the horizon of an open-loop run, else the time limit.
+    if precision_mode:
+        t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
+        t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
+    else:
+        t_stop = t_final
 
     ts: list[float] = []
     fs: list[float] = []
@@ -311,8 +296,6 @@ def integrate_restore(
     f_next: float | None = None
     f_anchor: float | None = None
     dt_drift_hint = math.inf
-    termination = "precision"
-    tau = 0.0
 
     while True:
         f = f_next if f_next is not None else runtime.frequency(pe, t, f_anchor)
@@ -327,27 +310,21 @@ def integrate_restore(
         e = math.exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
+        record(t, f, pe, pr, pi, rate, peq)
 
-        if t_final is not None and t >= t_final:
-            record(t, f, pe, pr, pi, rate, peq)
-            termination, tau = "horizon", t
-            break
-        if steps >= numerics.step_limit:
-            record(t, f, pe, pr, pi, rate, peq)
+        # The horizon outranks the step limit, which outranks the time limit.
+        at_stop = t >= t_stop
+        if steps >= numerics.step_limit and (precision_mode or not at_stop):
             termination, tau = "step_limit", t
             break
-        if t >= t_limit:
-            record(t, f, pe, pr, pi, rate, peq)
-            termination, tau = "time_limit", t
+        if at_stop:
+            termination, tau = ("time_limit" if precision_mode else "horizon"), t
             break
         if precision_mode and gap <= 0.0:
-            record(t, f, pe, pr, pi, rate, peq)
             raise NoDescentError(
                 f"control law chose f={f!r} GHz with p_eq={peq!r} >= p_e={pe!r};"
                 " the precision target is unreachable from here"
             )
-
-        record(t, f, pe, pr, pi, rate, peq)
 
         t_bp = runtime.next_transition_after(t)
         dt_free = numerics.step_log_bound / rate if rate > 0.0 else math.inf
@@ -359,7 +336,7 @@ def integrate_restore(
             if (
                 dt_cross <= dt_free
                 and (t_bp is None or t + dt_cross <= t_bp)
-                and t + dt_cross <= t_limit
+                and t + dt_cross <= t_stop
             ):
                 _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
                 pe = eps
@@ -368,15 +345,13 @@ def integrate_restore(
                 termination = "precision"
                 break
 
-        # Pick the step; scheduled transitions, the horizon and the time
-        # limit are landed on exactly and are exempt from drift control.
+        # Pick the step; scheduled transitions and the stop time are landed
+        # on exactly and are exempt from drift control.
         dt, snap_to = dt_free, None
         if t_bp is not None and t_bp > t and t_bp - t <= dt:
             dt, snap_to = t_bp - t, t_bp
-        if t_final is not None and t_final - t <= dt:
-            dt, snap_to = t_final - t, t_final
-        if t_limit < math.inf and t_limit - t <= dt:
-            dt, snap_to = t_limit - t, t_limit
+        if t_stop - t <= dt:
+            dt, snap_to = t_stop - t, t_stop
         if not math.isfinite(dt):
             raise NoDescentError(
                 f"rate at f={f!r} GHz is zero with no time limit or transition"

@@ -4,10 +4,11 @@ A baseline optimal run is recorded once; deviated initial states or
 control times are then propagated under the *unmodified* schedule, as an
 experiment without feedback would.  The schedule is piecewise constant,
 so the propagation is done in closed form: the exact segment maps are
-composed once per baseline (``_SegmentMaps``), and a deviated control
-time needs one ``searchsorted`` plus one partial segment (past the
-recorded end, the last frequency is held).  ``Baseline.replay`` keeps
-the adaptive stepper as the reference the closed form is tested against.
+composed once per baseline (``_SegmentMaps``) from the recorded rows
+themselves, so the replay holds exactly the frequency, rate and
+equilibrium population the run held.  A deviated control time needs one
+``searchsorted`` plus one partial segment (past the recorded end, the
+last frequency is held).
 
 Initial-state errors are suppressed by the accumulated decoherence
 factor (populations by eta, coherences by sqrt(eta), since coherences
@@ -24,9 +25,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .control import FixedSchedule
 from .dynamics import (
-    DecoherenceFactor,
     Numerics,
     QubitState,
     Trajectory,
@@ -36,7 +35,7 @@ from .dynamics import (
     staircase_integral,
 )
 from .reset import IntegrationLimitError
-from .spectra import ControlBounds, SpectrumModel, rate_fn, _write_rows
+from .spectra import ControlBounds, SpectrumModel, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ
 
 __all__ = [
@@ -106,44 +105,25 @@ class DeviationResult:
 
 @dataclass(frozen=True)
 class Baseline:
-    """A recorded optimal run and everything needed to replay it open loop."""
+    """A recorded optimal run, replayed open loop from its own rows."""
 
-    model: SpectrumModel
-    env: Environment
-    bounds: ControlBounds
-    numerics: Numerics
     trajectory: Trajectory
-    schedule: FixedSchedule
 
     @property
     def tau_st_us(self) -> float:
         return self.trajectory.tau_st_us
 
-    def eta(self) -> DecoherenceFactor:
-        return decoherence_factor(self.trajectory)
-
     @cached_property
     def _segment_maps(self) -> "_SegmentMaps":
-        """The schedule's composed segment maps, built on first use."""
-        return _SegmentMaps(self.schedule, self.model, self.env, self.bounds, self.numerics)
-
-    def replay(self, initial: QubitState, t_final_us: float) -> Trajectory:
-        """Re-integrate the schedule with the adaptive stepper (reference path)."""
-        return integrate_restore(
-            initial,
-            self.schedule,
-            self.model,
-            self.env,
-            self.bounds,
-            self.numerics,
-            t_final=t_final_us,
-        )
+        """The recorded segments' composed maps, built on first use."""
+        return _SegmentMaps(self.trajectory)
 
 
 class _SegmentMaps:
-    """Prefix compositions of a fixed schedule's exact constant-control maps.
+    """Prefix compositions of a recorded run's exact constant-control maps.
 
-    On segment k the population map ``p -> p_eq_k + (p - p_eq_k) d_k``,
+    Rows ``0..n-2`` of the trajectory are the segments the run held.  On
+    segment k the population map ``p -> p_eq_k + (p - p_eq_k) d_k``,
     ``d_k = exp(-rate_k dt_k)``, is affine.  With
     ``Lambda_k = sum_{j<k} rate_j dt_j`` and
     ``Theta_k = sum_{j<k} 2 pi f_j dt_j``, the state at breakpoint k reached
@@ -152,21 +132,12 @@ class _SegmentMaps:
     population reached from p0=0.
     """
 
-    def __init__(
-        self,
-        schedule: FixedSchedule,
-        model: SpectrumModel,
-        env: Environment,
-        bounds: ControlBounds,
-        numerics: Numerics,
-    ) -> None:
-        schedule.check_window(bounds)
-        rate_at = rate_fn(model, numerics.rate_cap_per_us)
-        self.t_us = np.array([t for t, _ in schedule.breakpoints])
-        self.f_ghz = np.array([f for _, f in schedule.breakpoints])
-        self.rate_per_us = np.array([rate_at(f) for _, f in schedule.breakpoints])
-        e = np.exp(-env.ratio_per_ghz * self.f_ghz)
-        self.p_eq = e / (1.0 + e)
+    def __init__(self, trajectory: Trajectory) -> None:
+        held = slice(0, max(trajectory.n_samples - 1, 1))
+        self.t_us = trajectory.t_us[held]
+        self.f_ghz = trajectory.f_ghz[held]
+        self.rate_per_us = trajectory.rate_per_us[held]
+        self.p_eq = trajectory.p_eq[held]
 
         lam = staircase_integral(self.t_us, self.rate_per_us)
         self.decay = np.exp(-lam)
@@ -226,14 +197,7 @@ def make_baseline(
             f" t={trajectory.tau_st_us!r} us without reaching precision",
             trajectory,
         )
-    return Baseline(
-        model=model,
-        env=env,
-        bounds=bounds,
-        numerics=numerics,
-        trajectory=trajectory,
-        schedule=FixedSchedule.from_trajectory(trajectory),
-    )
+    return Baseline(trajectory)
 
 
 def fidelity(state: QubitState, epsilon: float) -> float:
@@ -279,11 +243,12 @@ def _initial_state(spec: DeviationSpec, tau_st_us: float) -> tuple[QubitState, f
 def run_deviation(spec: DeviationSpec, baseline: Baseline) -> DeviationResult:
     """Propagate a deviated initial condition under the recorded schedule (exact)."""
     initial, t_f = _initial_state(spec, baseline.tau_st_us)
-    trajectory = baseline._segment_maps.propagate(initial, t_f, baseline.bounds.epsilon)
+    epsilon = baseline.trajectory.epsilon
+    trajectory = baseline._segment_maps.propagate(initial, t_f, epsilon)
     final = trajectory.terminal_state
     return DeviationResult(
         final_state=final,
-        fidelity=fidelity(final, baseline.bounds.epsilon),
+        fidelity=fidelity(final, epsilon),
         trajectory=trajectory,
     )
 
@@ -318,8 +283,8 @@ class SensitivityReport:
 
 def sensitivity_report(baseline: Baseline) -> SensitivityReport:
     tau = baseline.tau_st_us
-    eps = baseline.bounds.epsilon
-    eta = baseline.eta().at_terminal
+    eps = baseline.trajectory.epsilon
+    eta = decoherence_factor(baseline.trajectory).at_terminal
 
     hi = run_deviation(PopulationDeviation(0.5 + SENSITIVITY_DP), baseline).final_state.p_e
     lo = run_deviation(PopulationDeviation(0.5 - SENSITIVITY_DP), baseline).final_state.p_e

@@ -106,15 +106,21 @@ class Scenario:
         num_unknown = set(num_data) - {f.name for f in fields(Numerics)} - {"control_mode"}
         if num_unknown:
             raise ConfigError(f"unknown numerics key(s): {sorted(num_unknown)}")
+        for owner, values, prefix in ((cls, payload, ""), (Numerics, num_data, "numerics.")):
+            annotations = {f.name: f.type for f in fields(owner)}
+            for key, value in values.items():
+                _check_json_type(prefix + key, value, annotations.get(key))
         if "control_mode" in num_data:
             payload["control_mode"] = num_data.pop("control_mode")
         params = payload.pop("spectrum_params", {})
         if not isinstance(params, Mapping):
             raise ConfigError("spectrum_params must be a JSON object")
+        for key, value in params.items():
+            _check_json_type(f"spectrum_params.{key}", value, "float")
         if "spectrum" not in payload:
             raise ConfigError("scenario is missing the 'spectrum' key")
         if "name" not in payload:
-            payload["name"] = str(payload["spectrum"])
+            payload["name"] = payload["spectrum"]
         try:
             numerics = Numerics(**num_data)
             return cls(spectrum_params=dict(params), numerics=numerics, **payload)
@@ -184,6 +190,24 @@ class Scenario:
             except ScheduleWindowError as exc:
                 raise ConfigError(str(exc)) from None
         return model, env, bounds, law, self.numerics
+
+
+# The JSON values each field annotation accepts; a bool is not a number.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+}
+
+
+def _check_json_type(key: str, value, annotation: str | None) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` fits its annotation."""
+    if annotation not in _JSON_TYPES:
+        return
+    types, what = _JSON_TYPES[annotation]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def _read_table(spec: str, base_dir: Path | None, what: str, parse: Callable[[TextIO], object]):

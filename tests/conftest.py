@@ -6,7 +6,6 @@ from qreset import (
     Baseline,
     ControlBounds,
     Environment,
-    FixedSchedule,
     JQF,
     Lorentzian,
     Mixed,
@@ -50,17 +49,6 @@ def default_runs(models, env10, bounds) -> dict:
 
 
 @pytest.fixture(scope="session")
-def baselines(models, env10, bounds, default_runs) -> dict:
+def baselines(default_runs) -> dict:
     """Robustness baselines built from the already-computed default runs."""
-    out = {}
-    for name, model in models.items():
-        _, trajectory = default_runs[name]
-        out[name] = Baseline(
-            model=model,
-            env=env10,
-            bounds=bounds,
-            numerics=Numerics(),
-            trajectory=trajectory,
-            schedule=FixedSchedule.from_trajectory(trajectory),
-        )
-    return out
+    return {name: Baseline(trajectory) for name, (_, trajectory) in default_runs.items()}

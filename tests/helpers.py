@@ -7,7 +7,10 @@ plain dense scan for maximization, the scalar-loop grid scan that
 which that change left as they were), the ``(model, f)`` rate
 formulas and control objective that the bound rate kernels replaced, and
 the tracked refresh as it was before it learned the capped plateau's
-right edge.
+right edge.  Two references wrap package internals that only tests use:
+one exact constant-control step, and the adaptive stepper replaying a
+recorded schedule, which the closed-form robustness replay is checked
+against.
 """
 
 from __future__ import annotations
@@ -18,17 +21,24 @@ import numpy as np
 
 from qreset import (
     JQF,
+    ControlBounds,
     Environment,
+    FixedSchedule,
     Lorentzian,
     Mixed,
+    Numerics,
     Protected,
+    QubitState,
     SpectrumModel,
     Tabulated,
+    Trajectory,
     equilibrium_population,
     eval_rate,
+    integrate_restore,
     thermal_ratio,
 )
 import qreset.control
+from qreset.dynamics import _advance
 from qreset.spectra import _cap_edge, _golden_max
 from qreset.thermo import RAD_PER_US_PER_GHZ
 
@@ -57,6 +67,37 @@ def chained_exponential_population(
         p_eq = equilibrium_population(thermal_ratio(f, env))
         p = p_eq + (p - p_eq) * math.exp(-rate * dt)
     return p
+
+
+def step_constant(
+    state: QubitState,
+    f_ghz: float,
+    dt_us: float,
+    model: SpectrumModel,
+    env: Environment,
+    *,
+    rate_cap: float | None = None,
+) -> QubitState:
+    """Advance the state by ``dt_us`` at a fixed control frequency."""
+    rate = eval_rate(model, f_ghz, rate_cap)
+    p_eq = equilibrium_population(thermal_ratio(f_ghz, env))
+    return QubitState(*_advance(state.p_e, state.p_r, state.p_i, rate, p_eq, f_ghz, dt_us))
+
+
+def stepper_replay(
+    trajectory: Trajectory,
+    initial: QubitState,
+    t_final_us: float,
+    model: SpectrumModel,
+    env: Environment,
+    bounds: ControlBounds,
+    numerics: Numerics = Numerics(),
+) -> Trajectory:
+    """Re-integrate a recorded run's schedule with the adaptive stepper up to ``t_final_us``."""
+    schedule = FixedSchedule(trajectory.schedule())
+    return integrate_restore(
+        initial, schedule, model, env, bounds, numerics, t_final=t_final_us
+    )
 
 
 def brute_force_argmax(fn, lo: float, hi: float, n: int) -> tuple[float, float]:

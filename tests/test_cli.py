@@ -216,11 +216,41 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
     assert "tau_st_us=10.81977" in summary
 
 
-def test_cmd_run_config_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"spectrum": "lz", "oops": 1}, "unknown scenario key"),
+        ({"spectrum": 5}, "spectrum must be a string, got 5"),
+        ({"spectrum": "lz", "control": 5}, "control must be a string"),
+        ({"spectrum": "lz", "name": 3}, "name must be a string"),
+        ({"spectrum": "lz", "temperature_K": "cold"}, "temperature_K must be a number"),
+        ({"spectrum": "lz", "temperature_K": None}, "temperature_K must be a number"),
+        ({"spectrum": "lz", "temperature_K": True}, "temperature_K must be a number"),
+        ({"spectrum": "lz", "epsilon": "small"}, "epsilon must be a number"),
+        (
+            {"spectrum": "lz", "spectrum_params": {"g_ghz": "x"}},
+            "spectrum_params.g_ghz must be a number",
+        ),
+    ],
+    ids=[
+        "unknown-key",
+        "spectrum-int",
+        "control-int",
+        "name-int",
+        "temperature-str",
+        "temperature-null",
+        "temperature-bool",
+        "epsilon-str",
+        "param-str",
+    ],
+)
+def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"spectrum": "lz", "oops": 1}', encoding="utf-8")
+    bad.write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
-    assert "unknown scenario key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -308,13 +338,18 @@ def test_cmd_run_achievability_exit_code(tmp_path, capsys):
         {"rate_cap_per_us": -1.0},
         {"control_drift_ghz": 0.0},
         {"time_limit_t1": "long"},
+        {"time_limit_t1": None},
+        {"step_log_bound": None},
+        {"grid_points": 40.5},
+        {"step_limit": True},
     ],
 )
 def test_cmd_run_invalid_numerics_exit_code(tmp_path, capsys, numerics):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"spectrum": "lz", "numerics": numerics}), encoding="utf-8")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: numerics.") and err.count("\n") == 1
 
 
 def test_cmd_run_invalid_rate_cap_names_its_config_key(tmp_path, capsys):

@@ -23,10 +23,9 @@ from qreset import (
     equilibrium_population,
     eval_rate,
     integrate_restore,
-    step_constant,
     thermal_ratio,
 )
-from helpers import chained_exponential_population
+from helpers import chained_exponential_population, step_constant
 
 FLAT = Tabulated(((2.0, 1.0), (8.0, 1.0)))
 SILENT = Tabulated(((2.0, 0.0), (8.0, 0.0)))
@@ -305,6 +304,8 @@ def test_trajectory_csv_export(default_runs):
         ("rate_cap_per_us", math.inf),
         ("grid_points", 2),
         ("step_limit", 0),
+        ("step_log_bound", None),
+        ("time_limit_t1", None),
     ],
 )
 def test_numerics_rejects_invalid_settings(field, value):

@@ -13,7 +13,6 @@ from qreset import (
     ControlTimeDeviation,
     Environment,
     FixedSchedule,
-    Numerics,
     PopulationDeviation,
     QubitState,
     Tabulated,
@@ -25,7 +24,7 @@ from qreset import (
     sensitivity_report,
 )
 from qreset.robustness import _initial_state
-from helpers import chained_exponential_population
+from helpers import chained_exponential_population, stepper_replay
 
 EPS = 1.0e-5
 
@@ -101,11 +100,17 @@ def _oracle_cases(baseline):
     ]
 
 
-def test_closed_form_replay_matches_stepper(baselines):
+def test_closed_form_replay_matches_stepper(baselines, models, env10, bounds):
     for name, baseline in baselines.items():
         for spec in _oracle_cases(baseline):
             result = run_deviation(spec, baseline)
-            reference = baseline.replay(*_initial_state(spec, baseline.tau_st_us))
+            reference = stepper_replay(
+                baseline.trajectory,
+                *_initial_state(spec, baseline.tau_st_us),
+                models[name],
+                env10,
+                bounds,
+            )
             got, want = result.final_state, reference.terminal_state
             assert got.p_e == pytest.approx(want.p_e, rel=1e-12, abs=0.0), (name, spec)
             assert got.coherence_abs == pytest.approx(
@@ -157,7 +162,7 @@ def test_closed_form_replay_matches_chained_exponentials(segments, p0, horizon):
     schedule = FixedSchedule(tuple(zip(times, (f for f, _ in segments))))
     tau = times[-1] + segments[-1][1]
     trajectory = integrate_restore(QubitState(0.5), schedule, _TAB, _ENV, _BOUNDS, t_final=tau)
-    baseline = Baseline(_TAB, _ENV, _BOUNDS, Numerics(), trajectory, schedule)
+    baseline = Baseline(trajectory)
 
     result = run_deviation(PopulationDeviation(p0), baseline)
     expected = chained_exponential_population(p0, segments, _TAB, _ENV)
@@ -171,12 +176,28 @@ def test_closed_form_replay_matches_chained_exponentials(segments, p0, horizon):
     assert result.final_state.p_e == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_replay_reproduces_baseline(baselines):
+def test_replay_reproduces_baseline(baselines, models, env10, bounds):
     for name, baseline in baselines.items():
-        replay = baseline.replay(QubitState(0.5), baseline.tau_st_us)
+        trajectory = baseline.trajectory
+        replay = stepper_replay(
+            trajectory, QubitState(0.5), baseline.tau_st_us, models[name], env10, bounds
+        )
         assert replay.termination == "horizon"
-        drift = abs(replay.terminal_state.p_e - baseline.trajectory.terminal_state.p_e)
+        drift = abs(replay.terminal_state.p_e - trajectory.terminal_state.p_e)
         assert drift < 1e-9
+
+
+def test_closed_form_replay_returns_the_recorded_rows(baselines):
+    # Undeviated, the closed form holds exactly the segments the run held:
+    # its rows before the terminal one are the recorded t, f, rate and p_eq.
+    for name, baseline in baselines.items():
+        recorded = baseline.trajectory
+        replay = run_deviation(PopulationDeviation(0.5), baseline).trajectory
+        assert replay.n_samples == recorded.n_samples, name
+        for column in ("t_us", "f_ghz", "rate_per_us", "p_eq"):
+            got, want = getattr(replay, column)[:-1], getattr(recorded, column)[:-1]
+            assert np.array_equal(got, want), (name, column)
+        np.testing.assert_allclose(replay.p_e[:-1], recorded.p_e[:-1], rtol=1e-12, atol=0.0)
 
 
 def test_no_deviation_reaches_target(baselines):
