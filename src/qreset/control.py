@@ -10,7 +10,7 @@ out and the law degenerates to holding the argmax of the rate.
 Two refresh policies are provided.  ``mode="global"`` rescans the whole
 window at every refresh, which is the literal pointwise optimum.
 ``mode="tracked"`` (the default) follows the continuous extremal branch
-by hill-climbing from the previous frequency, starting from the rate
+by a local search from the previous frequency, starting from the rate
 argmax.  For single-peaked spectra the two coincide.  They differ only
 when two near-degenerate maxima straddle the window (the filter-dip
 spectrum is flat to a few 1e-5 across its edges): the tracked branch
@@ -36,6 +36,7 @@ from .spectra import (
     FloatOrArray,
     SpectrumModel,
     TableParseError,
+    Tabulated,
     argmax_rate,
     rate_fn,
     _cap_edge,
@@ -68,8 +69,11 @@ __all__ = [
 REFINE_TOL_GHZ = 1.0e-9
 # The tracked refresh searches a window this wide on each side of the
 # previous frequency, to this tolerance, which is also its plateau probe.
+# Without a cap it first takes parabolic steps on a stencil of this first
+# half-width, two default drift caps: wider ones bias the vertex past tol/2.
 TRACK_WINDOW_GHZ = 0.02
 TRACK_TOL_GHZ = 1.0e-7
+TRACK_STENCIL_GHZ = 2.0e-4
 # verify_pmp probes this many sample times (drawn with this seed) against
 # this many window frequencies, with these tolerances.
 PMP_PROBE_TIMES = 64
@@ -150,7 +154,9 @@ def optimal_frequency(
     window is automatic because the scan never leaves it.  Passing the
     previous frequency as ``near`` instead refines the local maximum of
     the same objective around it, which is how the tracked law follows a
-    continuous extremal branch.
+    continuous extremal branch: by parabolic steps from ``near`` without a
+    cap (a first step below half the tolerance returns ``near`` itself),
+    else by golden section in a window that moves with the optimum.
 
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
@@ -176,6 +182,29 @@ def optimal_frequency(
     f = min(max(near, f_lo), f_hi)
     tol = TRACK_TOL_GHZ
     raw = None if rate_cap is None else model.rate_kernel
+    if raw is None:
+        lo, hi = max(f_lo, f - TRACK_WINDOW_GHZ), min(f_hi, f + TRACK_WINDOW_GHZ)
+        if isinstance(model, Tabulated):  # J has a kink at each node: stay between two
+            i, nodes = bisect_right(model.points, (f, math.inf)), model.points
+            lo, hi = max(lo, nodes[i - 1][0]), min(hi, nodes[min(i, len(nodes) - 1)][0])
+        x, width, jx = f, TRACK_STENCIL_GHZ, None
+        for _ in range(64):  # then, as on every break, the window loop below
+            h = min(width, x - lo, hi - x)
+            if not h >= tol:
+                break
+            jx = j(x) if jx is None else jx
+            ja, jb = j(x - h), j(x + h)
+            curvature = ja - 2.0 * jx + jb
+            if not curvature < 0.0:
+                break
+            step = 0.5 * h * (ja - jb) / curvature
+            # Done within tolerance or round-off, on a stencil no wider than the first.
+            if abs(step) <= max(0.5 * tol, h * math.ulp(jx) / -curvature):
+                if h <= TRACK_STENCIL_GHZ:
+                    return x
+                width = TRACK_STENCIL_GHZ
+                continue
+            x, jx, width = x + step, None, 2.0 * abs(step)
     past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
         lo = max(f_lo, f - TRACK_WINDOW_GHZ)
@@ -264,8 +293,8 @@ class _TimeLocalRuntime:
         self._numerics = numerics
         # The cap the tracked refresh applies.  Where the start scan finds
         # the rate below it across the window it cannot bind, so it is left
-        # out, and with it the plateau checks that would cost every refresh
-        # extra rate evaluations.
+        # out, and with it the plateau checks, so that every refresh takes
+        # the cheaper parabolic steps.
         self._tracked_cap = numerics.rate_cap_per_us
 
     held_ghz = None

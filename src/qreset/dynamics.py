@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _POSITIVITY_TOL = 1.0e-12
+MAX_GRID_POINTS = 1_000_000  # the largest scan grid allowed, 250 times the default
 
 
 class IntegrationError(RuntimeError):
@@ -95,8 +96,10 @@ class Numerics:
                 continue
             if value is None or not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
-        if not self.grid_points >= 3:
-            raise ValueError(f"numerics.grid_points must be >= 3, got {self.grid_points!r}")
+        if not 3 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"numerics.grid_points must be in [3, {MAX_GRID_POINTS}], got {self.grid_points!r}"
+            )
         if not self.step_limit >= 1:
             raise ValueError(f"numerics.step_limit must be >= 1, got {self.step_limit!r}")
 

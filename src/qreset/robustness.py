@@ -142,7 +142,14 @@ class _SegmentMaps:
         lam = staircase_integral(self.t_us, self.rate_per_us)
         self.decay = np.exp(-lam)
         self.amp = np.exp(-0.5 * lam)
-        theta = staircase_integral(self.t_us, RAD_PER_US_PER_GHZ * self.f_ghz)
+        # ~1e4 segments sum to ~1e4 rad, which np.cumsum gets wrong by ~1e-8 rad:
+        # TwoSum recovers each addition's rounding error, and their sum is added.
+        turn = RAD_PER_US_PER_GHZ * self.f_ghz[:-1] * np.diff(self.t_us)
+        total = np.cumsum(turn)
+        before = np.append(0.0, total)[:-1]
+        added = total - before
+        error = (before - (total - added)) + (turn - added)
+        theta = np.append(0.0, total + np.cumsum(error))
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
         segment_decay = np.exp(-self.rate_per_us[:-1] * np.diff(self.t_us))

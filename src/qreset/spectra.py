@@ -400,9 +400,9 @@ def _brent_max(
     and returns the best point it evaluated with its value (no extra call).
     On a smooth single-peaked ``fn`` it needs about half of
     ``_golden_max``'s evaluations.  It is the maximizer for an expensive
-    objective only (``cli.calibrate_temperature``): the window scans and
-    the tracked refresh depend on golden section's probe sequence (capped
-    plateau ties, bit-exact schedule replay) and keep ``_golden_max``.
+    objective only (``cli.calibrate_temperature``): the window scans keep
+    ``_golden_max`` for its capped-plateau tie rules, and the tracked
+    refresh takes parabolic steps from its anchor, falling back to golden.
     Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5.
     """
     # The closest a new point may come to the best one.  A quarter of

@@ -233,17 +233,41 @@ def reference_optimal_frequency(
     near=None,
     window_ghz=0.02,
     refine_tol_ghz=1.0e-7,
+    stencil_ghz=2.0e-4,
 ):
     """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
 
     Accepts its signature, so a test can substitute it there for tracked
-    runs; ``grid_points`` is ignored, and the window and tolerance
-    defaults are the package's constants.  The objective is looked up
-    on ``qreset.control`` at call time, as the package does.
+    runs on the built-in analytic spectra; ``grid_points`` is ignored, and
+    the window, tolerance and stencil defaults are the package's
+    constants.  Parabolic steps from ``near`` come first; the window loop
+    of golden sections is the fallback.  The objective is looked up on
+    ``qreset.control`` at call time, as the package does.
     """
     j = qreset.control._objective(model, env, rate_cap, p_e)
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     f = min(max(near, f_lo), f_hi)
+    lo = max(f_lo, f - window_ghz)
+    hi = min(f_hi, f + window_ghz)
+    x, width, jx = f, stencil_ghz, None
+    for _ in range(64):
+        h = min(width, x - lo, hi - x)
+        if not h >= refine_tol_ghz:
+            break
+        if jx is None:
+            jx = j(x)
+        ja, jb = j(x - h), j(x + h)
+        curvature = ja - 2.0 * jx + jb
+        if not curvature < 0.0:
+            break
+        step = h * (ja - jb) / (2.0 * curvature)
+        noise = h * math.ulp(jx) / -curvature
+        if abs(step) <= refine_tol_ghz / 2.0 or abs(step) <= noise:
+            if h <= stencil_ghz:
+                return x
+            width = stencil_ghz
+        else:
+            x, jx, width = x + step, None, 2.0 * abs(step)
     probe = max(refine_tol_ghz, 1.0e-7)
     for _ in range(2048):
         lo = max(f_lo, f - window_ghz)

@@ -342,6 +342,8 @@ def test_cmd_run_achievability_exit_code(tmp_path, capsys):
         {"step_log_bound": None},
         {"grid_points": 40.5},
         {"step_limit": True},
+        # Rejected before the scan grid is allocated.
+        {"grid_points": 100_000_000_000},
     ],
 )
 def test_cmd_run_invalid_numerics_exit_code(tmp_path, capsys, numerics):
