@@ -28,7 +28,6 @@ from .control import schedule_to_csv
 from .dynamics import IntegrationError, Numerics, Trajectory
 from .reset import (
     AchievabilityError,
-    IntegrationLimitError,
     ResetReport,
     report_to_dict,
     run_reset,
@@ -462,15 +461,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SpectrumError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (AchievabilityError, IntegrationLimitError, IntegrationError) as exc:
+    except (AchievabilityError, IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except SpectrumError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

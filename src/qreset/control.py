@@ -300,33 +300,27 @@ class _TimeLocalRuntime:
     held_ghz = None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        if self._law.mode == "global":
-            return optimal_frequency(
-                p_e,
-                self._model,
-                self._env,
-                self._bounds,
-                grid_points=self._numerics.grid_points,
-                rate_cap=self._numerics.rate_cap_per_us,
-            )
-        if f_anchor is None:
-            start = argmax_rate(
-                self._model,
-                self._bounds,
-                grid_points=self._numerics.grid_points,
-                rate_cap=self._numerics.rate_cap_per_us,
-            )
-            f_anchor = start.f_ghz
-            if not start.cap_hit:
-                self._tracked_cap = None
+        near, rate_cap = None, self._numerics.rate_cap_per_us
+        if self._law.mode == "tracked":
+            if f_anchor is None:
+                start = argmax_rate(
+                    self._model,
+                    self._bounds,
+                    grid_points=self._numerics.grid_points,
+                    rate_cap=rate_cap,
+                )
+                f_anchor = start.f_ghz
+                if not start.cap_hit:
+                    self._tracked_cap = None
+            near, rate_cap = f_anchor, self._tracked_cap
         return optimal_frequency(
             p_e,
             self._model,
             self._env,
             self._bounds,
             grid_points=self._numerics.grid_points,
-            rate_cap=self._tracked_cap,
-            near=f_anchor,
+            rate_cap=rate_cap,
+            near=near,
         )
 
     def next_transition_after(self, t_us: float) -> float | None:
@@ -493,7 +487,6 @@ class PmpReport:
 
 def verify_pmp(
     trajectory: Trajectory,
-    costate: CostateTrajectory,
     model: SpectrumModel,
     env: Environment,
     bounds: ControlBounds,
@@ -502,41 +495,32 @@ def verify_pmp(
 ) -> PmpReport:
     """Check costate positivity, Hamiltonian smallness and pointwise minimality.
 
-    Minimality is probed at ``PMP_PROBE_TIMES`` deterministic random sample
-    times against ``PMP_ALT_FREQUENCIES`` alternatives spanning the window:
-    the Hamiltonian at the chosen frequency must not exceed any alternative
-    by more than ``PMP_MINIMALITY_TOL``.  ``rate_cap`` must be the checked
-    run's cap.
+    The costate is ``costate_along(trajectory, model, env)``.  Minimality
+    is probed at ``PMP_PROBE_TIMES`` deterministic random sample times (at
+    every sample of a shorter run) against ``PMP_ALT_FREQUENCIES``
+    alternatives spanning the window: the Hamiltonian at the chosen
+    frequency must not exceed any alternative by more than
+    ``PMP_MINIMALITY_TOL``.  The first largest violation, times outer and
+    frequencies inner, is reported.  ``rate_cap`` must be the run's cap.
     """
+    costate = costate_along(trajectory, model, env)
     n = trajectory.n_samples
-    if costate.t_us.size != n:
-        raise ValueError("trajectory and costate sample counts differ")
-    if n <= PMP_PROBE_TIMES:
-        indices = list(range(n))
-    else:
-        indices = sorted(random.Random(PMP_SEED).sample(range(n), PMP_PROBE_TIMES))
+    indices = sorted(random.Random(PMP_SEED).sample(range(n), min(n, PMP_PROBE_TIMES)))
     span = bounds.f_max_ghz - bounds.f_min_ghz
     alts = [
         bounds.f_min_ghz + i * span / (PMP_ALT_FREQUENCIES - 1)
         for i in range(PMP_ALT_FREQUENCIES)
     ]
-    alt_rates = list(map(rate_fn(model, rate_cap), alts))
-    alt_peqs = [equilibrium_population(thermal_ratio(f, env)) for f in alts]
+    # Scalar kernel calls: a grid call may differ from them by an ulp.
+    alt_rates = np.array(list(map(rate_fn(model, rate_cap), alts)))
+    alt_peqs = np.array([equilibrium_population(thermal_ratio(f, env)) for f in alts])
 
-    worst = -math.inf
-    worst_t = float(trajectory.t_us[0])
-    worst_f = alts[0]
-    for k in indices:
-        lam = float(costate.costate[k])
-        pe = float(trajectory.p_e[k])
-        h_chosen = float(costate.hamiltonian[k])
-        for f, r, peq in zip(alts, alt_rates, alt_peqs):
-            h_alt = 1.0 - lam * r * (pe - peq)
-            violation = h_chosen - h_alt
-            if violation > worst:
-                worst = violation
-                worst_t = float(trajectory.t_us[k])
-                worst_f = f
+    lam = costate.costate[indices, None]
+    pe = trajectory.p_e[indices, None]
+    h_alt = 1.0 - lam * alt_rates * (pe - alt_peqs)
+    violations = costate.hamiltonian[indices, None] - h_alt
+    k, i = np.unravel_index(np.argmax(violations), violations.shape)
+    worst = float(violations[k, i])
     max_h = costate.max_abs_hamiltonian
     min_lam = costate.min_costate
     return PmpReport(
@@ -548,6 +532,6 @@ def verify_pmp(
         pointwise_minimal=worst <= PMP_MINIMALITY_TOL,
         n_probed_times=len(indices),
         n_alt_frequencies=PMP_ALT_FREQUENCIES,
-        violation_t_us=worst_t,
-        violation_f_ghz=worst_f,
+        violation_t_us=float(trajectory.t_us[indices[k]]),
+        violation_f_ghz=alts[i],
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .dynamics import Numerics, QubitState, Trajectory, integrate_restore
+from .dynamics import IntegrationError, Numerics, QubitState, Trajectory, integrate_restore
 from .spectra import ControlBounds, SpectrumModel, coherence_time
 from .thermo import LN2, Environment, entropy, equilibrium_population, thermal_ratio
 
@@ -42,7 +42,7 @@ class AchievabilityError(ValueError):
     """Requested precision is below the thermal floor of the window."""
 
 
-class IntegrationLimitError(RuntimeError):
+class IntegrationLimitError(IntegrationError):
     """The restoring run hit a step or time limit before reaching precision."""
 
     def __init__(self, message: str, trajectory: Trajectory) -> None:
@@ -98,6 +98,27 @@ class ResetReport:
 def epsilon_min(bounds: ControlBounds, env: Environment) -> float:
     """Smallest achievable reset precision: the thermal floor at the top of the window."""
     return equilibrium_population(thermal_ratio(bounds.f_max_ghz, env))
+
+
+def _require_achievable(bounds: ControlBounds, env: Environment) -> float:
+    """``epsilon_min``; raises ``AchievabilityError`` unless epsilon lies above it."""
+    eps_floor = epsilon_min(bounds, env)
+    if bounds.epsilon <= eps_floor:
+        raise AchievabilityError(
+            f"epsilon={bounds.epsilon!r} is not achievable: the thermal floor at"
+            f" f_max={bounds.f_max_ghz!r} GHz is epsilon_min={eps_floor!r}"
+        )
+    return eps_floor
+
+
+def _require_precision(trajectory: Trajectory, what: str) -> None:
+    """Raise ``IntegrationLimitError`` unless ``what`` stopped on reaching precision."""
+    if trajectory.termination != "precision":
+        raise IntegrationLimitError(
+            f"{what} terminated by {trajectory.termination!r} at"
+            f" t={trajectory.tau_st_us!r} us without reaching precision",
+            trajectory,
+        )
 
 
 def work_ledger(
@@ -162,21 +183,11 @@ def run_reset(
     numerics: Numerics = Numerics(),
 ) -> tuple[ResetReport, Trajectory]:
     """Run one reset from the maximum-entropy state and assemble the report."""
-    eps_floor = epsilon_min(bounds, env)
-    if bounds.epsilon <= eps_floor:
-        raise AchievabilityError(
-            f"epsilon={bounds.epsilon!r} is not achievable: the thermal floor at"
-            f" f_max={bounds.f_max_ghz!r} GHz is epsilon_min={eps_floor!r}"
-        )
+    eps_floor = _require_achievable(bounds, env)
     trajectory = integrate_restore(
         QubitState(0.5, 0.0, 0.0), law, model, env, bounds, numerics
     )
-    if trajectory.termination != "precision":
-        raise IntegrationLimitError(
-            f"restoring run terminated by {trajectory.termination!r} at"
-            f" t={trajectory.tau_st_us!r} us without reaching precision",
-            trajectory,
-        )
+    _require_precision(trajectory, "restoring run")
     ledger = work_ledger(trajectory, bounds, env)
     t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
     tau = trajectory.tau_st_us

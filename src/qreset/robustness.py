@@ -34,7 +34,7 @@ from .dynamics import (
     integrate_restore,
     staircase_integral,
 )
-from .reset import IntegrationLimitError
+from .reset import _require_achievable, _require_precision
 from .spectra import ControlBounds, SpectrumModel, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ
 
@@ -195,15 +195,11 @@ def make_baseline(
     law,
     numerics: Numerics = Numerics(),
 ) -> Baseline:
+    _require_achievable(bounds, env)
     trajectory = integrate_restore(
         QubitState(0.5, 0.0, 0.0), law, model, env, bounds, numerics
     )
-    if trajectory.termination != "precision":
-        raise IntegrationLimitError(
-            f"baseline run terminated by {trajectory.termination!r} at"
-            f" t={trajectory.tau_st_us!r} us without reaching precision",
-            trajectory,
-        )
+    _require_precision(trajectory, "baseline run")
     return Baseline(trajectory)
 
 

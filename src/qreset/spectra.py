@@ -321,21 +321,17 @@ def eval_rate(
     a pole inside the default window); pass ``None`` for the raw value.
     """
     try:
-        raw = model.rate_kernel
+        rate = rate_fn(model, rate_cap)
     except AttributeError:
         raise TypeError(f"unknown spectrum model {model!r}") from None
     if isinstance(f_ghz, np.ndarray):
         if not np.all(f_ghz > 0.0):
             raise SpectrumError("frequencies must be > 0")
         with np.errstate(divide="ignore"):
-            rates = raw(f_ghz)
-        return rates if rate_cap is None else np.minimum(rates, rate_cap)
+            return rate(f_ghz)
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
-    rate = raw(f_ghz)
-    if rate_cap is not None and rate > rate_cap:
-        return rate_cap
-    return rate
+    return rate(f_ghz)
 
 
 def rate_fn(model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP) -> RateKernel:

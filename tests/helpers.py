@@ -7,7 +7,8 @@ plain dense scan for maximization, the scalar-loop grid scan that
 which that change left as they were), the ``(model, f)`` rate
 formulas and control objective that the bound rate kernels replaced, and
 the tracked refresh as it was before it learned the capped plateau's
-right edge.  Two references wrap package internals that only tests use:
+right edge, and the Python double loop that scored ``verify_pmp``'s
+probes before it became one numpy pass.  Two references wrap package internals that only tests use:
 one exact constant-control step, and the adaptive stepper replaying a
 recorded schedule, which the closed-form robustness replay is checked
 against.
@@ -16,6 +17,7 @@ against.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from qreset import (
     SpectrumModel,
     Tabulated,
     Trajectory,
+    costate_along,
     equilibrium_population,
     eval_rate,
     integrate_restore,
@@ -285,3 +288,48 @@ def reference_optimal_frequency(
             continue
         return min(max(f_new, f_lo), f_hi)
     return f
+
+
+def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6):
+    """``verify_pmp`` with its probes scored one (time, frequency) pair at a time.
+
+    Same probe times, alternatives and products as the package; the
+    strict ``>`` keeps the first maximum, times outer and frequencies inner.
+    """
+    c = qreset.control
+    costate = costate_along(trajectory, model, env)
+    n = trajectory.n_samples
+    if n <= c.PMP_PROBE_TIMES:
+        indices = list(range(n))
+    else:
+        indices = sorted(random.Random(c.PMP_SEED).sample(range(n), c.PMP_PROBE_TIMES))
+    span = bounds.f_max_ghz - bounds.f_min_ghz
+    alts = [
+        bounds.f_min_ghz + i * span / (c.PMP_ALT_FREQUENCIES - 1)
+        for i in range(c.PMP_ALT_FREQUENCIES)
+    ]
+    alt_rates = [eval_rate(model, f, rate_cap) for f in alts]
+    alt_peqs = [equilibrium_population(thermal_ratio(f, env)) for f in alts]
+    worst, worst_t, worst_f = -math.inf, float(trajectory.t_us[0]), alts[0]
+    for k in indices:
+        lam = float(costate.costate[k])
+        pe = float(trajectory.p_e[k])
+        h_chosen = float(costate.hamiltonian[k])
+        for f, r, peq in zip(alts, alt_rates, alt_peqs):
+            violation = h_chosen - (1.0 - lam * r * (pe - peq))
+            if violation > worst:
+                worst, worst_t, worst_f = violation, float(trajectory.t_us[k]), f
+    max_h = costate.max_abs_hamiltonian
+    min_lam = costate.min_costate
+    return c.PmpReport(
+        max_abs_hamiltonian=max_h,
+        hamiltonian_ok=max_h < c.PMP_HAMILTONIAN_TOL,
+        min_costate=min_lam,
+        costate_positive=min_lam > 0.0,
+        worst_minimality_violation=worst,
+        pointwise_minimal=worst <= c.PMP_MINIMALITY_TOL,
+        n_probed_times=len(indices),
+        n_alt_frequencies=c.PMP_ALT_FREQUENCIES,
+        violation_t_us=worst_t,
+        violation_f_ghz=worst_f,
+    )

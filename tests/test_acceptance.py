@@ -27,7 +27,6 @@ from qreset import (
     calibrate_temperature,
     constant_control_work_approx,
     constant_restore_frequency,
-    costate_along,
     decoherence_factor,
     fidelity_sweep,
     integrate_restore,
@@ -131,8 +130,7 @@ def test_criterion_5_pmp_verification(models, env10, bounds, default_runs):
     for name in ("lz", "prot", "mix"):
         start = time.perf_counter()
         _, trajectory = default_runs[name]
-        costate = costate_along(trajectory, models[name], env10)
-        report = verify_pmp(trajectory, costate, models[name], env10, bounds)
+        report = verify_pmp(trajectory, models[name], env10, bounds)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
         assert report.costate_positive
@@ -149,8 +147,7 @@ def test_criterion_5_pmp_verification(models, env10, bounds, default_runs):
     _, tr_global = run_reset(
         models["jqf"], env10, bounds, TimeLocalOptimal(mode="global"), Numerics()
     )
-    co_global = costate_along(tr_global, models["jqf"], env10)
-    rep_global = verify_pmp(tr_global, co_global, models["jqf"], env10, bounds)
+    rep_global = verify_pmp(tr_global, models["jqf"], env10, bounds)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     assert rep_global.costate_positive
@@ -158,8 +155,7 @@ def test_criterion_5_pmp_verification(models, env10, bounds, default_runs):
     assert rep_global.pointwise_minimal
 
     _, tr_tracked = default_runs["jqf"]
-    co_tracked = costate_along(tr_tracked, models["jqf"], env10)
-    rep_tracked = verify_pmp(tr_tracked, co_tracked, models["jqf"], env10, bounds)
+    rep_tracked = verify_pmp(tr_tracked, models["jqf"], env10, bounds)
     assert rep_tracked.costate_positive
     assert rep_tracked.max_abs_hamiltonian < 1e-3
     assert not rep_tracked.pointwise_minimal
@@ -168,8 +164,7 @@ def test_criterion_5_pmp_verification(models, env10, bounds, default_runs):
     # A deliberately suboptimal pinned schedule must fail the probe.
     pinned = FixedSchedule(((0.0, bounds.f_cp_ghz),))
     tr_bad = integrate_restore(QubitState(0.5), pinned, models["lz"], env10, bounds)
-    co_bad = costate_along(tr_bad, models["lz"], env10)
-    rep_bad = verify_pmp(tr_bad, co_bad, models["lz"], env10, bounds)
+    rep_bad = verify_pmp(tr_bad, models["lz"], env10, bounds)
     assert not rep_bad.pointwise_minimal
 
     summaries.append(f"jqf-global:|H|max={rep_global.max_abs_hamiltonian:.1e}")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from qreset import (
 from qreset.cli import (
     BUILTIN_SCENARIO_NAMES,
     CALIBRATION_NUMERICS,
+    CalibrationResult,
     PAPER_W_EX_NORM_TARGETS,
     main,
     parse_axis,
@@ -316,6 +317,28 @@ def test_cmd_step_limit_exit_code(tmp_path, capsys, command):
     assert err.startswith("numerical failure: ")
     assert "terminated by 'step_limit'" in err
     assert err.count("\n") == 1
+
+
+def test_cmd_figure_fig4_unachievable_epsilon_fails_before_any_step(
+    tmp_path, capsys, monkeypatch
+):
+    # fig4's baselines hold run's precision contract: an epsilon below the
+    # thermal floor (2.1e-17 at 10 mK) fails before the first step, not
+    # after running to the time limit.
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrate_restore called")
+
+    monkeypatch.setattr("qreset.robustness.integrate_restore", no_step)
+    for key in ("lz", "prot", "mix", "jqf"):
+        (tmp_path / f"{key}.json").write_text(
+            json.dumps({"spectrum": key, "epsilon": 1e-18}), encoding="utf-8"
+        )
+    out = tmp_path / "out"
+    assert main(["figure", "fig4", "--config-dir", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: epsilon=1e-18 is not achievable")
+    assert err.count("\n") == 1
+    assert list(out.glob("fig4_*.csv")) == []
 
 
 def test_cmd_run_achievability_exit_code(tmp_path, capsys):
@@ -752,6 +775,37 @@ def test_cmd_calibrate_reversed_bracket_exit_code(tmp_path, capsys):
     assert main(argv) == 1
     assert "configuration error: temperature bracket" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cmd_calibrate_prints_and_writes_the_result(tmp_path, capsys, monkeypatch):
+    keys = ("lz", "prot", "mix", "jqf")
+    result = CalibrationResult(
+        best_temperature_K=0.0101234,
+        sse=0.0125,
+        computed=dict(zip(keys, (2.0, 0.5, 4.0, 6.0))),
+        targets=dict(zip(keys, (2.1, 0.5, 3.9, 6.3))),
+        residuals=dict(zip(keys, (-0.05, 0.0, 0.025, -0.0475))),
+    )
+    calls = []
+
+    def fake(targets, *, t_lo_K, t_hi_K):
+        calls.append((targets, t_lo_K, t_hi_K))
+        return result
+
+    monkeypatch.setattr("qreset.cli.calibrate_temperature", fake)
+    out = tmp_path / "calibration.json"
+    argv = ["calibrate-temperature", "--targets", "2.1,0.5,3.9,6.3", "--t-lo", "0.006",
+            "--t-hi", "0.018", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [(result.targets, 0.006, 0.018)]
+    assert capsys.readouterr().out.splitlines() == [
+        "best-fit temperature: 10.1234 mK",
+        "  lz: computed=2.0000 target=2.1000 residual=-5.00%",
+        "  prot: computed=0.5000 target=0.5000 residual=+0.00%",
+        "  mix: computed=4.0000 target=3.9000 residual=+2.50%",
+        "  jqf: computed=6.0000 target=6.3000 residual=-4.75%",
+    ]
+    assert json.loads(out.read_text(encoding="utf-8")) == asdict(result)
 
 
 def test_cmd_calibrate_has_no_scan_option(capsys):

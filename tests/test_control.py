@@ -45,7 +45,21 @@ from helpers import (
     reference_optimal_frequency,
     reference_rate,
     scan_max_scalar_reference,
+    verify_pmp_loop_reference,
 )
+
+
+@pytest.mark.parametrize("p_e", [0.0, 1.5, math.nan])
+def test_optimal_frequency_rejects_populations_outside_its_domain(p_e, env10, bounds):
+    with pytest.raises(ValueError, match="p_e must lie in"):
+        optimal_frequency(p_e, Lorentzian(), env10, bounds)
+
+
+def test_global_refresh_below_every_floor_raises_no_descent(env10, bounds):
+    # p_e = 1e-20 lies below p_eq at every window frequency, so the
+    # objective is negative across the whole scan.
+    with pytest.raises(NoDescentError, match="non-positive over the whole window"):
+        optimal_frequency(1e-20, Lorentzian(), env10, bounds)
 
 
 def test_global_lorentzian_tracks_rate_peak(env10, bounds):
@@ -172,8 +186,7 @@ def test_costate_positive_on_default_scenarios(models, env10, default_runs):
 
 def test_pmp_passes_on_lorentzian(models, env10, bounds, default_runs):
     _, trajectory = default_runs["lz"]
-    costate = costate_along(trajectory, models["lz"], env10)
-    report = verify_pmp(trajectory, costate, models["lz"], env10, bounds)
+    report = verify_pmp(trajectory, models["lz"], env10, bounds)
     assert report.all_ok
     assert report.max_abs_hamiltonian < 1e-3
 
@@ -185,8 +198,7 @@ def test_pmp_flags_suboptimal_fixed_schedule(models, env10, bounds):
     trajectory = integrate_restore(
         QubitState(0.5), pinned, models["lz"], env10, bounds
     )
-    costate = costate_along(trajectory, models["lz"], env10)
-    report = verify_pmp(trajectory, costate, models["lz"], env10, bounds)
+    report = verify_pmp(trajectory, models["lz"], env10, bounds)
     assert not report.pointwise_minimal
     assert report.worst_minimality_violation > 1.0
 
@@ -195,8 +207,7 @@ def test_pmp_constant_at_peak_lorentzian_passes(models, env10, bounds):
     report_run, trajectory = run_reset(
         models["lz"], env10, bounds, ConstantAtPeak(), Numerics()
     )
-    costate = costate_along(trajectory, models["lz"], env10)
-    report = verify_pmp(trajectory, costate, models["lz"], env10, bounds)
+    report = verify_pmp(trajectory, models["lz"], env10, bounds)
     assert report.all_ok
 
 
@@ -206,10 +217,35 @@ def test_pmp_constant_at_peak_jqf_fails_near_terminal(bounds):
     env = Environment(0.008)
     model = JQF()
     _, trajectory = run_reset(model, env, bounds, ConstantAtPeak(), Numerics())
-    costate = costate_along(trajectory, model, env)
-    report = verify_pmp(trajectory, costate, model, env, bounds)
+    report = verify_pmp(trajectory, model, env, bounds)
     assert not report.pointwise_minimal
     assert report.violation_t_us > 0.5 * trajectory.tau_st_us
+
+
+def test_pmp_probes_every_sample_of_a_short_run(models, env10, bounds):
+    # A coarse step bound leaves fewer samples than PMP_PROBE_TIMES.
+    _, trajectory = run_reset(
+        models["lz"], env10, bounds, TimeLocalOptimal(), Numerics(step_log_bound=0.5)
+    )
+    assert trajectory.n_samples == 23
+    report = verify_pmp(trajectory, models["lz"], env10, bounds)
+    assert report.n_probed_times == 23
+    assert report.all_ok
+
+
+def test_pmp_equals_the_loop_reference(models, env10, bounds, default_runs):
+    # The numpy pass forms the loop's products in the loop's order and keeps
+    # its first-maximum tie rule, so every field agrees exactly.
+    pinned = integrate_restore(
+        QubitState(0.5), FixedSchedule(((0.0, bounds.f_cp_ghz),)), models["lz"], env10, bounds
+    )
+    _, short = run_reset(
+        models["lz"], env10, bounds, TimeLocalOptimal(), Numerics(step_log_bound=0.5)
+    )
+    runs = [(models[k], t) for k, (_, t) in default_runs.items()]
+    for model, trajectory in [*runs, (models["lz"], pinned), (models["lz"], short)]:
+        expected = verify_pmp_loop_reference(trajectory, model, env10, bounds)
+        assert verify_pmp(trajectory, model, env10, bounds) == expected
 
 
 def test_schedule_csv_roundtrip():

@@ -13,6 +13,7 @@ from qreset import (
     Environment,
     FixedSchedule,
     InfiniteRateError,
+    Lorentzian,
     NoDescentError,
     Numerics,
     Protected,
@@ -208,6 +209,16 @@ def test_no_descent_error():
     assert floor > 0.3
     with pytest.raises(NoDescentError):
         integrate_restore(QubitState(0.3), ConstantAtPeak(), FLAT, env, bounds)
+
+
+def test_no_descent_mid_run(env10):
+    # The schedule switches at 7 ns from the lz peak to 2 GHz.  There p_e has
+    # fallen to 5.35e-6, below p_eq(2 GHz) = 6.78e-5, so the run raises at
+    # the breakpoint instead of relaxing back up.
+    schedule = FixedSchedule(((0.0, 5.4), (0.007, 2.0)))
+    bounds = ControlBounds(epsilon=1e-7)
+    with pytest.raises(NoDescentError, match=r"f=2\.0 GHz with p_eq=.* >= p_e="):
+        integrate_restore(QubitState(0.5), schedule, Lorentzian(), env10, bounds)
 
 
 @pytest.mark.parametrize("grid_points", [4001, 4000, 1000])

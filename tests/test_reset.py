@@ -10,6 +10,8 @@ from qreset import (
     ControlBounds,
     Environment,
     FixedSchedule,
+    IntegrationError,
+    IntegrationLimitError,
     LN2,
     Lorentzian,
     Mixed,
@@ -151,6 +153,15 @@ def test_achievability_error_names_floor(models):
         run_reset(models["lz"], env, bounds, TimeLocalOptimal(), Numerics())
     assert "epsilon_min" in str(err.value)
     assert repr(floor) in str(err.value)
+
+
+def test_integration_limit_is_a_numerical_failure(models, env10, bounds):
+    # The CLI maps every IntegrationError to exit 2; the limit error is one.
+    numerics = Numerics(step_limit=10)
+    with pytest.raises(IntegrationError, match="terminated by 'step_limit'") as err:
+        run_reset(models["lz"], env10, bounds, TimeLocalOptimal(), numerics)
+    assert isinstance(err.value, IntegrationLimitError)
+    assert err.value.trajectory.termination == "step_limit"
 
 
 def test_report_serialization(default_runs, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreset import (
+    AchievabilityError,
     Baseline,
     CoherenceDeviation,
     ControlBounds,
@@ -16,10 +17,12 @@ from qreset import (
     PopulationDeviation,
     QubitState,
     Tabulated,
+    TimeLocalOptimal,
     decoherence_factor,
     fidelity,
     fidelity_sweep,
     integrate_restore,
+    make_baseline,
     run_deviation,
     sensitivity_report,
 )
@@ -98,6 +101,18 @@ def _oracle_cases(baseline):
         ControlTimeDeviation(-0.5 * tau),
         ControlTimeDeviation(2.0 * tau),
     ]
+
+
+def test_make_baseline_rejects_an_unachievable_epsilon(models, env10, monkeypatch):
+    # The same floor check as run_reset, before the baseline's first step.
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrate_restore called")
+
+    monkeypatch.setattr("qreset.robustness.integrate_restore", no_step)
+    bounds = ControlBounds(epsilon=1e-18)
+    for model in models.values():
+        with pytest.raises(AchievabilityError, match="not achievable.*epsilon_min="):
+            make_baseline(model, env10, bounds, TimeLocalOptimal())
 
 
 def test_closed_form_replay_matches_stepper(baselines, models, env10, bounds):

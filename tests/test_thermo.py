@@ -50,6 +50,8 @@ def test_occupation_frozen_values():
     assert occupation(math.log(2.0)) == pytest.approx(1.0, rel=1e-12)
     x = thermal_ratio(5.0, Environment(0.010))
     assert occupation(x) == pytest.approx(3.7894505045361735e-11, rel=1e-12)
+    # Past x = 350 the e^-x expansion is exact to double precision.
+    assert occupation(400.0) == math.exp(-400.0)
 
 
 def test_occupation_domain():
