@@ -45,7 +45,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _brent_max, _write_rows
+from .spectra import ControlBounds, SpectrumError, eval_rate, _write_rows
 from .thermo import LN2
 
 __all__ = [
@@ -266,8 +266,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # Coarser but much faster settings for the calibration runs; the W values
 # they produce agree with the default numerics to ~1e-3 relative.
 CALIBRATION_NUMERICS = Numerics(grid_points=2001, control_drift_ghz=3.0e-3)
-# Width at which the search stops, and how near a bracket end a fit may lie.
+# The search stops once a predicted step is at most this long; a fit this
+# near a bracket end is reported as lying outside the bracket.
 CALIBRATION_TOL_K = 1.0e-6
+# Steps after which a search that has not settled is an error.
+_CALIBRATION_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -288,13 +291,15 @@ def calibrate_temperature(
     """Best-fit environment temperature against target W_ex/(k_B T ln 2) values.
 
     Minimizes the sum of squared relative errors over the named built-in
-    spectra with one Brent search (``spectra._brent_max``: parabolic steps,
-    golden-section fallback) on ``[t_lo_K, t_hi_K]`` to 1e-6 K.  That
-    assumes the error has a single minimum in the bracket, which holds
-    because each ``W_ex_norm`` falls roughly as 1/T.  On [5, 20] mK the
-    search visits 11 or 12 temperatures, one run per target at each; the
-    best one is reported from the memo, not run again.  A search that ends
-    within 1e-6 K of either end raises ``ConfigError``.
+    spectra by secant Gauss-Newton steps in u = 1/T on the ratios
+    ``W_k / target_k`` within ``[t_lo_K, t_hi_K]``: a 1/T-law step from the
+    midpoint, then the best fit along the line through the lowest-error
+    temperature and the last one run, bisecting inside the bracket of worse
+    temperatures when a step does not lower the error.  It stops once a step
+    would move at most 1e-6 K and reports the lowest-error temperature from
+    the memo: 3 or 4 temperatures on [5, 20] mK, one run per target at each.
+    A fit within 1e-6 K of either end, a computed value that is not positive,
+    a step that moves no ratio and 20 unsettled steps raise ``ConfigError``.
     """
     unknown = set(targets) - set(_SPECTRUM_KINDS)
     if unknown:
@@ -327,13 +332,62 @@ def calibrate_temperature(
             computed_cache[temperature] = out
         return computed_cache[temperature]
 
-    def sse_at(temperature: float) -> float:
+    def ratios_at(temperature: float) -> list[float]:
         values = computed_at(temperature)
-        return sum(
-            ((values[k] - targets[k]) / targets[k]) ** 2 for k in targets
-        )
+        ratios = [values[k] / targets[k] for k in targets]
+        if not all(w > 0.0 for w in ratios):
+            raise ConfigError(
+                f"computed W_ex_norm at {temperature!r} K is not positive: {values!r}"
+            )
+        return ratios
 
-    best_t, _ = _brent_max(lambda t: -sse_at(t), t_lo_K, t_hi_K, CALIBRATION_TOL_K)
+    def clamp(temperature: float) -> float:
+        return min(max(temperature, t_lo_K), t_hi_K)
+
+    def law_step(temperature: float, ratios: list[float]) -> float:
+        # The T that fits best if every W_ex_norm scales as 1/T.
+        return clamp(temperature * sum(w * w for w in ratios) / sum(ratios))
+
+    def sse_of(ratios: list[float]) -> float:
+        return sum((w - 1.0) ** 2 for w in ratios)
+
+    # best_t is the lowest-error temperature run; lo and hi are the nearest
+    # temperatures run below and above it, none of which fits better.
+    best_t = 0.5 * (t_lo_K + t_hi_K)
+    w_best = ratios_at(best_t)
+    t_next = law_step(best_t, w_best)
+    lo, hi = -math.inf, math.inf
+    for step in range(_CALIBRATION_MAX_STEPS):
+        if abs(t_next - best_t) <= CALIBRATION_TOL_K:
+            break
+        w_next = ratios_at(t_next)
+        du = 1.0 / t_next - 1.0 / best_t
+        slopes = [(a - b) / du for a, b in zip(w_next, w_best)]
+        norm = sum(b * b for b in slopes)
+        if norm == 0.0:
+            raise ConfigError(
+                f"no computed W_ex_norm changes between {best_t!r} and {t_next!r} K"
+            )
+        u = 1.0 / t_next + sum(b * (1.0 - w) for b, w in zip(slopes, w_next)) / norm
+        t_fit = clamp(1.0 / u) if u > 0.0 else t_hi_K
+        if step == 0 and abs(t_fit - t_next) <= CALIBRATION_TOL_K:
+            # A line millikelvins long cannot certify a fit: for conflicting
+            # targets it can stop ~0.1 mK short.  Take a second 1/T-law step.
+            t_fit = law_step(t_next, w_next)
+        worse = t_next
+        if sse_of(w_next) < sse_of(w_best):
+            worse, best_t, w_best = best_t, t_next, w_next
+        lo, hi = (worse, hi) if worse < best_t else (lo, worse)
+        if not lo < t_fit < hi:
+            # An overshoot, or a step below the resolution of the computed
+            # values (jqf's jitter by ~1e-5 relative): bisect.
+            t_fit = 0.5 * (best_t + (lo if t_fit <= lo else hi))
+        t_next = t_fit
+    else:
+        raise ConfigError(
+            f"temperature search did not settle in {_CALIBRATION_MAX_STEPS} steps;"
+            f" best at {best_t!r} K, next at {t_next!r} K"
+        )
     if min(best_t - t_lo_K, t_hi_K - best_t) <= CALIBRATION_TOL_K:
         raise ConfigError(
             f"best-fit temperature {best_t!r} K lies at the edge of the search"

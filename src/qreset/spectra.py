@@ -387,63 +387,6 @@ def _golden_max(
     return mid, fn(mid)
 
 
-def _brent_max(
-    fn: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """Brent's maximization on [a, b]: parabolic steps, golden-section fallback.
-
-    Stops, like ``_golden_max``, once the bracket is at most ``tol`` wide,
-    and returns the best point it evaluated with its value (no extra call).
-    On a smooth single-peaked ``fn`` it needs about half of
-    ``_golden_max``'s evaluations.  It is the maximizer for an expensive
-    objective only (``cli.calibrate_temperature``): the window scans keep
-    ``_golden_max`` for its capped-plateau tie rules, and the tracked
-    refresh takes parabolic steps from its anchor, falling back to golden.
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5.
-    """
-    # The closest a new point may come to the best one.  A quarter of
-    # ``tol`` keeps new points inside the bracket, so each one shrinks it.
-    step = 0.25 * tol
-    x = w = v = b - _INV_PHI * (b - a)
-    fx = fw = fv = fn(x)
-    d = e = 0.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > step:
-            # Vertex of the parabola through v, w and x, at x + p / q.  It is
-            # taken if it lies inside the bracket and moves less than half of
-            # the step before last; otherwise the step is a golden section.
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
-            e = d
-        if parabolic:
-            d = p / q
-            if x + d - a < tol or b - (x + d) < tol:
-                d = step if x < m else -step
-        else:
-            e = (b if x < m else a) - x
-            d = (1.0 - _INV_PHI) * e
-        u = x + (d if abs(d) >= step else math.copysign(step, d))
-        fu = fn(u)
-        if fu >= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
 def _cap_edge(
     fn: Callable[[float], float], off: float, on: float, cap: float, tol: float
 ) -> float:

@@ -4,8 +4,10 @@ import json
 import math
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qreset import (
     ConfigError,
@@ -677,21 +679,75 @@ def test_calibration_single_spectrum_consistency():
     assert diff / lz_only.best_temperature_K < 0.02
 
 
-def test_calibration_run_count(monkeypatch):
-    # Every temperature the Brent search visits costs one run per target:
-    # 11 on [5, 20] mK to 1e-6 K, where golden section took 23.  The search
-    # returns the best point it visited, which the report reuses instead of
-    # running it again.
+def _calibration_w_ex_norm(key, temperature_K):
+    scenario = Scenario(
+        name=key, spectrum=key, temperature_K=temperature_K, numerics=CALIBRATION_NUMERICS
+    )
+    return run_reset(*scenario.build())[0].W_ex_norm
+
+
+def _record_runs(monkeypatch, w_ex_norm=None):
+    """Record the temperature of every calibration run, in order.
+
+    With ``w_ex_norm`` a run reports ``w_ex_norm(T)`` instead of running.
+    """
     temperatures = []
 
-    def counted(model, env, *args, **kwargs):
+    def recorded(model, env, *args, **kwargs):
         temperatures.append(env.temperature_K)
-        return run_reset(model, env, *args, **kwargs)
+        if w_ex_norm is None:
+            return run_reset(model, env, *args, **kwargs)
+        return SimpleNamespace(W_ex_norm=w_ex_norm(env.temperature_K)), None
 
-    monkeypatch.setattr("qreset.cli.run_reset", counted)
+    monkeypatch.setattr("qreset.cli.run_reset", recorded)
+    return temperatures
+
+
+def test_calibration_run_count(monkeypatch):
+    # Every temperature the search visits costs one run per target.  lz is
+    # linear in 1/T, so after the midpoint and the 1/T-law step one secant
+    # step lands on the fit: 3 temperatures on [5, 20] mK.  The search
+    # reports its lowest-error temperature, here the last it ran, which the
+    # report reuses instead of running it again.
+    temperatures = _record_runs(monkeypatch)
     result = calibrate_temperature({"lz": PAPER_W_EX_NORM_TARGETS["lz"]})
-    assert len(temperatures) == len(set(temperatures)) == 11
-    assert result.best_temperature_K in temperatures
+    assert len(temperatures) == len(set(temperatures)) == 3
+    assert temperatures[0] == 0.0125
+    assert result.best_temperature_K == temperatures[-1]
+
+
+def test_calibration_returns_a_fitting_midpoint_after_one_temperature(monkeypatch):
+    targets = {key: _calibration_w_ex_norm(key, 0.0125) for key in ("lz", "prot")}
+    temperatures = _record_runs(monkeypatch)
+    result = calibrate_temperature(targets)
+    assert temperatures == [0.0125, 0.0125]
+    assert result.best_temperature_K == 0.0125
+    assert result.sse == 0.0
+
+
+def test_calibration_fails_when_no_residual_moves_with_temperature(monkeypatch):
+    # A constant W at twice the target: the 1/T-law step goes to the upper
+    # end, and the secant slope between the two temperatures is zero.
+    temperatures = _record_runs(monkeypatch, lambda t: 2.0)
+    with pytest.raises(ConfigError, match=r"changes between 0\.0125 and 0\.02 K"):
+        calibrate_temperature({"lz": 1.0})
+    assert temperatures == [0.0125, 0.02]
+
+
+def test_calibration_fails_when_the_search_does_not_settle(monkeypatch):
+    # W = 10 + 1e-5 (1/T - 1/(8 mK))^3 meets its target with zero slope, where
+    # secant steps only shrink by a constant factor: every step lowers the
+    # error, yet after 20 of them the next one is still longer than 1e-6 K.
+    temperatures = _record_runs(monkeypatch, lambda t: 10.0 + 1.0e-5 * (1.0 / t - 125.0) ** 3)
+    with pytest.raises(ConfigError, match=r"did not settle in 20 steps; best at 0\.0080"):
+        calibrate_temperature({"lz": 10.0})
+    assert len(temperatures) == 21
+
+
+def test_calibration_fails_on_a_non_positive_computed_value(monkeypatch):
+    _record_runs(monkeypatch, lambda t: 0.0)
+    with pytest.raises(ConfigError, match=r"computed W_ex_norm at 0\.0125 K is not positive"):
+        calibrate_temperature({"lz": 1.0})
 
 
 def test_calibration_rejects_bad_targets():
@@ -743,7 +799,9 @@ def test_cmd_calibrate_bracket_edge_exit_code(tmp_path, capsys):
     argv = ["calibrate-temperature", "--t-lo", "0.012", "--t-hi", "0.02", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: best-fit temperature 0.0120")
+    # The fit, about 9.6 mK, lies below the bracket: the clamped search ends
+    # on its lower end.
+    assert err.startswith("configuration error: best-fit temperature 0.012 K lies at the edge")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -815,36 +873,69 @@ def test_cmd_calibrate_has_no_scan_option(capsys):
     assert "unrecognized arguments: --n-scan" in capsys.readouterr().err
 
 
-def test_calibration_error_has_a_single_minimum():
-    # calibrate_temperature runs one bracketed (Brent) search, which finds the
-    # minimum only if the error falls and then rises across the bracket.
-    # Check that shape on a 16-point grid over [5, 20] mK, for the paper
-    # targets, for them scaled by 0.98 and 1.02, and for lz alone.
-    temperatures = [0.005 + 0.001 * k for k in range(16)]
-    computed = [
-        {
-            key: run_reset(
-                *Scenario(
-                    name=key, spectrum=key, temperature_K=t, numerics=CALIBRATION_NUMERICS
-                ).build()
-            )[0].W_ex_norm
-            for key in PAPER_W_EX_NORM_TARGETS
-        }
-        for t in temperatures
+CALIBRATION_GRID_K = [0.005 + 0.001 * k for k in range(16)]
+# A grid temperature this close to the fit may fit as well: the search stops
+# within 1e-6 K of the minimum, and jqf's W_ex_norm jitters by ~1e-5 relative
+# between nearby temperatures, which for conflicting targets moves the error
+# as much as ~15 uK of detuning does.
+FIT_RESOLUTION_K = 2.0e-5
+
+
+@pytest.fixture(scope="module")
+def calibration_grid():
+    """W_ex_norm of each spectrum at calibration numerics on CALIBRATION_GRID_K."""
+    return [
+        {key: _calibration_w_ex_norm(key, t) for key in PAPER_W_EX_NORM_TARGETS}
+        for t in CALIBRATION_GRID_K
     ]
 
-    def sse(targets):
-        return [
-            sum(((row[k] - t) / t) ** 2 for k, t in targets.items()) for row in computed
-        ]
 
-    cases = {
+def _grid_sse(grid, targets):
+    return [sum(((row[k] - t) / t) ** 2 for k, t in targets.items()) for row in grid]
+
+
+CALIBRATION_CASES = {
+    **{
         f"x{scale}": {k: scale * t for k, t in PAPER_W_EX_NORM_TARGETS.items()}
         for scale in (0.98, 1.0, 1.02)
-    }
-    cases["lz"] = {"lz": PAPER_W_EX_NORM_TARGETS["lz"]}
-    for name, targets in cases.items():
-        errors = sse(targets)
+    },
+    "lz": {"lz": PAPER_W_EX_NORM_TARGETS["lz"]},
+}
+
+
+def test_calibration_error_has_a_single_minimum(calibration_grid):
+    # The Gauss-Newton search starts at the bracket midpoint and follows the
+    # residuals downhill, which finds the minimum only if the error falls and
+    # then rises across the bracket.  Check that shape on the grid.
+    for name, targets in CALIBRATION_CASES.items():
+        errors = _grid_sse(calibration_grid, targets)
         rising = [b > a for a, b in zip(errors, errors[1:])]
         first_rise = rising.index(True) if True in rising else len(rising)
         assert all(rising[first_rise:]), (name, errors)
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION_CASES))
+def test_calibration_beats_every_grid_temperature(calibration_grid, name):
+    targets = CALIBRATION_CASES[name]
+    result = calibrate_temperature(targets)
+    assert result.sse <= min(_grid_sse(calibration_grid, targets))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    scales=st.fixed_dictionaries(
+        {key: st.floats(min_value=0.9, max_value=1.1) for key in PAPER_W_EX_NORM_TARGETS}
+    ),
+    keys=st.sets(st.sampled_from(sorted(PAPER_W_EX_NORM_TARGETS)), min_size=1),
+)
+def test_calibration_beats_every_grid_temperature_for_scaled_targets(
+    calibration_grid, scales, keys
+):
+    targets = {k: scales[k] * PAPER_W_EX_NORM_TARGETS[k] for k in sorted(keys)}
+    result = calibrate_temperature(targets)
+    errors = _grid_sse(calibration_grid, targets)
+    assert result.sse <= min(
+        error
+        for t, error in zip(CALIBRATION_GRID_K, errors)
+        if abs(t - result.best_temperature_K) > FIT_RESOLUTION_K
+    )

@@ -25,8 +25,7 @@ from qreset import (
     guideline_report,
     load_tabulated,
 )
-from qreset.cli import CALIBRATION_TOL_K
-from qreset.spectra import ARGMAX_TOL_GHZ, _brent_max, _golden_max, _scan_max, rate_fn
+from qreset.spectra import ARGMAX_TOL_GHZ, _scan_max, rate_fn
 from helpers import (
     KERNEL_MODELS,
     brute_force_argmax,
@@ -388,54 +387,3 @@ def test_guideline_slope_matches_scalar_loop(kind, bounds):
         magnitude += abs(term)
     got = guideline_report(model, bounds, grid_points=n).trend_slope
     assert abs(got - num / den) <= n * 2.0**-52 * magnitude / den
-
-
-def _evaluations(maximizer, fn, a, b, tol):
-    points = []
-
-    def counted(x):
-        points.append(x)
-        return fn(x)
-
-    x, value = maximizer(counted, a, b, tol)
-    return x, value, points
-
-
-@pytest.mark.parametrize(
-    "fn, peak",
-    [(lambda x: -((x - 0.3) ** 2), 0.3), (lambda x: -((x - 0.71) ** 4), 0.71)],
-    ids=["parabola", "quartic"],
-)
-def test_brent_max_beats_golden_on_smooth_peaks(fn, peak):
-    tol = 1.0e-6
-    x, value, points = _evaluations(_brent_max, fn, 0.0, 1.0, tol)
-    _, _, golden_points = _evaluations(_golden_max, fn, 0.0, 1.0, tol)
-    assert abs(x - peak) <= tol
-    assert len(points) < len(golden_points)
-    # The best point evaluated, with its value: no extra call.
-    assert x in points and value == fn(x) == max(map(fn, points))
-
-
-def test_brent_max_finds_a_kink():
-    tol = 1.0e-6
-    for c in (0.123456, 0.5, 0.987):
-        x, _, _ = _evaluations(_brent_max, lambda x: -abs(x - c), 0.0, 1.0, tol)
-        assert abs(x - c) <= tol
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
-def test_brent_max_ends_at_the_rising_end_of_a_monotone_function(sign):
-    # calibrate_temperature reports a fit outside its bracket by checking
-    # that the search ended within CALIBRATION_TOL_K of an end.
-    a, b = 0.005, 0.020
-    x, _, _ = _evaluations(_brent_max, lambda t: sign * t, a, b, CALIBRATION_TOL_K)
-    end = b if sign > 0 else a
-    assert abs(x - end) <= CALIBRATION_TOL_K
-
-
-def test_brent_max_is_deterministic_on_a_constant():
-    runs = [_evaluations(_brent_max, lambda x: 1.0, 0.0, 1.0, 1.0e-6) for _ in range(2)]
-    assert runs[0] == runs[1]
-    x, value, points = runs[0]
-    assert value == 1.0 and 0.0 < x < 1.0
-    assert len(points) == len(set(points))
