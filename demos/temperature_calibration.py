@@ -9,10 +9,9 @@ percent, which is the internal-consistency check.
 """
 
 import qreset as q
-from qreset.cli import PAPER_W_EX_NORM_TARGETS
 
-print("targets:", PAPER_W_EX_NORM_TARGETS)
-result = q.calibrate_temperature(PAPER_W_EX_NORM_TARGETS)
+print("targets:", q.PAPER_W_EX_NORM_TARGETS)
+result = q.calibrate_temperature(q.PAPER_W_EX_NORM_TARGETS)
 print(f"joint best-fit temperature: {result.best_temperature_K * 1e3:.4f} mK")
 for key, value in result.computed.items():
     print(f"  {key}: computed {value:.4f} vs target {result.targets[key]}"
@@ -20,7 +19,7 @@ for key, value in result.computed.items():
 
 print()
 for key in ("lz", "prot"):
-    single = q.calibrate_temperature({key: PAPER_W_EX_NORM_TARGETS[key]})
+    single = q.calibrate_temperature({key: q.PAPER_W_EX_NORM_TARGETS[key]})
     print(f"{key}-only fit: {single.best_temperature_K * 1e3:.4f} mK")
 
 # The quick analytic check: under constant control the extra work is
@@ -30,7 +29,7 @@ env = q.Environment(result.best_temperature_K)
 approx = q.constant_control_work_approx(5.4, env) / q.LN2
 print()
 print(f"constant-control approximation at the fitted T for the 5.4 GHz peak:"
-      f" {approx:.3f} (target {PAPER_W_EX_NORM_TARGETS['lz']})")
+      f" {approx:.3f} (target {q.PAPER_W_EX_NORM_TARGETS['lz']})")
 
 bound = q.thermodynamic_length_bound(0.1314) / q.LN2
 print(f"constant-rate lower bound at T_reset/T1 = 0.1314: {bound:.2f} kT ln2")

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .control import schedule_to_csv
-from .dynamics import IntegrationError, Numerics, Trajectory
+from .dynamics import MAX_GRID_POINTS, IntegrationError, Numerics, Trajectory
 from .reset import (
     AchievabilityError,
     ResetReport,
@@ -236,8 +236,9 @@ def parse_axis(spec: str) -> tuple[str, float, float, int]:
         raise ConfigError(
             f"axis must look like 'field=start:stop:n', got {spec!r}"
         ) from None
-    if n < 1:
-        raise ConfigError(f"axis needs n >= 1 points, got {n}")
+    # Checked before np.linspace allocates the axis.
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"axis needs 1 <= n <= {MAX_GRID_POINTS} points, got {n}")
     if name not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep field {name!r}; valid: {_SWEEPABLE}")
     return name, start, stop, n
@@ -269,6 +270,8 @@ CALIBRATION_NUMERICS = Numerics(grid_points=2001, control_drift_ghz=3.0e-3)
 # The search stops once a predicted step is at most this long; a fit this
 # near a bracket end is reported as lying outside the bracket.
 CALIBRATION_TOL_K = 1.0e-6
+# The default search bracket (t_lo_K, t_hi_K) of calibrate_temperature and --t-lo/--t-hi.
+CALIBRATION_BRACKET_K = (0.005, 0.020)
 # Steps after which a search that has not settled is an error.
 _CALIBRATION_MAX_STEPS = 20
 
@@ -285,8 +288,8 @@ class CalibrationResult:
 def calibrate_temperature(
     targets: Mapping[str, float],
     *,
-    t_lo_K: float = 0.005,
-    t_hi_K: float = 0.020,
+    t_lo_K: float = CALIBRATION_BRACKET_K[0],
+    t_hi_K: float = CALIBRATION_BRACKET_K[1],
 ) -> CalibrationResult:
     """Best-fit environment temperature against target W_ex/(k_B T ln 2) values.
 
@@ -496,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(repr(PAPER_W_EX_NORM_TARGETS[k]) for k in _SPECTRUM_KINDS),
         help="four W_ex/(kT ln2) targets: lz,prot,mix,jqf",
     )
-    cal.add_argument("--t-lo", type=float, default=0.005, help="search floor (K)")
-    cal.add_argument("--t-hi", type=float, default=0.020, help="search ceiling (K)")
+    t_lo, t_hi = CALIBRATION_BRACKET_K
+    cal.add_argument("--t-lo", type=float, default=t_lo, help="search floor (K)")
+    cal.add_argument("--t-hi", type=float, default=t_hi, help="search ceiling (K)")
     cal.add_argument("--out", help="optional JSON result path")
     cal.set_defaults(func=cmd_calibrate)
 

@@ -11,7 +11,7 @@ the rate (which spans many orders of magnitude across spectra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, TextIO
 
 import numpy as np
@@ -134,7 +134,7 @@ class ControlLawProtocol(Protocol):
     ) -> ControlRuntime: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled restoring trajectory.
 
@@ -154,7 +154,6 @@ class Trajectory:
     tau_st_us: float
     termination: str
     epsilon: float
-    _cum_rate: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     @property
     def terminal_state(self) -> QubitState:
@@ -166,16 +165,12 @@ class Trajectory:
 
     def schedule(self) -> tuple[tuple[float, float], ...]:
         """Control breakpoints (t, f) reproducing this trajectory's segments."""
-        n = self.n_samples
-        return tuple(
-            (float(self.t_us[k]), float(self.f_ghz[k])) for k in range(max(n - 1, 1))
-        )
+        held = max(self.n_samples - 1, 1)
+        return tuple(zip(self.t_us[:held].tolist(), self.f_ghz[:held].tolist()))
 
     def cumulative_rate_integral(self) -> np.ndarray:
         """Exact accumulated rate ``sum_k rate_k dt_k`` at every sample time."""
-        if self._cum_rate is None:
-            self._cum_rate = staircase_integral(self.t_us, self.rate_per_us)
-        return self._cum_rate
+        return staircase_integral(self.t_us, self.rate_per_us)
 
     def to_csv(self, stream: TextIO) -> None:
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
@@ -296,14 +291,14 @@ def integrate_restore(
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
+    f: float | None = None
     f_next: float | None = None
-    f_anchor: float | None = None
     dt_drift_hint = math.inf
 
     while True:
-        f = f_next if f_next is not None else runtime.frequency(pe, t, f_anchor)
+        # A refresh is anchored at the frequency of the previous segment.
+        f = f_next if f_next is not None else runtime.frequency(pe, t, f)
         f_next = None
-        f_anchor = f
         rate = rate_at(f)
         if rate == math.inf:
             raise InfiniteRateError(

@@ -13,7 +13,7 @@ form (frequency constant per segment), which keeps the ledger identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .dynamics import IntegrationError, Numerics, QubitState, Trajectory, integrate_restore
 from .spectra import ControlBounds, SpectrumModel, coherence_time
@@ -130,21 +130,18 @@ def work_ledger(
             f"work ledger requires a precision-terminated trajectory, got"
             f" {trajectory.termination!r}"
         )
-    n = trajectory.n_samples
     x_cp = thermal_ratio(bounds.f_cp_ghz, env)
-    xs = [thermal_ratio(float(f), env) for f in trajectory.f_ghz]
-    pe = trajectory.p_e
+    xs = [thermal_ratio(f, env) for f in trajectory.f_ghz.tolist()]
+    pe = trajectory.p_e.tolist()
 
     # Exact per-segment restore-stage integral of x * rate * (p_e - p_eq) dt:
     # the frequency is constant on each segment, so it equals -x * dp_e.
     integral = 0.0
-    for k in range(n - 1):
-        integral += xs[k] * (float(pe[k]) - float(pe[k + 1]))
+    for x, pe_k, pe_next in zip(xs, pe, pe[1:]):
+        integral += x * (pe_k - pe_next)
 
-    pe0 = float(pe[0])
-    pe_end = float(pe[-1])
-    x0 = xs[0]
-    x_end = xs[-1]
+    pe0, pe_end = pe[0], pe[-1]
+    x0, x_end = xs[0], xs[-1]
 
     w_sw1 = (x0 - x_cp) * (pe0 - 0.5)
     w_st = x_end * (pe_end - 0.5) - x0 * (pe0 - 0.5) + integral
@@ -202,14 +199,7 @@ def run_reset(
         T1=t1,
         tau_st_over_T1=ratio,
         T_reset=t_reset,
-        W_sw1=ledger.W_sw1,
-        W_st=ledger.W_st,
-        W_sw2=ledger.W_sw2,
-        W=ledger.W,
-        dU=ledger.dU,
-        dS=ledger.dS,
-        dF=ledger.dF,
-        W_ex=ledger.W_ex,
+        **asdict(ledger),
         W_ex_norm=ledger.W_ex / LN2,
         W_TL_norm=w_tl_norm,
         epsilon_min=eps_floor,

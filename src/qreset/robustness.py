@@ -3,12 +3,11 @@
 A baseline optimal run is recorded once; deviated initial states or
 control times are then propagated under the *unmodified* schedule, as an
 experiment without feedback would.  The schedule is piecewise constant,
-so the propagation is done in closed form: the exact segment maps are
-composed once per baseline (``_SegmentMaps``) from the recorded rows
-themselves, so the replay holds exactly the frequency, rate and
-equilibrium population the run held.  A deviated control time needs one
-``searchsorted`` plus one partial segment (past the recorded end, the
-last frequency is held).
+so the propagation is done in closed form: a ``Baseline`` composes the
+exact segment maps once, from the recorded rows themselves, so the
+replay holds exactly the frequency, rate and equilibrium population the
+run held.  A deviated control time needs one ``searchsorted`` plus one
+partial segment (past the recorded end, the last frequency is held).
 
 Initial-state errors are suppressed by the accumulated decoherence
 factor (populations by eta, coherences by sqrt(eta), since coherences
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -103,27 +101,12 @@ class DeviationResult:
     trajectory: Trajectory
 
 
-@dataclass(frozen=True)
 class Baseline:
-    """A recorded optimal run, replayed open loop from its own rows."""
+    """A recorded optimal run, replayed open loop from its own rows.
 
-    trajectory: Trajectory
-
-    @property
-    def tau_st_us(self) -> float:
-        return self.trajectory.tau_st_us
-
-    @cached_property
-    def _segment_maps(self) -> "_SegmentMaps":
-        """The recorded segments' composed maps, built on first use."""
-        return _SegmentMaps(self.trajectory)
-
-
-class _SegmentMaps:
-    """Prefix compositions of a recorded run's exact constant-control maps.
-
-    Rows ``0..n-2`` of the trajectory are the segments the run held.  On
-    segment k the population map ``p -> p_eq_k + (p - p_eq_k) d_k``,
+    Rows ``0..n-2`` of the trajectory are the segments the run held, and
+    their exact constant-control maps are composed once, here.  On segment
+    k the population map ``p -> p_eq_k + (p - p_eq_k) d_k``,
     ``d_k = exp(-rate_k dt_k)``, is affine.  With
     ``Lambda_k = sum_{j<k} rate_j dt_j`` and
     ``Theta_k = sum_{j<k} 2 pi f_j dt_j``, the state at breakpoint k reached
@@ -133,58 +116,63 @@ class _SegmentMaps:
     """
 
     def __init__(self, trajectory: Trajectory) -> None:
+        self.trajectory = trajectory
         held = slice(0, max(trajectory.n_samples - 1, 1))
-        self.t_us = trajectory.t_us[held]
-        self.f_ghz = trajectory.f_ghz[held]
-        self.rate_per_us = trajectory.rate_per_us[held]
-        self.p_eq = trajectory.p_eq[held]
+        self._t_us = trajectory.t_us[held]
+        self._f_ghz = trajectory.f_ghz[held]
+        self._rate_per_us = trajectory.rate_per_us[held]
+        self._p_eq = trajectory.p_eq[held]
 
-        lam = staircase_integral(self.t_us, self.rate_per_us)
-        self.decay = np.exp(-lam)
-        self.amp = np.exp(-0.5 * lam)
+        lam = staircase_integral(self._t_us, self._rate_per_us)
+        self._decay = np.exp(-lam)
+        self._amp = np.exp(-0.5 * lam)
         # ~1e4 segments sum to ~1e4 rad, which np.cumsum gets wrong by ~1e-8 rad:
         # TwoSum recovers each addition's rounding error, and their sum is added.
-        turn = RAD_PER_US_PER_GHZ * self.f_ghz[:-1] * np.diff(self.t_us)
+        turn = RAD_PER_US_PER_GHZ * self._f_ghz[:-1] * np.diff(self._t_us)
         total = np.cumsum(turn)
         before = np.append(0.0, total)[:-1]
         added = total - before
         error = (before - (total - added)) + (turn - added)
         theta = np.append(0.0, total + np.cumsum(error))
-        self.cos = np.cos(theta)
-        self.sin = np.sin(theta)
-        segment_decay = np.exp(-self.rate_per_us[:-1] * np.diff(self.t_us))
+        self._cos = np.cos(theta)
+        self._sin = np.sin(theta)
+        segment_decay = np.exp(-self._rate_per_us[:-1] * np.diff(self._t_us))
         offset = [0.0]
-        for p_eq, d in zip(self.p_eq[:-1].tolist(), segment_decay.tolist()):
+        for p_eq, d in zip(self._p_eq[:-1].tolist(), segment_decay.tolist()):
             offset.append(p_eq + (offset[-1] - p_eq) * d)
-        self.offset = np.array(offset)
+        self._offset = np.array(offset)
 
-    def propagate(self, initial: QubitState, t_final_us: float, epsilon: float) -> Trajectory:
+    @property
+    def tau_st_us(self) -> float:
+        return self.trajectory.tau_st_us
+
+    def propagate(self, initial: QubitState, t_final_us: float) -> Trajectory:
         """Exact open-loop trajectory from ``initial`` up to ``t_final_us``.
 
         Rows are the breakpoints before ``t_final_us`` plus a terminal row,
         which holds the frequency in force at ``t_final_us``.
         """
-        rows = int(np.searchsorted(self.t_us, t_final_us, side="left"))
-        k = int(np.searchsorted(self.t_us, t_final_us, side="right")) - 1
+        rows = int(np.searchsorted(self._t_us, t_final_us, side="left"))
+        k = int(np.searchsorted(self._t_us, t_final_us, side="right")) - 1
         p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
-        p_e = self.decay[: k + 1] * p0 + self.offset[: k + 1]
-        amp, cos, sin = self.amp[: k + 1], self.cos[: k + 1], self.sin[: k + 1]
+        p_e = self._decay[: k + 1] * p0 + self._offset[: k + 1]
+        amp, cos, sin = self._amp[: k + 1], self._cos[: k + 1], self._sin[: k + 1]
         p_r = amp * (r0 * cos + i0 * sin)
         p_i = amp * (i0 * cos - r0 * sin)
-        rate, p_eq, f = float(self.rate_per_us[k]), float(self.p_eq[k]), float(self.f_ghz[k])
-        dt = t_final_us - float(self.t_us[k])
+        rate, p_eq, f = float(self._rate_per_us[k]), float(self._p_eq[k]), float(self._f_ghz[k])
+        dt = t_final_us - float(self._t_us[k])
         end = _advance(float(p_e[k]), float(p_r[k]), float(p_i[k]), rate, p_eq, f, dt)
         return Trajectory(
-            t_us=np.append(self.t_us[:rows], t_final_us),
-            f_ghz=np.append(self.f_ghz[:rows], f),
+            t_us=np.append(self._t_us[:rows], t_final_us),
+            f_ghz=np.append(self._f_ghz[:rows], f),
             p_e=np.append(p_e[:rows], end[0]),
             p_r=np.append(p_r[:rows], end[1]),
             p_i=np.append(p_i[:rows], end[2]),
-            rate_per_us=np.append(self.rate_per_us[:rows], rate),
-            p_eq=np.append(self.p_eq[:rows], p_eq),
+            rate_per_us=np.append(self._rate_per_us[:rows], rate),
+            p_eq=np.append(self._p_eq[:rows], p_eq),
             tau_st_us=t_final_us,
             termination="horizon",
-            epsilon=epsilon,
+            epsilon=self.trajectory.epsilon,
         )
 
 
@@ -246,12 +234,11 @@ def _initial_state(spec: DeviationSpec, tau_st_us: float) -> tuple[QubitState, f
 def run_deviation(spec: DeviationSpec, baseline: Baseline) -> DeviationResult:
     """Propagate a deviated initial condition under the recorded schedule (exact)."""
     initial, t_f = _initial_state(spec, baseline.tau_st_us)
-    epsilon = baseline.trajectory.epsilon
-    trajectory = baseline._segment_maps.propagate(initial, t_f, epsilon)
+    trajectory = baseline.propagate(initial, t_f)
     final = trajectory.terminal_state
     return DeviationResult(
         final_state=final,
-        fidelity=fidelity(final, epsilon),
+        fidelity=fidelity(final, trajectory.epsilon),
         trajectory=trajectory,
     )
 

@@ -69,10 +69,10 @@ class Scenario:
     spectrum: str = "lz"
     spectrum_params: Mapping[str, float] = field(default_factory=dict)
     temperature_K: float = 0.010
-    f_cp_GHz: float = 5.0
-    delta_f_GHz: float = 3.0
-    tau_sw_us: float = 0.010
-    epsilon: float = 1.0e-5
+    f_cp_GHz: float = ControlBounds.f_cp_ghz
+    delta_f_GHz: float = ControlBounds.delta_f_ghz
+    tau_sw_us: float = ControlBounds.tau_sw_us
+    epsilon: float = ControlBounds.epsilon
     control: str = "time_local"
     numerics: Numerics = field(default_factory=Numerics)
     control_mode: str = "tracked"  # JSON key numerics.control_mode

@@ -450,6 +450,9 @@ def test_parse_axis():
         parse_axis("epsilon=1:2")
     with pytest.raises(ConfigError):
         parse_axis("flux=1:2:3")
+    # Rejected before np.linspace would allocate the axis (745 GiB).
+    with pytest.raises(ConfigError, match="n <= 1000000"):
+        parse_axis("epsilon=1e-6:1e-4:100000000000")
 
 
 def test_cmd_sweep_degenerate_matches_run(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -198,6 +199,14 @@ def test_decoherence_factor_non_increasing(default_runs):
     ts = np.linspace(0.0, trajectory.tau_st_us, 50)
     values = [eta(float(t)) for t in ts]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_trajectory_fields_cannot_be_reassigned():
+    # A run's record is one value: eta, the costate, the ledger and the
+    # replay all read the rows it was built with.
+    trajectory = integrate_restore(QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trajectory.rate_per_us = 2.0 * trajectory.rate_per_us
 
 
 def test_no_descent_error():
