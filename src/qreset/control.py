@@ -10,12 +10,13 @@ out and the law degenerates to holding the argmax of the rate.
 Two refresh policies are provided.  ``mode="global"`` rescans the whole
 window at every refresh, which is the literal pointwise optimum.
 ``mode="tracked"`` (the default) follows the continuous extremal branch
-by a local search from the previous frequency, starting from the rate
-argmax.  For single-peaked spectra the two coincide.  They differ only
-when two near-degenerate maxima straddle the window (the filter-dip
-spectrum is flat to a few 1e-5 across its edges): the tracked branch
-reproduces the published control shapes and work costs, while the
-global mode jumps basins for a time gain of the same few 1e-5.
+by a local search from the previous frequency, or from one extrapolated
+along the branch, starting from the rate argmax.  For single-peaked
+spectra the two coincide.  They differ only when two near-degenerate
+maxima straddle the window (the filter-dip spectrum is flat to a few
+1e-5 across its edges): the tracked branch reproduces the published
+control shapes and work costs, while the global mode jumps basins for a
+time gain of the same few 1e-5.
 """
 
 from __future__ import annotations
@@ -152,11 +153,14 @@ def optimal_frequency(
     With ``near=None`` the whole window is scanned (grid plus
     golden-section refinement, ties toward smaller f); clipping to the
     window is automatic because the scan never leaves it.  Passing the
-    previous frequency as ``near`` instead refines the local maximum of
-    the same objective around it, which is how the tracked law follows a
-    continuous extremal branch: by parabolic steps from ``near`` without a
-    cap (a first step below half the tolerance returns ``near`` itself),
-    else by golden section in a window that moves with the optimum.
+    previous frequency, or a prediction of the optimum, as ``near``
+    instead refines the local maximum of the same objective around it,
+    which is how the tracked law follows a continuous extremal branch: by
+    parabolic steps from ``near`` without a cap (a first step below half
+    the tolerance returns ``near`` itself, so a good prediction costs one
+    stencil; after a step the stencil is never narrower than 1/16 of the
+    first, where its curvature would be round-off), else by golden
+    section in a window that moves with the optimum.
 
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
@@ -204,7 +208,7 @@ def optimal_frequency(
                     return x
                 width = TRACK_STENCIL_GHZ
                 continue
-            x, jx, width = x + step, None, 2.0 * abs(step)
+            x, jx, width = x + step, None, max(2.0 * abs(step), TRACK_STENCIL_GHZ / 16.0)
     past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
         lo = max(f_lo, f - TRACK_WINDOW_GHZ)
@@ -296,6 +300,15 @@ class _TimeLocalRuntime:
         # out, and with it the plateau checks, so that every refresh takes
         # the cheaper parabolic steps.
         self._tracked_cap = numerics.rate_cap_per_us
+        # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
+        # so (p_e, f) of the last three refreshes that corrected their start
+        # extrapolate it, and one stencil usually accepts the guess.  An
+        # accepted guess is known only to the tolerance, so it is not kept;
+        # a window bound (mix and jqf start pinned at 2 GHz) clears them.
+        # Not on a tabulated spectrum, whose J kinks at every node.
+        self._history: list[tuple[float, float]] = []
+        self._predicts = not isinstance(model, Tabulated)
+        self._reach = 2.0 * numerics.drift_cap(bounds)
 
     held_ghz = None
 
@@ -313,7 +326,16 @@ class _TimeLocalRuntime:
                 if not start.cap_hit:
                     self._tracked_cap = None
             near, rate_cap = f_anchor, self._tracked_cap
-        return optimal_frequency(
+        predicts = near is not None and rate_cap is None and self._predicts
+        f_lo, f_hi = self._bounds.f_min_ghz, self._bounds.f_max_ghz
+        if predicts and len(self._history) == 3:
+            (p0, f0), (p1, f1), (p2, f2) = self._history
+            d21 = (f2 - f1) / (p2 - p1)
+            d210 = (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0)
+            guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
+            if f_lo < guess < f_hi and abs(guess - near) <= self._reach:
+                near = guess
+        f = optimal_frequency(
             p_e,
             self._model,
             self._env,
@@ -322,6 +344,13 @@ class _TimeLocalRuntime:
             rate_cap=rate_cap,
             near=near,
         )
+        if predicts:
+            if f in (f_lo, f_hi):
+                self._history.clear()
+            elif f != near:
+                kept = [h for h in self._history[-2:] if h[0] != p_e]
+                self._history = kept + [(p_e, f)]
+        return f
 
     def next_transition_after(self, t_us: float) -> float | None:
         return None

@@ -141,7 +141,8 @@ class Trajectory:
     Samples are taken at the start of every constant-control segment plus
     one terminal row; the frequency in row k is held on
     ``[t[k], t[k+1])``, and the terminal row repeats the frequency that
-    was held into the final time.
+    was held into the final time.  The columns of a run or a replay are
+    read-only: its ledger, costate and later replays read them.
     """
 
     t_us: np.ndarray
@@ -179,6 +180,13 @@ class Trajectory:
             "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq",
             zip(*(col.tolist() for col in cols)),
         )
+
+
+def _read_only(column: list[float] | np.ndarray) -> np.ndarray:
+    """``column`` as an array whose assignment raises ``ValueError``; an ndarray in place."""
+    array = np.asarray(column)
+    array.setflags(write=False)
+    return array
 
 
 def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
@@ -388,13 +396,13 @@ def integrate_restore(
             dt_drift_hint = dt_drift_hint * 2.0
 
     return Trajectory(
-        t_us=np.asarray(ts),
-        f_ghz=np.asarray(fs),
-        p_e=np.asarray(pes),
-        p_r=np.asarray(prs),
-        p_i=np.asarray(pis),
-        rate_per_us=np.asarray(rates),
-        p_eq=np.asarray(peqs),
+        t_us=_read_only(ts),
+        f_ghz=_read_only(fs),
+        p_e=_read_only(pes),
+        p_r=_read_only(prs),
+        p_i=_read_only(pis),
+        rate_per_us=_read_only(rates),
+        p_eq=_read_only(peqs),
         tau_st_us=tau,
         termination=termination,
         epsilon=eps,

@@ -28,6 +28,7 @@ from .dynamics import (
     QubitState,
     Trajectory,
     _advance,
+    _read_only,
     decoherence_factor,
     integrate_restore,
     staircase_integral,
@@ -163,13 +164,13 @@ class Baseline:
         dt = t_final_us - float(self._t_us[k])
         end = _advance(float(p_e[k]), float(p_r[k]), float(p_i[k]), rate, p_eq, f, dt)
         return Trajectory(
-            t_us=np.append(self._t_us[:rows], t_final_us),
-            f_ghz=np.append(self._f_ghz[:rows], f),
-            p_e=np.append(p_e[:rows], end[0]),
-            p_r=np.append(p_r[:rows], end[1]),
-            p_i=np.append(p_i[:rows], end[2]),
-            rate_per_us=np.append(self._rate_per_us[:rows], rate),
-            p_eq=np.append(self._p_eq[:rows], p_eq),
+            t_us=_read_only(np.append(self._t_us[:rows], t_final_us)),
+            f_ghz=_read_only(np.append(self._f_ghz[:rows], f)),
+            p_e=_read_only(np.append(p_e[:rows], end[0])),
+            p_r=_read_only(np.append(p_r[:rows], end[1])),
+            p_i=_read_only(np.append(p_i[:rows], end[2])),
+            rate_per_us=_read_only(np.append(self._rate_per_us[:rows], rate)),
+            p_eq=_read_only(np.append(self._p_eq[:rows], p_eq)),
             tau_st_us=t_final_us,
             termination="horizon",
             epsilon=self.trajectory.epsilon,

@@ -270,7 +270,7 @@ def reference_optimal_frequency(
                 return x
             width = stencil_ghz
         else:
-            x, jx, width = x + step, None, 2.0 * abs(step)
+            x, jx, width = x + step, None, max(2.0 * abs(step), stencil_ghz / 16.0)
     probe = max(refine_tol_ghz, 1.0e-7)
     for _ in range(2048):
         lo = max(f_lo, f - window_ghz)

@@ -215,6 +215,19 @@ def test_closed_form_replay_returns_the_recorded_rows(baselines):
         np.testing.assert_allclose(replay.p_e[:-1], recorded.p_e[:-1], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "column", ["t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"]
+)
+def test_run_and_replay_columns_are_read_only(column, baselines):
+    # The ledger, the costate and every later replay read these columns, so
+    # a write into a run or a replay fails instead of changing them.
+    baseline = baselines["lz"]
+    replay = run_deviation(PopulationDeviation(0.4), baseline).trajectory
+    for trajectory in (baseline.trajectory, replay):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(trajectory, column)[:] = 0.0
+
+
 def test_no_deviation_reaches_target(baselines):
     for name, baseline in baselines.items():
         result = run_deviation(PopulationDeviation(0.5), baseline)
