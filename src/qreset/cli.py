@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .control import schedule_to_csv
+from .control import schedule_to_csv  # noqa: F401  (bench/tracer.py wraps this name)
 from .dynamics import MAX_GRID_POINTS, IntegrationError, Numerics, Trajectory
 from .reset import (
     AchievabilityError,
@@ -45,7 +45,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _write_rows
+from .spectra import ControlBounds, SpectrumError, eval_rate, _column_rows, _write_rows
 from .thermo import LN2
 
 __all__ = [
@@ -97,9 +97,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         _write_json(run_dir / "report.json", report_to_dict(report))
     with open(run_dir / "trajectory.csv", "w", encoding="utf-8") as fh:
-        trajectory.to_csv(fh)
-    with open(run_dir / "schedule.csv", "w", encoding="utf-8") as fh:
-        schedule_to_csv(trajectory.schedule(), fh)
+        with open(run_dir / "schedule.csv", "w", encoding="utf-8") as schedule:
+            trajectory.to_csv(fh, schedule)
     print(
         f"{scenario.name}: tau_st_us={report.tau_st!r}"
         f" tau_st_over_T1={report.tau_st_over_T1!r}"
@@ -163,11 +162,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for key, scenario in keyed:
             model, env, bounds, law, numerics = scenario.build(base_dir)
             _, traj = run_reset(model, env, bounds, law, numerics)
-            control = np.column_stack((traj.t_us, traj.p_e, traj.f_ghz)).tolist()
+            control = _column_rows((traj.t_us, traj.p_e, traj.f_ghz))
             _write_csv(out_dir / f"fig2_control_{key}.csv", "t_us,p_e,f_GHz", control)
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
-            rates = eval_rate(model, grid, numerics.rate_cap_per_us)
-            spectrum = np.column_stack((grid, rates)).tolist()
+            spectrum = _column_rows((grid, eval_rate(model, grid, numerics.rate_cap_per_us)))
             _write_csv(out_dir / f"fig2_spectrum_{key}.csv", "f_GHz,rate_per_us", spectrum)
         return 0
 

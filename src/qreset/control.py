@@ -25,6 +25,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -109,17 +110,23 @@ def _objective(
     exp = math.exp
 
     def j(f: FloatOrArray) -> FloatOrArray:
-        r = raw(f)
         try:
             e = exp(-c * f)
-            if r > cap:
-                r = cap
-        except TypeError:  # an ndarray grid
-            e = np.exp(-c * f)
-            r = np.minimum(r, cap)
-        return r * (p_e - e / (1.0 + e))
+        except TypeError:  # an ndarray grid, or a global runtime's _grid_terms of one
+            _, r, q = f if isinstance(f, tuple) else _grid_terms(raw, cap, c, f)
+            return r * (p_e - q)
+        r = raw(f)
+        return (cap if r > cap else r) * (p_e - e / (1.0 + e))
 
     return j
+
+
+def _grid_terms(raw: Callable, cap: float, c: float, fs: np.ndarray):
+    """``(fs, capped rates, p_eq)`` on a grid: J's factors there that do not depend on p_e."""
+    with np.errstate(divide="ignore"):
+        rates = np.minimum(raw(fs), cap)
+    e = np.exp(-c * fs)
+    return fs, rates, e / (1.0 + e)
 
 
 def _plateau_right_edge(
@@ -147,20 +154,22 @@ def optimal_frequency(
     grid_points: int = DEFAULT_GRID_POINTS,
     rate_cap: float | None = DEFAULT_RATE_CAP,
     near: float | None = None,
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Frequency maximizing the restoring objective for the current population.
 
     With ``near=None`` the whole window is scanned (grid plus
     golden-section refinement, ties toward smaller f); clipping to the
-    window is automatic because the scan never leaves it.  Passing the
-    previous frequency, or a prediction of the optimum, as ``near``
-    instead refines the local maximum of the same objective around it,
-    which is how the tracked law follows a continuous extremal branch: by
-    parabolic steps from ``near`` without a cap (a first step below half
-    the tolerance returns ``near`` itself, so a good prediction costs one
-    stencil; after a step the stencil is never narrower than 1/16 of the
-    first, where its curvature would be round-off), else by golden
-    section in a window that moves with the optimum.
+    window is automatic because the scan never leaves it, and ``grid``,
+    these arguments' ``_grid_terms`` on its grid, saves retaking them.
+    Passing the previous frequency, or a prediction of the optimum, as
+    ``near`` instead refines the local maximum of the same objective
+    around it, which is how the tracked law follows a continuous extremal
+    branch: by parabolic steps from ``near`` without a cap (a first step
+    below half the tolerance returns ``near`` itself, so a good prediction
+    costs one stencil; after a step the stencil is never narrower than
+    1/16 of the first, where its curvature would be round-off), else by
+    golden section in a window that moves with the optimum.
 
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
@@ -175,7 +184,8 @@ def optimal_frequency(
 
     if near is None:
         cap_j = p_e * rate_cap if rate_cap is not None else None
-        f_best, v_best, _ = _scan_max(j, f_lo, f_hi, grid_points, cap_j, REFINE_TOL_GHZ)
+        scan = None if grid is None else (grid[0], j(grid))
+        f_best, v_best, _ = _scan_max(j, f_lo, f_hi, grid_points, cap_j, REFINE_TOL_GHZ, scan)
         if v_best <= 0.0:
             raise NoDescentError(
                 f"objective non-positive over the whole window at p_e={p_e!r};"
@@ -309,6 +319,13 @@ class _TimeLocalRuntime:
         self._history: list[tuple[float, float]] = []
         self._predicts = not isinstance(model, Tabulated)
         self._reach = 2.0 * numerics.drift_cap(bounds)
+        # Every global refresh scans one grid, so its _grid_terms are taken once.
+        self._refresh = optimal_frequency
+        if law.mode == "global":
+            fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, numerics.grid_points)
+            cap = math.inf if numerics.rate_cap_per_us is None else numerics.rate_cap_per_us
+            terms = _grid_terms(model.rate_kernel, cap, env.ratio_per_ghz, fs)
+            self._refresh = partial(optimal_frequency, grid=terms)
 
     held_ghz = None
 
@@ -335,7 +352,7 @@ class _TimeLocalRuntime:
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
             if f_lo < guess < f_hi and abs(guess - near) <= self._reach:
                 near = guess
-        f = optimal_frequency(
+        f = self._refresh(
             p_e,
             self._model,
             self._env,

@@ -16,7 +16,7 @@ from typing import Protocol, TextIO
 
 import numpy as np
 
-from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected
+from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _column_rows
 from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn, _write_rows
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
@@ -173,13 +173,11 @@ class Trajectory:
         """Exact accumulated rate ``sum_k rate_k dt_k`` at every sample time."""
         return staircase_integral(self.t_us, self.rate_per_us)
 
-    def to_csv(self, stream: TextIO) -> None:
+    def to_csv(self, stream: TextIO, schedule: TextIO | None = None) -> None:
+        """Write the rows; ``schedule`` gets ``schedule()``'s table from the same text."""
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
-        _write_rows(
-            stream,
-            "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq",
-            zip(*(col.tolist() for col in cols)),
-        )
+        lead = None if schedule is None else (schedule, max(self.n_samples - 1, 1))
+        _write_rows(stream, "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq", _column_rows(cols), lead)
 
 
 def _read_only(column: list[float] | np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, NamedTuple, TextIO, TypeVar, Union
 
 import numpy as np
@@ -71,6 +72,7 @@ DEFAULT_GRID_POINTS = 4001
 ARGMAX_TOL_GHZ = 1.0e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+WRITE_BLOCK_ROWS = 512  # a table's rows per write: few writes, never a long run's whole text
 
 
 class SpectrumError(ValueError):
@@ -412,20 +414,21 @@ def _scan_max(
     grid_points: int,
     cap: float | None,
     tol: float,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float, bool]:
     """Grid scan + golden refinement, ties broken toward smaller f.
 
-    ``fn`` evaluates the whole grid in one call and single points during
-    refinement.  Returns (f*, value*, cap_hit).  When the maximum sits on
-    a capped plateau with exact value ties, the plateau's left edge is
-    returned.
+    ``fn`` evaluates the grid ``np.linspace(f_lo, f_hi, grid_points)`` in
+    one call (unless ``grid`` gives it and fn's values there) and single
+    points during refinement.  Returns (f*, value*, cap_hit).  A maximum on
+    a capped plateau with exact value ties returns the plateau's left edge.
     """
     if grid_points < 3:
         raise SpectrumError(f"grid needs >= 3 points, got {grid_points}")
-    step = (f_hi - f_lo) / (grid_points - 1)
-    fs = np.append(f_lo + np.arange(grid_points - 1) * step, f_hi)
-    with np.errstate(divide="ignore"):
-        vals = fn(fs)
+    fs, vals = grid or (np.linspace(f_lo, f_hi, grid_points), None)
+    if vals is None:
+        with np.errstate(divide="ignore"):
+            vals = fn(fs)
     best = int(np.argmax(vals))  # the first maximum: ties toward smaller f
     # The grid only picks the index; the value is the scalar one, so the
     # refinement below compares like with like.
@@ -574,16 +577,34 @@ def _read_rows(source: str | TextIO, header: str, error: type[TableParseError]):
         yield line_no, x, y
 
 
-def _write_rows(stream: TextIO, header: str, rows) -> None:
-    """Write ``header``, then one comma-separated line per row.
+def _column_rows(columns):
+    """Rows of equal-length numpy ``columns``, as floats, converted a block at a time."""
+    for i in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        yield from zip(*(col[i : i + WRITE_BLOCK_ROWS].tolist() for col in columns))
+
+
+def _write_rows(stream: TextIO, header: str, rows, lead=None) -> None:
+    """Write ``header``, then one comma-separated line per row, in blocks of rows.
 
     A ``str`` cell is written as given; any other cell as
     ``repr(float(cell))``, which ``float`` and ``_read_rows`` read back
-    exactly.
+    exactly.  ``repr`` is most of the cost, so ``lead``, a ``(stream, n)``
+    pair, gets the table's first two columns, header and first ``n`` rows,
+    from the same text.
     """
     stream.write(header + "\n")
-    for row in rows:
-        stream.write(",".join([c if isinstance(c, str) else repr(float(c)) for c in row]) + "\n")
+    out, n = lead or (None, 0)
+    if out is not None:
+        out.write(",".join(header.split(",")[:2]) + "\n")
+    rows = iter(rows)
+    while block := [
+        [c if isinstance(c, str) else repr(float(c)) for c in row]
+        for row in islice(rows, WRITE_BLOCK_ROWS)
+    ]:
+        stream.write("\n".join(map(",".join, block)) + "\n")
+        if n > 0:
+            out.write("".join([f"{cells[0]},{cells[1]}\n" for cells in block[:n]]))
+            n -= len(block)
 
 
 def load_tabulated(source: str | TextIO) -> Tabulated:

@@ -7,11 +7,12 @@ plain dense scan for maximization, the scalar-loop grid scan that
 which that change left as they were), the ``(model, f)`` rate
 formulas and control objective that the bound rate kernels replaced, and
 the tracked refresh as it was before it learned the capped plateau's
-right edge, and the Python double loop that scored ``verify_pmp``'s
-probes before it became one numpy pass.  Two references wrap package internals that only tests use:
-one exact constant-control step, and the adaptive stepper replaying a
-recorded schedule, which the closed-form robustness replay is checked
-against.
+right edge, the Python double loop that scored ``verify_pmp``'s
+probes before it became one numpy pass, and the table writer's per-cell
+rule from before it wrote in blocks and formatted each cell once.  Two
+references wrap package internals that only tests use: one exact
+constant-control step, and the adaptive stepper replaying a recorded
+schedule, which the closed-form robustness replay is checked against.
 """
 
 from __future__ import annotations
@@ -333,3 +334,8 @@ def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6)
         violation_t_us=worst_t,
         violation_f_ghz=worst_f,
     )
+
+
+def reference_table(header: str, rows) -> str:
+    """A CSV table as the writer's per-cell rule gives it, one row at a time."""
+    return header + "\n" + "".join(",".join(repr(float(c)) for c in row) + "\n" for row in rows)

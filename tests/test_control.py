@@ -392,6 +392,32 @@ def test_tracked_protected_reaches_precision_in_few_steps(temperature_mK, log_ep
     assert trajectory.termination == "precision"
 
 
+TENT = Tabulated(((2.0, 0.25), (5.2, 3.0), (8.0, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "model, cap",
+    [
+        (Lorentzian(), 1.0e6),
+        (Protected(), 1.0e6),  # the pole's capped plateau
+        (Protected(), 1.0e3),  # a plateau several grid points wide
+        (Mixed(), 1.0e6),
+        (JQF(), 1.0e6),
+        (TENT, 1.0e6),
+        (Lorentzian(), None),
+    ],
+    ids=["lz", "prot", "prot-wide", "mix", "jqf", "tent", "lz-uncapped"],
+)
+def test_global_runtime_grid_matches_the_refresh_without_it(model, cap, env10, bounds):
+    # The bound global law takes the scan grid's capped rates and p_eq once;
+    # each refresh must still return exactly the frequency the full scan does.
+    numerics = Numerics(rate_cap_per_us=cap)
+    runtime = TimeLocalOptimal(mode="global").bind(model, env10, bounds, numerics)
+    for p_e in np.geomspace(bounds.epsilon * 1.001, 0.5, 50).tolist():
+        want = optimal_frequency(p_e, model, env10, bounds, rate_cap=cap, near=None)
+        assert runtime.frequency(p_e, 0.0, None) == want, p_e
+
+
 @pytest.mark.parametrize("kind", ["lz", "mix", "jqf"])
 def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     kind, env10, bounds, monkeypatch

@@ -21,13 +21,16 @@ from qreset import (
     QubitState,
     Tabulated,
     TimeLocalOptimal,
+    Trajectory,
     decoherence_factor,
     equilibrium_population,
     eval_rate,
     integrate_restore,
+    schedule_to_csv,
     thermal_ratio,
 )
-from helpers import chained_exponential_population, step_constant
+from helpers import chained_exponential_population, reference_table, step_constant
+from qreset.spectra import WRITE_BLOCK_ROWS
 
 FLAT = Tabulated(((2.0, 1.0), (8.0, 1.0)))
 SILENT = Tabulated(((2.0, 0.0), (8.0, 0.0)))
@@ -285,6 +288,39 @@ def test_time_limit_termination():
     )
     assert trajectory.termination == "time_limit"
     assert trajectory.t_us[-1] == pytest.approx(1.0)
+
+
+_B = WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_trajectory_and_schedule_tables_match_the_per_cell_rule(n):
+    # Each cell is formatted once, a block of rows at a time, for both
+    # tables; the bytes must be the per-cell rule's on either side of a
+    # block boundary, including cells whose repr is not a plain decimal.
+    rng = np.random.default_rng(n)
+    odd = [-0.0, 1e-05, 1e16, math.inf, 0.0, 5e-324]
+    columns = [rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-20, 20, n) for _ in range(7)]
+    for k, column in enumerate(columns):
+        column[: len(odd)] = np.roll(odd, k)[: min(n, len(odd))]
+    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
+    trajectory = Trajectory(
+        **dict(zip(names, columns)), tau_st_us=1.0, termination="precision", epsilon=1e-5
+    )
+    table, schedule = io.StringIO(), io.StringIO()
+    trajectory.to_csv(table, schedule)
+    rows = list(zip(*(column.tolist() for column in columns)))
+    held = max(n - 1, 1)
+    assert table.getvalue() == reference_table("t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq", rows)
+    assert schedule.getvalue() == reference_table("t_us,f_GHz", [r[:2] for r in rows[:held]])
+    lines = table.getvalue().splitlines()
+    assert schedule.getvalue().splitlines() == [
+        ",".join(line.split(",")[:2]) for line in lines[: held + 1]
+    ]
+    alone, replayable = io.StringIO(), io.StringIO()
+    trajectory.to_csv(alone)
+    schedule_to_csv(trajectory.schedule(), replayable)
+    assert (alone.getvalue(), replayable.getvalue()) == (table.getvalue(), schedule.getvalue())
 
 
 def test_trajectory_csv_export(default_runs):
