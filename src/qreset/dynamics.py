@@ -11,7 +11,7 @@ the rate (which spans many orders of magnitude across spectra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol, TextIO
 
 import numpy as np
@@ -96,6 +96,10 @@ class Numerics:
                 continue
             if value is None or not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
+        for name in ("grid_points", "step_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"numerics.{name} must be an integer, got {value!r}")
         if not 3 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"numerics.grid_points must be in [3, {MAX_GRID_POINTS}], got {self.grid_points!r}"
@@ -141,8 +145,9 @@ class Trajectory:
     Samples are taken at the start of every constant-control segment plus
     one terminal row; the frequency in row k is held on
     ``[t[k], t[k+1])``, and the terminal row repeats the frequency that
-    was held into the final time.  The columns of a run or a replay are
-    read-only: its ledger, costate and later replays read them.
+    was held into the final time.  Each column is frozen into a read-only
+    float array (an ndarray in place): a trajectory's ledger, costate and
+    later replays read them.
     """
 
     t_us: np.ndarray
@@ -155,6 +160,12 @@ class Trajectory:
     tau_st_us: float
     termination: str
     epsilon: float
+
+    def __post_init__(self) -> None:
+        for field in fields(self)[:7]:
+            column = np.asarray(getattr(self, field.name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, field.name, column)
 
     @property
     def terminal_state(self) -> QubitState:
@@ -178,13 +189,6 @@ class Trajectory:
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
         lead = None if schedule is None else (schedule, max(self.n_samples - 1, 1))
         _write_rows(stream, "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq", _column_rows(cols), lead)
-
-
-def _read_only(column: list[float] | np.ndarray) -> np.ndarray:
-    """``column`` as an array whose assignment raises ``ValueError``; an ndarray in place."""
-    array = np.asarray(column)
-    array.setflags(write=False)
-    return array
 
 
 def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
@@ -232,7 +236,9 @@ def integrate_restore(
     With ``t_final=None`` the run terminates when the population crosses
     the reset precision ``bounds.epsilon`` (located in closed form within
     the final segment); otherwise it runs open loop up to ``t_final``
-    exactly, which is how deviation studies replay recorded schedules.
+    exactly.  That mode serves ``t_final`` callers and is the stepper
+    reference that ``tests/helpers.stepper_replay`` checks the closed-form
+    replay of ``robustness.Baseline`` against.
 
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
@@ -277,34 +283,15 @@ def integrate_restore(
     else:
         t_stop = t_final
 
-    ts: list[float] = []
-    fs: list[float] = []
-    pes: list[float] = []
-    prs: list[float] = []
-    pis: list[float] = []
-    rates: list[float] = []
-    peqs: list[float] = []
-
-    def record(t: float, f: float, pe: float, pr: float, pi: float, rate: float, peq: float) -> None:
-        ts.append(t)
-        fs.append(f)
-        pes.append(pe)
-        prs.append(pr)
-        pis.append(pi)
-        rates.append(rate)
-        peqs.append(peq)
-
+    # One sample per row: the seven Trajectory columns, in order.
+    samples: list[float] = []
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
-    f: float | None = None
-    f_next: float | None = None
     dt_drift_hint = math.inf
+    f = runtime.frequency(pe, t, None)
 
     while True:
-        # A refresh is anchored at the frequency of the previous segment.
-        f = f_next if f_next is not None else runtime.frequency(pe, t, f)
-        f_next = None
         rate = rate_at(f)
         if rate == math.inf:
             raise InfiniteRateError(
@@ -314,7 +301,7 @@ def integrate_restore(
         e = math.exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
-        record(t, f, pe, pr, pi, rate, peq)
+        samples += (t, f, pe, pr, pi, rate, peq)
 
         # The horizon outranks the step limit, which outranks the time limit.
         at_stop = t >= t_stop
@@ -345,7 +332,7 @@ def integrate_restore(
                 _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
                 pe = eps
                 tau = t + dt_cross
-                record(tau, f, pe, pr, pi, rate, peq)
+                samples += (tau, f, pe, pr, pi, rate, peq)
                 termination = "precision"
                 break
 
@@ -367,6 +354,8 @@ def integrate_restore(
             pe, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt)
             t = snap_to
             steps += 1
+            # A refresh is anchored at the frequency of the previous segment.
+            f = runtime.frequency(pe, t, f)
             continue
 
         # Free step: shrink it if the control would move too fast.  A move
@@ -384,8 +373,8 @@ def integrate_restore(
             dt *= max(0.25, 0.8 * drift_cap / df)
             retries += 1
 
-        pe, pr, pi, t = pe2, pr2, pi2, t + dt
-        f_next = f_probe
+        # The accepted probe is the refresh at the new state.
+        pe, pr, pi, t, f = pe2, pr2, pi2, t + dt, f_probe
         steps += 1
         dt_floor = 1.0e-3 * (numerics.step_log_bound / rate) if rate > 0.0 else dt
         if df > 0.0:
@@ -393,18 +382,8 @@ def integrate_restore(
         else:
             dt_drift_hint = dt_drift_hint * 2.0
 
-    return Trajectory(
-        t_us=_read_only(ts),
-        f_ghz=_read_only(fs),
-        p_e=_read_only(pes),
-        p_r=_read_only(prs),
-        p_i=_read_only(pis),
-        rate_per_us=_read_only(rates),
-        p_eq=_read_only(peqs),
-        tau_st_us=tau,
-        termination=termination,
-        epsilon=eps,
-    )
+    columns = np.reshape(samples, (-1, 7)).T
+    return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 
 
 class DecoherenceFactor:

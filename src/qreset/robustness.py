@@ -28,7 +28,6 @@ from .dynamics import (
     QubitState,
     Trajectory,
     _advance,
-    _read_only,
     decoherence_factor,
     integrate_restore,
     staircase_integral,
@@ -153,6 +152,8 @@ class Baseline:
         Rows are the breakpoints before ``t_final_us`` plus a terminal row,
         which holds the frequency in force at ``t_final_us``.
         """
+        if not (math.isfinite(t_final_us) and t_final_us >= 0.0):
+            raise ValueError(f"t_final_us must be finite and >= 0, got {t_final_us!r}")
         rows = int(np.searchsorted(self._t_us, t_final_us, side="left"))
         k = int(np.searchsorted(self._t_us, t_final_us, side="right")) - 1
         p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
@@ -163,17 +164,11 @@ class Baseline:
         rate, p_eq, f = float(self._rate_per_us[k]), float(self._p_eq[k]), float(self._f_ghz[k])
         dt = t_final_us - float(self._t_us[k])
         end = _advance(float(p_e[k]), float(p_r[k]), float(p_i[k]), rate, p_eq, f, dt)
+        held = (self._t_us, self._f_ghz, p_e, p_r, p_i, self._rate_per_us, self._p_eq)
+        terminal = (t_final_us, f, *end, rate, p_eq)
+        columns = (np.append(col[:rows], last) for col, last in zip(held, terminal))
         return Trajectory(
-            t_us=_read_only(np.append(self._t_us[:rows], t_final_us)),
-            f_ghz=_read_only(np.append(self._f_ghz[:rows], f)),
-            p_e=_read_only(np.append(p_e[:rows], end[0])),
-            p_r=_read_only(np.append(p_r[:rows], end[1])),
-            p_i=_read_only(np.append(p_i[:rows], end[2])),
-            rate_per_us=_read_only(np.append(self._rate_per_us[:rows], rate)),
-            p_eq=_read_only(np.append(self._p_eq[:rows], p_eq)),
-            tau_st_us=t_final_us,
-            termination="horizon",
-            epsilon=self.trajectory.epsilon,
+            *columns, tau_st_us=t_final_us, termination="horizon", epsilon=self.trajectory.epsilon
         )
 
 

@@ -288,18 +288,26 @@ def test_cmd_run_malformed_tabulated_spectrum_names_the_line(tmp_path, capsys):
     assert "line 3: expected 2 comma-separated fields" in err
 
 
-def test_cmd_run_replays_its_own_schedule(tmp_path, capsys):
+@pytest.mark.parametrize("spectrum, rows", [("lz", 218), ("mix", 10_979)])
+def test_cmd_run_replays_its_own_schedule(tmp_path, spectrum, rows):
     # A run's schedule.csv, read back as the control of a second run,
-    # reproduces the first run's precision time.
-    assert main(["run", "--scenario", "lz-default", "--out", str(tmp_path)]) == 0
-    (recorded,) = tmp_path.glob("lz-default-*/schedule.csv")
+    # reproduces the first run: its precision time, its work ledger and its
+    # rows, each breakpoint of the schedule refreshed on landing.
+    first = tmp_path / "first"
+    assert main(["run", "--scenario", f"{spectrum}-default", "--out", str(first)]) == 0
+    (recorded,) = first.glob("*/schedule.csv")
     config = tmp_path / "replay.json"
     config.write_text(
-        json.dumps({"spectrum": "lz", "control": f"schedule:{recorded}"}), encoding="utf-8"
+        json.dumps({"spectrum": spectrum, "control": f"schedule:{recorded}"}), encoding="utf-8"
     )
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-    first, replayed = capsys.readouterr().out.splitlines()
-    assert first.split()[1] == replayed.split()[1]  # tau_st_us
+    replayed = tmp_path / "replayed"
+    assert main(["run", "--config", str(config), "--out", str(replayed)]) == 0
+    reports = [json.loads(next(out.glob("*/report.json")).read_text()) for out in (first, replayed)]
+    assert reports[1]["tau_st"] == pytest.approx(reports[0]["tau_st"], rel=1e-12, abs=0.0)
+    assert reports[1]["W_ex_norm"] == reports[0]["W_ex_norm"]
+    for out in (first, replayed):
+        table = next(out.glob("*/trajectory.csv")).read_text().splitlines()
+        assert len(table) == 1 + rows  # the header, then one line per sample
 
 
 @pytest.mark.parametrize("command", ["run", "fig4"])

@@ -359,7 +359,11 @@ def test_trajectory_csv_export(default_runs):
         ("rate_cap_per_us", -1.0),
         ("rate_cap_per_us", math.inf),
         ("grid_points", 2),
+        ("grid_points", 4001.0),
+        ("grid_points", True),
         ("step_limit", 0),
+        ("step_limit", 2.5),
+        ("step_limit", True),
         ("step_log_bound", None),
         ("time_limit_t1", None),
     ],

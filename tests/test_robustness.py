@@ -18,6 +18,7 @@ from qreset import (
     QubitState,
     Tabulated,
     TimeLocalOptimal,
+    Trajectory,
     decoherence_factor,
     fidelity,
     fidelity_sweep,
@@ -220,12 +221,24 @@ def test_closed_form_replay_returns_the_recorded_rows(baselines):
 )
 def test_run_and_replay_columns_are_read_only(column, baselines):
     # The ledger, the costate and every later replay read these columns, so
-    # a write into a run or a replay fails instead of changing them.
+    # a write into any trajectory, a run, a replay or one built by hand from
+    # lists, fails instead of changing them.
     baseline = baselines["lz"]
     replay = run_deviation(PopulationDeviation(0.4), baseline).trajectory
-    for trajectory in (baseline.trajectory, replay):
+    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
+    by_hand = Trajectory(
+        **{name: [0.0, 1.0] for name in names}, tau_st_us=1.0, termination="horizon", epsilon=EPS
+    )
+    assert getattr(by_hand, column).dtype == np.float64
+    for trajectory in (baseline.trajectory, replay, by_hand):
         with pytest.raises(ValueError, match="read-only"):
             getattr(trajectory, column)[:] = 0.0
+
+
+@pytest.mark.parametrize("t_final_us", [-1.0, math.nan, math.inf])
+def test_propagate_rejects_an_invalid_end_time(t_final_us, baselines):
+    with pytest.raises(ValueError, match=f"t_final_us must be finite and >= 0, got {t_final_us!r}"):
+        baselines["lz"].propagate(QubitState(0.5), t_final_us)
 
 
 def test_no_deviation_reaches_target(baselines):
