@@ -25,7 +25,6 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -35,16 +34,17 @@ from .spectra import (
     ControlBounds,
     DEFAULT_GRID_POINTS,
     DEFAULT_RATE_CAP,
-    FloatOrArray,
     SpectrumModel,
     TableParseError,
     Tabulated,
     argmax_rate,
+    eval_rate,
     rate_fn,
     _cap_edge,
     _golden_max,
     _read_rows,
     _scan_max,
+    _window_grid,
     _write_rows,
 )
 from .thermo import Environment, equilibrium_population, thermal_ratio
@@ -102,31 +102,25 @@ def _objective(
     env: Environment,
     rate_cap: float | None,
     p_e: float,
-) -> Callable[[FloatOrArray], FloatOrArray]:
-    """``J(f) = rate(f) * (p_e - p_eq(f))`` in one closure: raw kernel, cap, gap."""
+) -> Callable[[float], float]:
+    """Float ``J(f) = rate(f) * (p_e - p_eq(f))`` in one closure; grids use ``_grid_terms``."""
     raw = model.rate_kernel
     cap = math.inf if rate_cap is None else rate_cap
     c = env.ratio_per_ghz
     exp = math.exp
 
-    def j(f: FloatOrArray) -> FloatOrArray:
-        try:
-            e = exp(-c * f)
-        except TypeError:  # an ndarray grid, or a global runtime's _grid_terms of one
-            _, r, q = f if isinstance(f, tuple) else _grid_terms(raw, cap, c, f)
-            return r * (p_e - q)
+    def j(f: float) -> float:
+        e = exp(-c * f)
         r = raw(f)
         return (cap if r > cap else r) * (p_e - e / (1.0 + e))
 
     return j
 
 
-def _grid_terms(raw: Callable, cap: float, c: float, fs: np.ndarray):
+def _grid_terms(model: SpectrumModel, env: Environment, rate_cap: float | None, fs: np.ndarray):
     """``(fs, capped rates, p_eq)`` on a grid: J's factors there that do not depend on p_e."""
-    with np.errstate(divide="ignore"):
-        rates = np.minimum(raw(fs), cap)
-    e = np.exp(-c * fs)
-    return fs, rates, e / (1.0 + e)
+    e = np.exp(-env.ratio_per_ghz * fs)
+    return fs, eval_rate(model, fs, rate_cap), e / (1.0 + e)
 
 
 def _plateau_right_edge(
@@ -158,10 +152,10 @@ def optimal_frequency(
 ) -> float:
     """Frequency maximizing the restoring objective for the current population.
 
-    With ``near=None`` the whole window is scanned (grid plus
-    golden-section refinement, ties toward smaller f); clipping to the
-    window is automatic because the scan never leaves it, and ``grid``,
-    these arguments' ``_grid_terms`` on its grid, saves retaking them.
+    With ``near=None`` the whole window is scanned: J on the
+    ``_window_grid`` (from ``grid``, these arguments' ``_grid_terms``
+    there, if given) picks the bracket that golden section refines, ties
+    toward smaller f, and the scan never leaves the window.
     Passing the previous frequency, or a prediction of the optimum, as
     ``near`` instead refines the local maximum of the same objective
     around it, which is how the tracked law follows a continuous extremal
@@ -180,12 +174,11 @@ def optimal_frequency(
     if not 0.0 < p_e <= 1.0:
         raise ValueError(f"p_e must lie in (0, 1], got {p_e!r}")
     j = _objective(model, env, rate_cap, p_e)
-    f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
 
     if near is None:
+        fs, rates, q = grid or _grid_terms(model, env, rate_cap, _window_grid(bounds, grid_points))
         cap_j = p_e * rate_cap if rate_cap is not None else None
-        scan = None if grid is None else (grid[0], j(grid))
-        f_best, v_best, _ = _scan_max(j, f_lo, f_hi, grid_points, cap_j, REFINE_TOL_GHZ, scan)
+        f_best, v_best, _ = _scan_max(j, fs, rates * (p_e - q), cap_j, REFINE_TOL_GHZ)
         if v_best <= 0.0:
             raise NoDescentError(
                 f"objective non-positive over the whole window at p_e={p_e!r};"
@@ -193,6 +186,7 @@ def optimal_frequency(
             )
         return f_best
 
+    f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     f = min(max(near, f_lo), f_hi)
     tol = TRACK_TOL_GHZ
     raw = None if rate_cap is None else model.rate_kernel
@@ -320,12 +314,10 @@ class _TimeLocalRuntime:
         self._predicts = not isinstance(model, Tabulated)
         self._reach = 2.0 * numerics.drift_cap(bounds)
         # Every global refresh scans one grid, so its _grid_terms are taken once.
-        self._refresh = optimal_frequency
+        self._grid = None
         if law.mode == "global":
-            fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, numerics.grid_points)
-            cap = math.inf if numerics.rate_cap_per_us is None else numerics.rate_cap_per_us
-            terms = _grid_terms(model.rate_kernel, cap, env.ratio_per_ghz, fs)
-            self._refresh = partial(optimal_frequency, grid=terms)
+            fs = _window_grid(bounds, numerics.grid_points)
+            self._grid = _grid_terms(model, env, numerics.rate_cap_per_us, fs)
 
     held_ghz = None
 
@@ -352,7 +344,7 @@ class _TimeLocalRuntime:
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
             if f_lo < guess < f_hi and abs(guess - near) <= self._reach:
                 near = guess
-        f = self._refresh(
+        f = optimal_frequency(
             p_e,
             self._model,
             self._env,
@@ -360,6 +352,7 @@ class _TimeLocalRuntime:
             grid_points=self._numerics.grid_points,
             rate_cap=rate_cap,
             near=near,
+            grid=self._grid,
         )
         if predicts:
             if f in (f_lo, f_hi):
@@ -552,11 +545,7 @@ def verify_pmp(
     costate = costate_along(trajectory, model, env)
     n = trajectory.n_samples
     indices = sorted(random.Random(PMP_SEED).sample(range(n), min(n, PMP_PROBE_TIMES)))
-    span = bounds.f_max_ghz - bounds.f_min_ghz
-    alts = [
-        bounds.f_min_ghz + i * span / (PMP_ALT_FREQUENCIES - 1)
-        for i in range(PMP_ALT_FREQUENCIES)
-    ]
+    alts = _window_grid(bounds, PMP_ALT_FREQUENCIES).tolist()
     # Scalar kernel calls: a grid call may differ from them by an ulp.
     alt_rates = np.array(list(map(rate_fn(model, rate_cap), alts)))
     alt_peqs = np.array([equilibrium_population(thermal_ratio(f, env)) for f in alts])

@@ -94,7 +94,8 @@ class Numerics:
             value = getattr(self, name)
             if value is None and name in ("rate_cap_per_us", "control_drift_ghz"):
                 continue
-            if value is None or not (math.isfinite(value) and value > 0.0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
         for name in ("grid_points", "step_limit"):
             value = getattr(self, name)

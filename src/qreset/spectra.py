@@ -12,14 +12,15 @@ with angular quantities internally, while the mixed model uses its
 published raw-number convention directly.
 
 Each spectrum has one rate kernel, written as elementwise arithmetic, so
-the same code evaluates a single float or a whole ``ndarray`` grid:
-``eval_rate`` and the evaluators from ``rate_fn`` accept either.  It is
-built once per model (``rate_kernel``, cached) with the constants folded
-in the formula's own left-to-right order, so hoisting them changes no
-bit; it neither caps nor checks f > 0.  Window scans (``_scan_max`` and
-the tables built on ``eval_rate``) evaluate their grid in one call; the
-scalar path, which the integrator and the tracked control refresh call
-millions of times, pays nothing for it.
+the same code evaluates a single float or a whole ``ndarray`` grid.  It
+is built once per model (``rate_kernel``, cached) with the constants
+folded in the formula's own left-to-right order, so hoisting them
+changes no bit; it neither caps nor checks f > 0.  The capped evaluators
+from ``rate_fn``, which the integrator and the tracked control refresh
+call millions of times, take floats only; ``eval_rate`` is the one
+capped-grid evaluator.  Every window scan evaluates one
+``_window_grid`` (``np.linspace`` over the window) in one call, and
+``_scan_max`` refines the values its caller computed there.
 numpy's vectorized ``exp`` and ``pow`` may differ from the C library's
 by an ulp, so a grid value can differ from the scalar value at the same
 frequency by that much; the scans use the grid only to pick an index.
@@ -162,7 +163,7 @@ class Protected(_KernelCache):
                 return RAD_PER_US_PER_GHZ * num / (f * span2 * (fr2 - f2) ** 2)
             except ZeroDivisionError:
                 # A float exactly at the pole.  A grid divides to IEEE inf there;
-                # its callers silence numpy's divide warning with np.errstate.
+                # eval_rate silences numpy's divide warning with np.errstate.
                 return math.inf
 
         return rate
@@ -323,36 +324,33 @@ def eval_rate(
     a pole inside the default window); pass ``None`` for the raw value.
     """
     try:
-        rate = rate_fn(model, rate_cap)
+        raw = model.rate_kernel
     except AttributeError:
         raise TypeError(f"unknown spectrum model {model!r}") from None
     if isinstance(f_ghz, np.ndarray):
         if not np.all(f_ghz > 0.0):
             raise SpectrumError("frequencies must be > 0")
         with np.errstate(divide="ignore"):
-            return rate(f_ghz)
+            return raw(f_ghz) if rate_cap is None else np.minimum(raw(f_ghz), rate_cap)
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
-    return rate(f_ghz)
+    return rate_fn(model, rate_cap)(f_ghz)
 
 
 def rate_fn(model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP) -> RateKernel:
     """The model's bound rate kernel with the cap applied (hot-loop form).
 
     Skips ``eval_rate``'s checks; callers must stay at f > 0 and inside
-    any tabulated domain.  It also takes an ndarray grid, for which the
-    caller silences numpy's divide warning.
+    any tabulated domain.  With a cap it takes floats only; grids go
+    through ``eval_rate``.
     """
     raw = model.rate_kernel
     if rate_cap is None:
         return raw
-    cap = rate_cap
 
-    def capped(f: FloatOrArray) -> FloatOrArray:
+    def capped(f: float) -> float:
         r = raw(f)
-        if isinstance(r, np.ndarray):
-            return np.minimum(r, cap)
-        return cap if r > cap else r
+        return rate_cap if r > rate_cap else r
 
     return capped
 
@@ -407,45 +405,42 @@ def _cap_edge(
     return on
 
 
-def _scan_max(
-    fn: Callable[[FloatOrArray], FloatOrArray],
-    f_lo: float,
-    f_hi: float,
-    grid_points: int,
-    cap: float | None,
-    tol: float,
-    grid: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float, bool]:
-    """Grid scan + golden refinement, ties broken toward smaller f.
-
-    ``fn`` evaluates the grid ``np.linspace(f_lo, f_hi, grid_points)`` in
-    one call (unless ``grid`` gives it and fn's values there) and single
-    points during refinement.  Returns (f*, value*, cap_hit).  A maximum on
-    a capped plateau with exact value ties returns the plateau's left edge.
-    """
+def _window_grid(bounds: ControlBounds, grid_points: int) -> np.ndarray:
+    """The window's scan grid: ``np.linspace`` over it, both ends exact."""
     if grid_points < 3:
         raise SpectrumError(f"grid needs >= 3 points, got {grid_points}")
-    fs, vals = grid or (np.linspace(f_lo, f_hi, grid_points), None)
-    if vals is None:
-        with np.errstate(divide="ignore"):
-            vals = fn(fs)
+    return np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, grid_points)
+
+
+def _scan_max(
+    fn: Callable[[float], float],
+    fs: np.ndarray,
+    vals: np.ndarray,
+    cap: float | None,
+    tol: float,
+) -> tuple[float, float, bool]:
+    """Golden refinement of a grid scan, ties broken toward smaller f.
+
+    ``vals`` are the caller's values of ``fn`` on ``fs``, a
+    ``_window_grid``; ``fn`` evaluates single points.  Returns (f*,
+    value*, cap_hit).  A maximum on a capped plateau with exact value
+    ties returns the plateau's left edge.
+    """
     best = int(np.argmax(vals))  # the first maximum: ties toward smaller f
-    # The grid only picks the index; the value is the scalar one, so the
-    # refinement below compares like with like.
+    # The grid only picks the index and its bracket, whose ends are the
+    # window's; the value is the scalar one, so the refinement below
+    # compares like with like.
     f_best = float(fs[best])
     v_best = fn(f_best)
-    cap_hit = cap is not None and v_best >= cap
-
-    if cap_hit:
+    a, b = float(fs[max(best - 1, 0)]), float(fs[min(best + 1, len(fs) - 1)])
+    if cap is not None and v_best >= cap:
         # Exact ties across the capped plateau: honor the smaller-f tie-break
         # by bisecting for the plateau's left edge.  Grid values never exceed
         # the cap and ``best`` is the first maximum, so the grid point to its
         # left is below the cap.
-        edge = _cap_edge(fn, float(fs[best - 1]), f_best, cap, tol) if best > 0 else f_lo
+        edge = _cap_edge(fn, a, f_best, cap, tol) if best > 0 else f_best
         return edge, v_best, True
 
-    a = float(fs[best - 1]) if best > 0 else f_lo
-    b = float(fs[best + 1]) if best < grid_points - 1 else f_hi
     if fn(a) == v_best and fn(b) == v_best:
         # Flat neighborhood (constant spectrum): keep the leftmost grid argmax.
         return f_best, v_best, False
@@ -453,8 +448,7 @@ def _scan_max(
     if cap is not None and v_ref >= cap:
         # Refinement climbed onto a capped plateau narrower than the grid
         # spacing; every grid value was below the cap, so fn(a) < cap.
-        edge = _cap_edge(fn, a, f_ref, cap, tol)
-        return edge, v_ref, True
+        return _cap_edge(fn, a, f_ref, cap, tol), v_ref, True
     if v_ref > v_best or (v_ref == v_best and f_ref < f_best):
         f_best, v_best = f_ref, v_ref
     return f_best, v_best, False
@@ -472,15 +466,10 @@ def argmax_rate(
     Dense grid scan followed by golden-section refinement in the best
     bracket; deterministic for a fixed grid, ties toward smaller f.
     """
-    f, rate, cap_hit = _scan_max(
-        lambda x: eval_rate(model, x, rate_cap),
-        bounds.f_min_ghz,
-        bounds.f_max_ghz,
-        grid_points,
-        rate_cap,
-        ARGMAX_TOL_GHZ,
-    )
-    return ArgmaxResult(f, rate, cap_hit)
+    fs = _window_grid(bounds, grid_points)
+    vals = eval_rate(model, fs, rate_cap)
+    fn = lambda x: eval_rate(model, x, rate_cap)  # noqa: E731
+    return ArgmaxResult(*_scan_max(fn, fs, vals, rate_cap, ARGMAX_TOL_GHZ))
 
 
 def coherence_time(
@@ -527,8 +516,7 @@ def guideline_report(
     rate_cp = eval_rate(model, bounds.f_cp_ghz, rate_cap)
     contrast = rate_cp / best.rate_per_us if best.rate_per_us > 0.0 else math.inf
 
-    step = (bounds.f_max_ghz - bounds.f_min_ghz) / (grid_points - 1)
-    fs = bounds.f_min_ghz + np.arange(grid_points) * step
+    fs = _window_grid(bounds, grid_points)
     mean_f = bounds.f_min_ghz + 0.5 * (bounds.f_max_ghz - bounds.f_min_ghz)
     df = fs - mean_f
     slope = float(df @ eval_rate(model, fs, rate_cap) / (df @ df))

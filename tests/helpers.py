@@ -235,6 +235,7 @@ def reference_optimal_frequency(
     grid_points=4001,
     rate_cap=1.0e6,
     near=None,
+    grid=None,
     window_ghz=0.02,
     refine_tol_ghz=1.0e-7,
     stencil_ghz=2.0e-4,
@@ -242,9 +243,9 @@ def reference_optimal_frequency(
     """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
 
     Accepts its signature, so a test can substitute it there for tracked
-    runs on the built-in analytic spectra; ``grid_points`` is ignored, and
-    the window, tolerance and stencil defaults are the package's
-    constants.  Parabolic steps from ``near`` come first; the window loop
+    runs on the built-in analytic spectra; ``grid_points`` and ``grid``
+    are ignored, and the window, tolerance and stencil defaults are the
+    package's constants.  Parabolic steps from ``near`` come first; the window loop
     of golden sections is the fallback.  The objective is looked up on
     ``qreset.control`` at call time, as the package does.
     """

@@ -24,8 +24,10 @@ from qreset import (
     QubitState,
     RefreshLimitError,
     ScheduleWindowError,
+    SpectrumError,
     Tabulated,
     TimeLocalOptimal,
+    argmax_rate,
     constant_restore_frequency,
     costate_along,
     equilibrium_population,
@@ -40,7 +42,7 @@ from qreset import (
 )
 import qreset.control
 from qreset.cli import CALIBRATION_NUMERICS
-from qreset.control import TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, _objective
+from qreset.control import TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, _grid_terms, _objective
 from qreset.spectra import ARGMAX_TOL_GHZ, _golden_max, _scan_max
 from helpers import (
     KERNEL_MODELS,
@@ -294,17 +296,17 @@ def test_time_local_mode_validation():
     fs=st.lists(st.floats(min_value=2.0, max_value=8.0), min_size=1, max_size=40),
 )
 def test_objective_accepts_a_grid(kind, p_e, fs):
-    # numpy's exp may differ from math.exp by an ulp; measured against the
-    # size of the terms, the grid and scalar objectives agree to a few ulps.
-    # The larger term of J = rate * (p_e - p_eq) is rate * p_eq where the
-    # thermal population exceeds p_e.
+    # On a grid J is the product of _grid_terms, as the global scan takes
+    # it.  numpy's exp may differ from math.exp by an ulp; measured against
+    # the size of the terms, it agrees with the scalar objective to a few
+    # ulps.  The larger term of J = rate * (p_e - p_eq) is rate * p_eq
+    # where the thermal population exceeds p_e.
     model = KERNEL_MODELS[kind]
     env = Environment(0.010)
     j = _objective(model, env, 1.0e6, p_e)
     grid = np.array(fs + [6.5])
-    with np.errstate(divide="ignore"):
-        values = j(grid)
-    assert isinstance(values, np.ndarray)
+    _, rates, q = _grid_terms(model, env, 1.0e6, grid)
+    values = rates * (p_e - q)
     for f, got in zip(grid.tolist(), values.tolist()):
         want = j(f)
         p_eq = equilibrium_population(env.ratio_per_ghz * f)
@@ -473,7 +475,7 @@ def test_tracked_refresh_lands_on_the_golden_maximum(kind, log_p_e, offset):
     j = _objective(model, env, None, p_e)
     # jqf's tracked branch stays below its filter dip.
     fs = np.linspace(f_lo, 5.0 if kind == "jqf" else f_hi, 6001)
-    k = int(np.argmax(j(fs)))
+    k = int(np.argmax([j(f) for f in fs.tolist()]))
     f_star, _ = _golden_max(j, fs[max(k - 1, 0)], fs[min(k + 1, fs.size - 1)], 1e-9)
     near = min(max(f_star + offset, f_lo), f_hi)
     lo, hi = max(f_lo, near - TRACK_WINDOW_GHZ), min(f_hi, near + TRACK_WINDOW_GHZ)
@@ -613,13 +615,54 @@ def test_tracked_refresh_fails_loudly_when_its_window_never_settles(
         optimal_frequency(0.5, Lorentzian(), env10, bounds, near=2.5)
 
 
+def test_parabolic_refresh_rechecks_a_wide_stencil_at_the_first_width(bounds, monkeypatch):
+    # A parabolic step longer than half the first stencil widens the next
+    # one; when that wide stencil accepts its point, the refresh re-checks
+    # it on the first width before returning.  This lz refresh does so, and
+    # probes J where the reference refresh does.
+    model, env = Lorentzian(), Environment(9.52733840972433e-3)
+    p_e, near = 4.8723014383320145e-5, 5.399872931279832
+    probes = []
+
+    def recorded(*args):
+        j = _objective(*args)
+        return lambda f: probes.append(f) or j(f)
+
+    monkeypatch.setattr(qreset.control, "_objective", recorded)
+    f = optimal_frequency(p_e, model, env, bounds, rate_cap=None, near=near)
+    n = len(probes)
+    assert f == reference_optimal_frequency(p_e, model, env, bounds, rate_cap=None, near=near)
+    assert probes[:n] == probes[n:]
+    j = _objective(model, env, None, p_e)
+    f_golden, _ = _golden_max(j, near - TRACK_WINDOW_GHZ, near + TRACK_WINDOW_GHZ, 1e-9)
+    assert abs(f - f_golden) <= TRACK_TOL_GHZ
+
+
+@pytest.mark.parametrize("grid_points", [2, 0, -1])
+def test_window_scans_reject_grids_below_three_points(grid_points, env10, bounds, monkeypatch):
+    # Checked before the grid is allocated (np.linspace would raise its own
+    # ValueError at -1 and return an empty grid at 0).
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(SpectrumError, match="grid needs >= 3 points"):
+        argmax_rate(Lorentzian(), bounds, grid_points=grid_points)
+    with pytest.raises(SpectrumError, match="grid needs >= 3 points"):
+        optimal_frequency(0.5, Lorentzian(), env10, bounds, grid_points=grid_points)
+
+
 @pytest.mark.parametrize("kind", ["lz", "prot", "mix", "jqf"])
 def test_global_scan_matches_scalar_loop(kind, env10, bounds):
+    # The scan refines J's grid values as the global refresh takes them.
     model = KERNEL_MODELS[kind]
+    fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 4001)
+    _, rates, q = _grid_terms(model, env10, 1.0e6, fs)
     for p_e in (0.5, 1e-2, 3e-4, 2e-5):
         j = _objective(model, env10, 1.0e6, p_e)
+        got = _scan_max(j, fs, rates * (p_e - q), p_e * 1.0e6, ARGMAX_TOL_GHZ)
         args = (bounds.f_min_ghz, bounds.f_max_ghz, 4001, p_e * 1.0e6, ARGMAX_TOL_GHZ)
-        assert _scan_max(j, *args) == scan_max_scalar_reference(j, *args)
+        assert got == scan_max_scalar_reference(j, *args)
 
 
 def test_constant_law_below_its_floor_fails_fast(env10):

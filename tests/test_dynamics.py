@@ -366,6 +366,11 @@ def test_trajectory_csv_export(default_runs):
         ("step_limit", True),
         ("step_log_bound", None),
         ("time_limit_t1", None),
+        ("step_log_bound", True),
+        ("time_limit_t1", True),
+        ("control_drift_ghz", True),
+        ("rate_cap_per_us", True),
+        ("step_log_bound", "0.05"),
     ],
 )
 def test_numerics_rejects_invalid_settings(field, value):

@@ -262,20 +262,18 @@ def _close_to_ulps(got: float, want: float, ulps: int) -> bool:
     fs=st.lists(st.floats(min_value=2.0, max_value=8.0), min_size=1, max_size=40),
 )
 def test_array_kernel_matches_scalar_kernel(kind, cap, fs):
-    # Both entry points, on a random in-window grid that also holds the
-    # protected pole f_r = 6.5 GHz exactly and the window edges.
+    # The grid evaluator against both float entry points, on a random
+    # in-window grid that also holds the protected pole f_r = 6.5 GHz
+    # exactly and the window edges.
     model = KERNEL_MODELS[kind]
     grid = np.array(fs + [2.0, 6.5, 8.0])
     evaluate = rate_fn(model, cap)
-    with np.errstate(divide="ignore"):
-        from_rate_fn = evaluate(grid)
     from_eval_rate = eval_rate(model, grid, cap)
-    assert isinstance(from_rate_fn, np.ndarray) and isinstance(from_eval_rate, np.ndarray)
-    for f, a, b in zip(grid.tolist(), from_rate_fn.tolist(), from_eval_rate.tolist()):
+    assert isinstance(from_eval_rate, np.ndarray)
+    for f, got in zip(grid.tolist(), from_eval_rate.tolist()):
         want = eval_rate(model, f, cap)
         assert evaluate(f) == want
-        assert _close_to_ulps(a, want, 4), (f, a, want)
-        assert _close_to_ulps(b, want, 4), (f, b, want)
+        assert _close_to_ulps(got, want, 4), (f, got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,7 +296,7 @@ def test_bound_kernel_equals_full_formula_exactly(kind, cap, f):
         assert eval_rate(model, x, cap) == want
     grid = np.array(points)
     with np.errstate(divide="ignore"):
-        assert np.array_equal(evaluate(grid), reference_rate(model, grid, cap))
+        assert np.array_equal(eval_rate(model, grid, cap), reference_rate(model, grid, cap))
 
 
 def test_rate_kernel_is_bound_once_per_model():
@@ -334,11 +332,10 @@ def test_scalar_kernels_return_python_floats():
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_capped_rate_fn_returns_an_array_for_any_grid_size(size):
-    # A one-element array compares to the cap without raising, so the
-    # capped evaluator must tell grids from floats by type.
+    # A one-element array compares to the cap without raising; the capped
+    # grid evaluator still returns an array, capped at the pole.
     grid = np.full(size, 6.5)
-    with np.errstate(divide="ignore"):
-        rates = rate_fn(Protected())(grid)
+    rates = eval_rate(Protected(), grid)
     assert isinstance(rates, np.ndarray)
     assert np.array_equal(rates, np.full(size, 1.0e6))
 
@@ -362,9 +359,10 @@ def test_array_eval_rate_checks_the_domain():
 )
 def test_scan_max_matches_scalar_loop_on_rate(kind, grid_points, bounds):
     model = KERNEL_MODELS[kind]
-    args = (bounds.f_min_ghz, bounds.f_max_ghz, grid_points, 1.0e6, ARGMAX_TOL_GHZ)
+    fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, grid_points)
     fn = lambda f: eval_rate(model, f)  # noqa: E731
-    got = _scan_max(fn, *args)
+    got = _scan_max(fn, fs, eval_rate(model, fs), 1.0e6, ARGMAX_TOL_GHZ)
+    args = (bounds.f_min_ghz, bounds.f_max_ghz, grid_points, 1.0e6, ARGMAX_TOL_GHZ)
     assert got == scan_max_scalar_reference(fn, *args)
     assert all(type(x) in (float, bool) for x in got)
     assert argmax_rate(model, bounds, grid_points=grid_points) == got
