@@ -45,7 +45,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _column_rows, _write_rows
+from .spectra import ControlBounds, SpectrumError, eval_rate, _write_columns
 from .thermo import LN2
 
 __all__ = [
@@ -63,9 +63,9 @@ def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, header, rows)
+        _write_columns(fh, header, columns)
 
 
 def _run_dir(out_dir: Path, scenario: Scenario) -> Path:
@@ -93,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / "config.json", scenario.to_dict())
     if args.format == "csv":
-        _write_csv(run_dir / "report.csv", _REPORT_HEADER, [astuple(report)])
+        _write_csv(run_dir / "report.csv", _REPORT_HEADER, [[v] for v in astuple(report)])
     else:
         _write_json(run_dir / "report.json", report_to_dict(report))
     with open(run_dir / "trajectory.csv", "w", encoding="utf-8") as fh:
@@ -162,10 +162,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for key, scenario in keyed:
             model, env, bounds, law, numerics = scenario.build(base_dir)
             _, traj = run_reset(model, env, bounds, law, numerics)
-            control = _column_rows((traj.t_us, traj.p_e, traj.f_ghz))
+            control = (traj.t_us, traj.p_e, traj.f_ghz)
             _write_csv(out_dir / f"fig2_control_{key}.csv", "t_us,p_e,f_GHz", control)
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
-            spectrum = _column_rows((grid, eval_rate(model, grid, numerics.rate_cap_per_us)))
+            spectrum = (grid, eval_rate(model, grid, numerics.rate_cap_per_us))
             _write_csv(out_dir / f"fig2_spectrum_{key}.csv", "f_GHz,rate_per_us", spectrum)
         return 0
 
@@ -174,12 +174,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
         terminals = []
         for key, scenario in keyed:
             report, traj = _execute(scenario, base_dir)
-            t_us, p_e = traj.t_us.tolist(), traj.p_e.tolist()
             idx = _decimate_indices(traj.n_samples, 2000)
-            rows = [(t_us[k], t_us[k] / report.T1, p_e[k]) for k in idx]
-            _write_csv(out_dir / f"fig3a_{key}.csv", "t_us,t_over_T1,p_e", rows)
-            terminals.append((key, t_us[-1], report.tau_st_over_T1, p_e[-1]))
-        _write_csv(out_dir / "fig3a_terminals.csv", "spectrum,t_us,t_over_T1,p_e", terminals)
+            t_us = traj.t_us[idx]
+            columns = (t_us, t_us / report.T1, traj.p_e[idx])
+            _write_csv(out_dir / f"fig3a_{key}.csv", "t_us,t_over_T1,p_e", columns)
+            terminals.append((key, traj.t_us[-1], report.tau_st_over_T1, traj.p_e[-1]))
+        header = "spectrum,t_us,t_over_T1,p_e"
+        _write_csv(out_dir / "fig3a_terminals.csv", header, list(zip(*terminals)))
         return 0
 
     if which == "fig3b":
@@ -189,9 +190,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
             flag = str(report.t1_infinite).lower()
             points.append((key, report.T_reset / report.T1, report.W_ex_norm, flag))
         header = "spectrum,T_reset_over_T1,W_ex_norm,t1_infinite"
-        _write_csv(out_dir / "fig3b_points.csv", header, points)
-        xs = np.logspace(-3, 1, 121).tolist()
-        bound = [(x, thermodynamic_length_bound(x) / LN2) for x in xs]
+        _write_csv(out_dir / "fig3b_points.csv", header, list(zip(*points)))
+        xs = np.logspace(-3, 1, 121)
+        bound = (xs, [thermodynamic_length_bound(x) / LN2 for x in xs.tolist()])
         _write_csv(out_dir / "fig3b_bound.csv", "T_reset_over_T1,W_TL_norm", bound)
         return 0
 
@@ -253,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         report, _ = _execute(replace(scenario, **{name: float(value)}), _config_base_dir(args))
         rows.append((value, *astuple(report)))
     path = out_dir / f"sweep_{scenario.name}_{name}.csv"
-    _write_csv(path, f"{name},{_REPORT_HEADER}", rows)
+    _write_csv(path, f"{name},{_REPORT_HEADER}", list(zip(*rows)))
     print(f"wrote {path}")
     return 0
 
@@ -446,12 +447,12 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     cap = numerics.rate_cap_per_us
     rates = [eval_rate(_SPECTRUM_CLASSES[k](), fs, cap) for k in _SPECTRUM_KINDS]
     header = "f_GHz," + ",".join(_SPECTRUM_KINDS)
-    rows = np.column_stack((fs, *rates)).tolist()
+    columns = (fs, *rates)
     if args.out:
-        _write_csv(Path(args.out), header, rows)
+        _write_csv(Path(args.out), header, columns)
         print(f"wrote {args.out}")
     else:
-        _write_rows(sys.stdout, header, rows)
+        _write_columns(sys.stdout, header, columns)
     return 0
 
 

@@ -45,7 +45,7 @@ from .spectra import (
     _read_rows,
     _scan_max,
     _window_grid,
-    _write_rows,
+    _write_columns,
 )
 from .thermo import Environment, equilibrium_population, thermal_ratio
 
@@ -286,6 +286,8 @@ class TimeLocalOptimal:
 
 
 class _TimeLocalRuntime:
+    # Each refresh is one optimal_frequency call, and each builds its J with
+    # _objective: the benchmark's tracer counts refreshes and evaluations there.
     def __init__(
         self,
         law: TimeLocalOptimal,
@@ -294,11 +296,11 @@ class _TimeLocalRuntime:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> None:
-        self._law = law
-        self._model = model
-        self._env = env
-        self._bounds = bounds
-        self._numerics = numerics
+        self._problem = (model, env, bounds)
+        self._f_lo, self._f_hi = bounds.f_min_ghz, bounds.f_max_ghz
+        self._grid_points = numerics.grid_points
+        self._cap = numerics.rate_cap_per_us
+        self._tracked = law.mode == "tracked"
         # The cap the tracked refresh applies.  Where the start scan finds
         # the rate below it across the window it cannot bind, so it is left
         # out, and with it the plateau checks, so that every refresh takes
@@ -315,51 +317,41 @@ class _TimeLocalRuntime:
         self._reach = 2.0 * numerics.drift_cap(bounds)
         # Every global refresh scans one grid, so its _grid_terms are taken once.
         self._grid = None
-        if law.mode == "global":
+        if not self._tracked:
             fs = _window_grid(bounds, numerics.grid_points)
             self._grid = _grid_terms(model, env, numerics.rate_cap_per_us, fs)
 
     held_ghz = None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        near, rate_cap = None, self._numerics.rate_cap_per_us
-        if self._law.mode == "tracked":
-            if f_anchor is None:
-                start = argmax_rate(
-                    self._model,
-                    self._bounds,
-                    grid_points=self._numerics.grid_points,
-                    rate_cap=rate_cap,
-                )
-                f_anchor = start.f_ghz
-                if not start.cap_hit:
-                    self._tracked_cap = None
-            near, rate_cap = f_anchor, self._tracked_cap
-        predicts = near is not None and rate_cap is None and self._predicts
-        f_lo, f_hi = self._bounds.f_min_ghz, self._bounds.f_max_ghz
-        if predicts and len(self._history) == 3:
-            (p0, f0), (p1, f1), (p2, f2) = self._history
+        grid_points = self._grid_points
+        if not self._tracked:
+            return optimal_frequency(
+                p_e, *self._problem, grid_points=grid_points, rate_cap=self._cap, grid=self._grid
+            )
+        if f_anchor is None:  # the run's first refresh starts from the rate argmax
+            model, _, bounds = self._problem
+            start = argmax_rate(model, bounds, grid_points=grid_points, rate_cap=self._cap)
+            f_anchor = start.f_ghz
+            if not start.cap_hit:
+                self._tracked_cap = None
+        near, rate_cap = f_anchor, self._tracked_cap
+        predicts = rate_cap is None and self._predicts
+        history = self._history
+        if predicts and len(history) == 3:
+            (p0, f0), (p1, f1), (p2, f2) = history
             d21 = (f2 - f1) / (p2 - p1)
             d210 = (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0)
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
-            if f_lo < guess < f_hi and abs(guess - near) <= self._reach:
+            if self._f_lo < guess < self._f_hi and abs(guess - near) <= self._reach:
                 near = guess
-        f = optimal_frequency(
-            p_e,
-            self._model,
-            self._env,
-            self._bounds,
-            grid_points=self._numerics.grid_points,
-            rate_cap=rate_cap,
-            near=near,
-            grid=self._grid,
-        )
+        f = optimal_frequency(p_e, *self._problem, rate_cap=rate_cap, near=near)
         if predicts:
-            if f in (f_lo, f_hi):
-                self._history.clear()
+            if f == self._f_lo or f == self._f_hi:
+                history.clear()
             elif f != near:
-                kept = [h for h in self._history[-2:] if h[0] != p_e]
-                self._history = kept + [(p_e, f)]
+                history[:] = [h for h in history[-2:] if h[0] != p_e]
+                history.append((p_e, f))
         return f
 
     def next_transition_after(self, t_us: float) -> float | None:
@@ -447,7 +439,7 @@ ControlLaw = TimeLocalOptimal | ConstantAtPeak | FixedSchedule
 
 
 def schedule_to_csv(schedule: Iterable[tuple[float, float]], stream: TextIO) -> None:
-    _write_rows(stream, "t_us,f_GHz", schedule)
+    _write_columns(stream, "t_us,f_GHz", list(zip(*schedule)))
 
 
 def schedule_from_csv(stream: TextIO) -> FixedSchedule:

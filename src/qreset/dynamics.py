@@ -16,8 +16,8 @@ from typing import Protocol, TextIO
 
 import numpy as np
 
-from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _column_rows
-from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn, _write_rows
+from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _write_columns
+from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn
 from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
 
 __all__ = [
@@ -189,7 +189,7 @@ class Trajectory:
         """Write the rows; ``schedule`` gets ``schedule()``'s table from the same text."""
         cols = (self.t_us, self.f_ghz, self.p_e, self.p_r, self.p_i, self.rate_per_us, self.p_eq)
         lead = None if schedule is None else (schedule, max(self.n_samples - 1, 1))
-        _write_rows(stream, "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq", _column_rows(cols), lead)
+        _write_columns(stream, "t_us,f_GHz,p_e,p_r,p_i,rate_per_us,p_eq", cols, lead)
 
 
 def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
@@ -237,9 +237,9 @@ def integrate_restore(
     With ``t_final=None`` the run terminates when the population crosses
     the reset precision ``bounds.epsilon`` (located in closed form within
     the final segment); otherwise it runs open loop up to ``t_final``
-    exactly.  That mode serves ``t_final`` callers and is the stepper
-    reference that ``tests/helpers.stepper_replay`` checks the closed-form
-    replay of ``robustness.Baseline`` against.
+    exactly, which must be finite and >= 0.  That mode serves ``t_final``
+    callers and is the stepper reference that ``tests/helpers.stepper_replay``
+    checks the closed-form replay of ``robustness.Baseline`` against.
 
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
@@ -252,6 +252,8 @@ def integrate_restore(
     """
     eps = bounds.epsilon
     precision_mode = t_final is None
+    if not (precision_mode or (math.isfinite(t_final) and t_final >= 0.0)):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
     if precision_mode and initial.p_e <= eps:
         raise ValueError(f"initial p_e={initial.p_e!r} must exceed epsilon={eps!r}")
     if (
@@ -269,6 +271,9 @@ def integrate_restore(
     drift_cap = numerics.drift_cap(bounds)
     rate_at = rate_fn(model, numerics.rate_cap_per_us)
     ratio_c = env.ratio_per_ghz
+    # Looked up once per run: the loop below runs once per sample.
+    refresh, next_transition, exp = runtime.frequency, runtime.next_transition_after, math.exp
+    step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
     if precision_mode and runtime.held_ghz is not None:
         floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
         if floor >= eps:
@@ -290,7 +295,7 @@ def integrate_restore(
     t = 0.0
     steps = 0
     dt_drift_hint = math.inf
-    f = runtime.frequency(pe, t, None)
+    f = refresh(pe, t, None)
 
     while True:
         rate = rate_at(f)
@@ -299,14 +304,14 @@ def integrate_restore(
                 f"rate at f={f!r} GHz is infinite with no rate cap: the state"
                 " would jump to equilibrium in zero time"
             )
-        e = math.exp(-ratio_c * f)
+        e = exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
         samples += (t, f, pe, pr, pi, rate, peq)
 
         # The horizon outranks the step limit, which outranks the time limit.
         at_stop = t >= t_stop
-        if steps >= numerics.step_limit and (precision_mode or not at_stop):
+        if steps >= step_limit and (precision_mode or not at_stop):
             termination, tau = "step_limit", t
             break
         if at_stop:
@@ -318,8 +323,8 @@ def integrate_restore(
                 " the precision target is unreachable from here"
             )
 
-        t_bp = runtime.next_transition_after(t)
-        dt_free = numerics.step_log_bound / rate if rate > 0.0 else math.inf
+        t_bp = next_transition(t)
+        dt_free = log_bound / rate if rate > 0.0 else math.inf
         dt_free = min(dt_free, dt_drift_hint)
 
         # Terminal crossing within the upcoming segment, in closed form.
@@ -356,7 +361,7 @@ def integrate_restore(
             t = snap_to
             steps += 1
             # A refresh is anchored at the frequency of the previous segment.
-            f = runtime.frequency(pe, t, f)
+            f = refresh(pe, t, f)
             continue
 
         # Free step: shrink it if the control would move too fast.  A move
@@ -366,7 +371,7 @@ def integrate_restore(
         df_prev = math.inf
         while True:
             pe2, pr2, pi2 = _advance(pe, pr, pi, rate, peq, f, dt)
-            f_probe = runtime.frequency(pe2, t + dt, f)
+            f_probe = refresh(pe2, t + dt, f)
             df = abs(f_probe - f)
             if df <= 2.0 * drift_cap or retries >= 60 or df >= 0.9 * df_prev:
                 break
@@ -377,7 +382,7 @@ def integrate_restore(
         # The accepted probe is the refresh at the new state.
         pe, pr, pi, t, f = pe2, pr2, pi2, t + dt, f_probe
         steps += 1
-        dt_floor = 1.0e-3 * (numerics.step_log_bound / rate) if rate > 0.0 else dt
+        dt_floor = 1.0e-3 * (log_bound / rate) if rate > 0.0 else dt
         if df > 0.0:
             dt_drift_hint = max(min(dt * drift_cap / df, dt * 2.0), dt_floor)
         else:
@@ -395,6 +400,8 @@ class DecoherenceFactor:
         self._cum = cum_rate
 
     def __call__(self, t_us: float) -> float:
+        if math.isnan(t_us):
+            raise ValueError(f"eta(t) needs a time, got t_us={t_us!r}")
         if t_us <= self._t[0]:
             return 1.0
         if t_us >= self._t[-1]:

@@ -33,7 +33,7 @@ from .dynamics import (
     staircase_integral,
 )
 from .reset import _require_achievable, _require_precision
-from .spectra import ControlBounds, SpectrumModel, _column_rows, _write_rows
+from .spectra import ControlBounds, SpectrumModel, _write_columns
 from .thermo import Environment, RAD_PER_US_PER_GHZ
 
 __all__ = [
@@ -317,7 +317,7 @@ class SweepCurve:
 
     def to_csv(self, stream: TextIO) -> None:
         cols = (self.deviation, self.fidelity, self.final_p_e, self.final_coh_abs)
-        _write_rows(stream, "deviation_value,fidelity,final_p_e,final_coh_abs", _column_rows(cols))
+        _write_columns(stream, "deviation_value,fidelity,final_p_e,final_coh_abs", cols)
 
 
 _AXES = ("population", "coherence", "control_time")

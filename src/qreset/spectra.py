@@ -32,7 +32,6 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, NamedTuple, TextIO, TypeVar, Union
 
 import numpy as np
@@ -303,11 +302,12 @@ class ControlBounds:
                 f"lower frequency bound must be > 0, got {self.f_min_ghz!r}"
             )
 
-    @property
+    # Read at every refresh, so cached; replace() builds a fresh instance.
+    @cached_property
     def f_min_ghz(self) -> float:
         return self.f_cp_ghz - self.delta_f_ghz
 
-    @property
+    @cached_property
     def f_max_ghz(self) -> float:
         return self.f_cp_ghz + self.delta_f_ghz
 
@@ -565,34 +565,33 @@ def _read_rows(source: str | TextIO, header: str, error: type[TableParseError]):
         yield line_no, x, y
 
 
-def _column_rows(columns):
-    """Rows of equal-length numpy ``columns``, as floats, converted a block at a time."""
-    for i in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        yield from zip(*(col[i : i + WRITE_BLOCK_ROWS].tolist() for col in columns))
+def _column_cells(column) -> list[str]:
+    """A column's cells as text: a float64 array at once, else one cell at a time."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return [c if isinstance(c, str) else repr(float(c)) for c in column]
 
 
-def _write_rows(stream: TextIO, header: str, rows, lead=None) -> None:
-    """Write ``header``, then one comma-separated line per row, in blocks of rows.
+def _write_columns(stream: TextIO, header: str, columns, lead=None) -> None:
+    """Write ``header``, then one comma-separated line per row of equal-length ``columns``.
 
     A ``str`` cell is written as given; any other cell as
     ``repr(float(cell))``, which ``float`` and ``_read_rows`` read back
-    exactly.  ``repr`` is most of the cost, so ``lead``, a ``(stream, n)``
-    pair, gets the table's first two columns, header and first ``n`` rows,
-    from the same text.
+    exactly.  ``repr`` is most of the cost, so the cells are formatted a
+    column of a block of ``WRITE_BLOCK_ROWS`` rows at a time, and
+    ``lead``, a ``(stream, n)`` pair, gets the table's first two columns,
+    header and first ``n`` rows, from the same text.
     """
     stream.write(header + "\n")
     out, n = lead or (None, 0)
     if out is not None:
         out.write(",".join(header.split(",")[:2]) + "\n")
-    rows = iter(rows)
-    while block := [
-        [c if isinstance(c, str) else repr(float(c)) for c in row]
-        for row in islice(rows, WRITE_BLOCK_ROWS)
-    ]:
-        stream.write("\n".join(map(",".join, block)) + "\n")
-        if n > 0:
-            out.write("".join([f"{cells[0]},{cells[1]}\n" for cells in block[:n]]))
-            n -= len(block)
+    for i in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK_ROWS):
+        cells = [_column_cells(col[i : i + WRITE_BLOCK_ROWS]) for col in columns]
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if n > i:
+            held = zip(cells[0][: n - i], cells[1][: n - i])
+            out.write("\n".join(map(",".join, held)) + "\n")
 
 
 def load_tabulated(source: str | TextIO) -> Tabulated:
@@ -614,5 +613,5 @@ def load_tabulated(source: str | TextIO) -> Tabulated:
 def dump_tabulated(model: Tabulated) -> str:
     """Serialize a tabulated spectrum; round-trips exactly through load_tabulated."""
     buffer = io.StringIO()
-    _write_rows(buffer, "f_GHz,rate_per_us", model.points)
+    _write_columns(buffer, "f_GHz,rate_per_us", list(zip(*model.points)))
     return buffer.getvalue()

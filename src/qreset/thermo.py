@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "H_OVER_KB_K_PER_GHZ",
@@ -60,9 +61,9 @@ class Environment:
                 f"temperature must be finite and > 0, got {self.temperature_K!r}"
             )
 
-    @property
+    @cached_property
     def ratio_per_ghz(self) -> float:
-        """Thermal ratio accumulated per GHz of cyclic frequency."""
+        """Thermal ratio accumulated per GHz of cyclic frequency (read per refresh: cached)."""
         return H_OVER_KB_K_PER_GHZ / self.temperature_K
 
 

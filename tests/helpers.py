@@ -339,4 +339,5 @@ def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6)
 
 def reference_table(header: str, rows) -> str:
     """A CSV table as the writer's per-cell rule gives it, one row at a time."""
-    return header + "\n" + "".join(",".join(repr(float(c)) for c in row) + "\n" for row in rows)
+    cell = lambda c: c if isinstance(c, str) else repr(float(c))  # noqa: E731
+    return header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import math
@@ -42,6 +43,7 @@ from qreset import (
 )
 import qreset.control
 from qreset.cli import CALIBRATION_NUMERICS
+from qreset.scenario import builtin_scenario
 from qreset.control import TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, _grid_terms, _objective
 from qreset.spectra import ARGMAX_TOL_GHZ, _golden_max, _scan_max
 from helpers import (
@@ -453,6 +455,54 @@ def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("name, mode", [("jqf-default", "tracked"), ("lz-default", "global")])
+def test_each_refresh_is_one_optimal_frequency_call_with_its_objective(name, mode, monkeypatch):
+    # bench/tracer.py counts refreshes as calls of control.optimal_frequency,
+    # looked up in control's globals, tells tracked from global by the near=
+    # keyword, and counts objective evaluations through the closures that
+    # control._objective builds.  A refresh that routed around either would
+    # read as no refreshes or no evaluations.
+    scenario = dataclasses.replace(builtin_scenario(name), control_mode=mode)
+    model, env, bounds, law, numerics = scenario.build()
+    nears, built = [], [0]
+    refresh, objective = qreset.control.optimal_frequency, qreset.control._objective
+
+    def counted_refresh(*args, **kwargs):
+        nears.append(kwargs.get("near"))
+        return refresh(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        built[0] += 1
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(qreset.control, "optimal_frequency", counted_refresh)
+    monkeypatch.setattr(qreset.control, "_objective", counted_objective)
+    per_call = []
+
+    class Counting:
+        def bind(self, *args):
+            runtime = law.bind(*args)
+            frequency = runtime.frequency
+
+            def counted(*call):
+                before = len(nears), built[0]
+                f = frequency(*call)
+                per_call.append((len(nears) - before[0], built[0] - before[1]))
+                return f
+
+            runtime.frequency = counted
+            return runtime
+
+    trajectory = integrate_restore(QubitState(0.5), Counting(), model, env, bounds, numerics)
+    assert trajectory.termination == "precision"
+    assert len(per_call) >= trajectory.n_samples - 1
+    assert set(per_call) == {(1, 1)}
+    if mode == "tracked":
+        assert None not in nears
+    else:
+        assert set(nears) == {None}
 
 
 @settings(max_examples=60, deadline=None)

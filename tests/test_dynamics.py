@@ -30,7 +30,7 @@ from qreset import (
     thermal_ratio,
 )
 from helpers import chained_exponential_population, reference_table, step_constant
-from qreset.spectra import WRITE_BLOCK_ROWS
+from qreset.spectra import WRITE_BLOCK_ROWS, _write_columns
 
 FLAT = Tabulated(((2.0, 1.0), (8.0, 1.0)))
 SILENT = Tabulated(((2.0, 0.0), (8.0, 0.0)))
@@ -164,6 +164,12 @@ def test_decoherence_factor_constant_rate():
         assert eta(t) == pytest.approx(math.exp(-t), rel=1e-9)
 
 
+def test_decoherence_factor_rejects_a_nan_time():
+    trajectory = integrate_restore(QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds())
+    with pytest.raises(ValueError, match="t_us=nan"):
+        decoherence_factor(trajectory)(math.nan)
+
+
 def test_decoherence_factor_exact_inside_segments():
     # The accumulated rate is the exact staircase sum, so eta is exact at
     # breakpoints and, by linear interpolation, anywhere inside a segment.
@@ -280,6 +286,23 @@ def test_step_limit_termination(env10):
     assert trajectory.n_samples == 6
 
 
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_open_loop_run_rejects_a_bad_horizon(t_final):
+    # Without the check NaN and inf ran on to the step limit, and a negative
+    # horizon returned a one-row trajectory at t=0.
+    with pytest.raises(ValueError, match="t_final must be finite and >= 0"):
+        integrate_restore(
+            QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds(), t_final=t_final
+        )
+
+
+def test_open_loop_run_to_a_zero_horizon_is_its_initial_row():
+    trajectory = integrate_restore(
+        QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds(), t_final=0.0
+    )
+    assert (trajectory.termination, trajectory.n_samples) == ("horizon", 1)
+
+
 def test_time_limit_termination():
     bounds = ControlBounds(epsilon=1e-5)
     numerics = Numerics(time_limit_t1=1.0)  # limit = T1 = 1 us << tau_st
@@ -321,6 +344,29 @@ def test_trajectory_and_schedule_tables_match_the_per_cell_rule(n):
     trajectory.to_csv(alone)
     schedule_to_csv(trajectory.schedule(), replayable)
     assert (alone.getvalue(), replayable.getvalue()) == (table.getvalue(), schedule.getvalue())
+
+
+@pytest.mark.parametrize("n", [0, 1, _B + 1])
+def test_row_tables_match_the_per_cell_rule(n):
+    # Row callers transpose their rows into the column writer.  Only a
+    # float64 array is formatted a column at a time; a str cell is written
+    # as given and any other cell (int, np.float64, bool, float32) as
+    # repr(float(cell)).  Zero rows leave the header alone.
+    rng = np.random.default_rng(n)
+    rows = [
+        (f"s{k}", k - 3, np.float64(x), bool(k % 2), np.float32(x), x)
+        for k, x in enumerate((rng.uniform(-1.0, 1.0, n) * 1e-7).tolist())
+    ]
+    header = "name,count,value,flag,single,plain"
+    expected = reference_table(header, rows)
+    assert expected.count("\n") == n + 1
+    for columns in (list(zip(*rows)), [np.asarray(column) for column in zip(*rows)]):
+        table = io.StringIO()
+        _write_columns(table, header, columns)
+        assert table.getvalue() == expected
+    empty = io.StringIO()
+    schedule_to_csv([], empty)
+    assert empty.getvalue() == "t_us,f_GHz\n"
 
 
 def test_trajectory_csv_export(default_runs):

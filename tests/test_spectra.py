@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import pickle
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qreset import (
     ControlBounds,
+    Environment,
     JQF,
     Lorentzian,
     Mixed,
@@ -112,6 +114,27 @@ def test_control_bounds_validation():
         ControlBounds(f_cp_ghz=2.0, delta_f_ghz=3.0)  # window reaches f <= 0
     with pytest.raises(SpectrumError):
         ControlBounds(epsilon=0.7)
+
+
+def test_cached_window_and_thermal_ratio_follow_replace_and_stay_out_of_eq():
+    # f_min_ghz, f_max_ghz and ratio_per_ghz are cached on first read;
+    # replace() builds a fresh instance, and == and hash see fields only.
+    window = ControlBounds()
+    assert (window.f_min_ghz, window.f_max_ghz) == (2.0, 8.0)
+    moved = dataclasses.replace(window, f_cp_ghz=6.0, delta_f_ghz=2.5)
+    assert (moved.f_min_ghz, moved.f_max_ghz) == (3.5, 8.5)
+    unread = ControlBounds()
+    assert "f_max_ghz" in vars(window) and "f_max_ghz" not in vars(unread)
+    assert window == unread and hash(window) == hash(unread)
+
+    env = Environment(0.010)
+    assert env.ratio_per_ghz == 0.04799243 / 0.010
+    warmer = dataclasses.replace(env, temperature_K=0.020)
+    assert warmer.ratio_per_ghz == 0.04799243 / 0.020
+    unread = Environment(0.010)
+    assert "ratio_per_ghz" in vars(env) and "ratio_per_ghz" not in vars(unread)
+    assert env == unread and hash(env) == hash(unread)
+    assert warmer != env
 
 
 def test_argmax_lorentzian_at_peak(bounds):
