@@ -131,7 +131,7 @@ def _plateau_right_edge(
     Assumes raw(on) >= cap.  Probes one ``tol`` step right first, so an
     edge already at ``on`` costs one evaluation.
     """
-    off = min(on + tol, hi)
+    off = on + tol if on + tol < hi else hi
     if raw(off) >= cap:
         if raw(hi) >= cap:
             return hi
@@ -168,8 +168,9 @@ def optimal_frequency(
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
     the plateau's right edge, a point whose raw rate still reaches the
-    cap.  Raises ``RefreshLimitError`` if the search window moves 2048
-    times without settling.
+    cap.  Raises ``ValueError`` for a non-finite ``near``, and
+    ``RefreshLimitError`` if the search window moves 2048 times without
+    settling.
     """
     if not 0.0 < p_e <= 1.0:
         raise ValueError(f"p_e must lie in (0, 1], got {p_e!r}")
@@ -186,18 +187,23 @@ def optimal_frequency(
             )
         return f_best
 
+    if not -math.inf < near < math.inf:
+        raise ValueError(f"near must be a finite frequency, got {near!r}")
+    # Per-refresh work, so conditional expressions stand in for min/max/abs.
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
-    f = min(max(near, f_lo), f_hi)
-    tol = TRACK_TOL_GHZ
+    f = f_hi if near > f_hi else f_lo if near < f_lo else near
+    tol, window, stencil = TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, TRACK_STENCIL_GHZ
     raw = None if rate_cap is None else model.rate_kernel
     if raw is None:
-        lo, hi = max(f_lo, f - TRACK_WINDOW_GHZ), min(f_hi, f + TRACK_WINDOW_GHZ)
+        lo = f - window if f - window > f_lo else f_lo
+        hi = f + window if f + window < f_hi else f_hi
         if isinstance(model, Tabulated):  # J has a kink at each node: stay between two
             i, nodes = bisect_right(model.points, (f, math.inf)), model.points
             lo, hi = max(lo, nodes[i - 1][0]), min(hi, nodes[min(i, len(nodes) - 1)][0])
-        x, width, jx = f, TRACK_STENCIL_GHZ, None
+        x, width, jx, half_tol = f, stencil, None, 0.5 * tol
         for _ in range(64):  # then, as on every break, the window loop below
-            h = min(width, x - lo, hi - x)
+            h = x - lo if x - lo < width else width
+            h = hi - x if hi - x < h else h
             if not h >= tol:
                 break
             jx = j(x) if jx is None else jx
@@ -207,16 +213,17 @@ def optimal_frequency(
                 break
             step = 0.5 * h * (ja - jb) / curvature
             # Done within tolerance or round-off, on a stencil no wider than the first.
-            if abs(step) <= max(0.5 * tol, h * math.ulp(jx) / -curvature):
-                if h <= TRACK_STENCIL_GHZ:
+            if -half_tol <= step <= half_tol or abs(step) <= h * math.ulp(jx) / -curvature:
+                if h <= stencil:
                     return x
-                width = TRACK_STENCIL_GHZ
+                width = stencil
                 continue
-            x, jx, width = x + step, None, max(2.0 * abs(step), TRACK_STENCIL_GHZ / 16.0)
+            width = 2.0 * step if step > 0.0 else -2.0 * step
+            x, jx, width = x + step, None, width if width > stencil / 16.0 else stencil / 16.0
     past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
-        lo = max(f_lo, f - TRACK_WINDOW_GHZ)
-        hi = min(f_hi, f + TRACK_WINDOW_GHZ)
+        lo = f - window if f - window > f_lo else f_lo
+        hi = f + window if f + window < f_hi else f_hi
         # Fast path: pinned at a window-boundary that is a domain bound.
         if lo == f_lo and f - f_lo <= tol and j(f_lo) >= j(f_lo + tol):
             return f_lo
@@ -236,15 +243,15 @@ def optimal_frequency(
                 f = hi
                 continue
             if raw is None:
-                return min(max(f_new, f_lo), f_hi)
+                return f_hi if f_new > f_hi else f_lo if f_new < f_lo else f_new
             on = f_new if raw(f_new) >= rate_cap else f_new - tol
             if raw(on) < rate_cap:
-                return min(max(f_new, f_lo), f_hi)
+                return f_hi if f_new > f_hi else f_lo if f_new < f_lo else f_new
         edge = _plateau_right_edge(raw, on, hi, rate_cap, tol)
         if edge == hi < f_hi:
             f = hi
             continue
-        if anchored and j(edge) < j(min(edge + tol, f_hi)):
+        if anchored and j(edge) < j(edge + tol if edge + tol < f_hi else f_hi):
             past_edge = f
             continue
         return edge
@@ -311,9 +318,11 @@ class _TimeLocalRuntime:
         # extrapolate it, and one stencil usually accepts the guess.  An
         # accepted guess is known only to the tolerance, so it is not kept;
         # a window bound (mix and jqf start pinned at 2 GHz) clears them.
-        # Not on a tabulated spectrum, whose J kinks at every node.
+        # Not on a tabulated spectrum, whose J kinks at every node.  The fit is
+        # redone only when the history changes, about one refresh in ten.
         self._history: list[tuple[float, float]] = []
-        self._predicts = not isinstance(model, Tabulated)
+        self._fit: tuple[float, float, float, float, float] | None = None
+        self._predicts = False
         self._reach = 2.0 * numerics.drift_cap(bounds)
         # Every global refresh scans one grid, so its _grid_terms are taken once.
         self._grid = None
@@ -329,29 +338,33 @@ class _TimeLocalRuntime:
             return optimal_frequency(
                 p_e, *self._problem, grid_points=grid_points, rate_cap=self._cap, grid=self._grid
             )
+        model, env, bounds = self._problem
         if f_anchor is None:  # the run's first refresh starts from the rate argmax
-            model, _, bounds = self._problem
             start = argmax_rate(model, bounds, grid_points=grid_points, rate_cap=self._cap)
             f_anchor = start.f_ghz
             if not start.cap_hit:
                 self._tracked_cap = None
-        near, rate_cap = f_anchor, self._tracked_cap
-        predicts = rate_cap is None and self._predicts
-        history = self._history
-        if predicts and len(history) == 3:
-            (p0, f0), (p1, f1), (p2, f2) = history
-            d21 = (f2 - f1) / (p2 - p1)
-            d210 = (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0)
+            self._predicts = self._tracked_cap is None and not isinstance(model, Tabulated)
+        near, fit, reach = f_anchor, self._fit, self._reach
+        if fit is not None:
+            p1, p2, f2, d21, d210 = fit
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
-            if self._f_lo < guess < self._f_hi and abs(guess - near) <= self._reach:
+            if self._f_lo < guess < self._f_hi and -reach <= guess - near <= reach:
                 near = guess
-        f = optimal_frequency(p_e, *self._problem, rate_cap=rate_cap, near=near)
-        if predicts:
+        f = optimal_frequency(p_e, model, env, bounds, rate_cap=self._tracked_cap, near=near)
+        if self._predicts:
+            history = self._history
             if f == self._f_lo or f == self._f_hi:
                 history.clear()
+                self._fit = None
             elif f != near:
                 history[:] = [h for h in history[-2:] if h[0] != p_e]
                 history.append((p_e, f))
+                self._fit = None
+                if len(history) == 3:
+                    (p0, f0), (p1, f1), (p2, f2) = history
+                    d21 = (f2 - f1) / (p2 - p1)
+                    self._fit = (p1, p2, f2, d21, (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0))
         return f
 
     def next_transition_after(self, t_us: float) -> float | None:

@@ -271,9 +271,14 @@ def integrate_restore(
     drift_cap = numerics.drift_cap(bounds)
     rate_at = rate_fn(model, numerics.rate_cap_per_us)
     ratio_c = env.ratio_per_ghz
-    # Looked up once per run: the loop below runs once per sample.
-    refresh, next_transition, exp = runtime.frequency, runtime.next_transition_after, math.exp
+    # Looked up once per run: the loop below runs once per sample. Its
+    # conditional expressions keep min/max/abs's ties and NaN results.
+    refresh, next_transition = runtime.frequency, runtime.next_transition_after
+    exp, log, inf, reach, shrink = math.exp, math.log, math.inf, 2.0 * drift_cap, 0.8 * drift_cap
     step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
+    # dt_free <= log_bound / rate, so no crossing lies within a step where
+    # gap >= 1.01 e^log_bound (eps - p_eq): its log is skipped there.
+    no_cross = 1.01 * math.exp(log_bound) if log_bound < 709.0 else inf
     if precision_mode and runtime.held_ghz is not None:
         floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
         if floor >= eps:
@@ -294,12 +299,12 @@ def integrate_restore(
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
-    dt_drift_hint = math.inf
+    dt_drift_hint = inf
     f = refresh(pe, t, None)
 
     while True:
         rate = rate_at(f)
-        if rate == math.inf:
+        if rate == inf:
             raise InfiniteRateError(
                 f"rate at f={f!r} GHz is infinite with no rate cap: the state"
                 " would jump to equilibrium in zero time"
@@ -324,12 +329,12 @@ def integrate_restore(
             )
 
         t_bp = next_transition(t)
-        dt_free = log_bound / rate if rate > 0.0 else math.inf
-        dt_free = min(dt_free, dt_drift_hint)
+        dt_free = log_bound / rate if rate > 0.0 else inf
+        dt_free = dt_drift_hint if dt_drift_hint < dt_free else dt_free
 
         # Terminal crossing within the upcoming segment, in closed form.
-        if precision_mode and rate > 0.0 and peq < eps:
-            dt_cross = math.log(gap / (eps - peq)) / rate
+        if precision_mode and rate > 0.0 and peq < eps and gap < no_cross * (eps - peq):
+            dt_cross = log(gap / (eps - peq)) / rate
             if (
                 dt_cross <= dt_free
                 and (t_bp is None or t + dt_cross <= t_bp)
@@ -349,12 +354,12 @@ def integrate_restore(
             dt, snap_to = t_bp - t, t_bp
         if t_stop - t <= dt:
             dt, snap_to = t_stop - t, t_stop
-        if not math.isfinite(dt):
+        if not -inf < dt < inf:
             raise NoDescentError(
                 f"rate at f={f!r} GHz is zero with no time limit or transition"
                 " ahead: the state can never move"
             )
-        dt = max(dt, 1.0e-18)
+        dt = dt if dt > 1.0e-18 else 1.0e-18
 
         if snap_to is not None:
             pe, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt)
@@ -368,23 +373,25 @@ def integrate_restore(
         # that does not shrink with dt is not step-driven (e.g. a hop
         # across a capped plateau) and is accepted as-is.
         retries = 0
-        df_prev = math.inf
+        df_prev = inf
         while True:
             pe2, pr2, pi2 = _advance(pe, pr, pi, rate, peq, f, dt)
             f_probe = refresh(pe2, t + dt, f)
-            df = abs(f_probe - f)
-            if df <= 2.0 * drift_cap or retries >= 60 or df >= 0.9 * df_prev:
+            df = f_probe - f if f_probe > f else f - f_probe
+            if df <= reach or retries >= 60 or df >= 0.9 * df_prev:
                 break
-            df_prev = df
-            dt *= max(0.25, 0.8 * drift_cap / df)
+            df_prev, cut = df, shrink / df
+            dt *= cut if cut > 0.25 else 0.25
             retries += 1
 
         # The accepted probe is the refresh at the new state.
         pe, pr, pi, t, f = pe2, pr2, pi2, t + dt, f_probe
         steps += 1
-        dt_floor = 1.0e-3 * (log_bound / rate) if rate > 0.0 else dt
         if df > 0.0:
-            dt_drift_hint = max(min(dt * drift_cap / df, dt * 2.0), dt_floor)
+            hint, doubled = dt * drift_cap / df, dt * 2.0
+            hint = doubled if doubled < hint else hint
+            dt_floor = 1.0e-3 * (log_bound / rate) if rate > 0.0 else dt
+            dt_drift_hint = dt_floor if dt_floor > hint else hint
         else:
             dt_drift_hint = dt_drift_hint * 2.0
 

@@ -9,16 +9,20 @@ formulas and control objective that the bound rate kernels replaced, and
 the tracked refresh as it was before it learned the capped plateau's
 right edge, the Python double loop that scored ``verify_pmp``'s
 probes before it became one numpy pass, and the table writer's per-cell
-rule from before it wrote in blocks and formatted each cell once.  Two
-references wrap package internals that only tests use: one exact
-constant-control step, and the adaptive stepper replaying a recorded
-schedule, which the closed-form robustness replay is checked against.
+rule from before it wrote in blocks and formatted each cell once.  The
+stepper loop and the tracked runtime are kept as they were before their
+builtin calls and per-refresh predictor fit went, for a bit-for-bit
+comparison.  Two references wrap package internals that only tests use:
+one exact constant-control step, and the adaptive stepper replaying a
+recorded schedule, which the closed-form robustness replay is checked
+against.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +31,19 @@ from qreset import (
     ControlBounds,
     Environment,
     FixedSchedule,
+    InfiniteRateError,
     Lorentzian,
     Mixed,
+    NoDescentError,
     Numerics,
     Protected,
     QubitState,
     SpectrumModel,
     Tabulated,
+    TimeLocalOptimal,
     Trajectory,
+    argmax_rate,
+    coherence_time,
     costate_along,
     equilibrium_population,
     eval_rate,
@@ -42,8 +51,9 @@ from qreset import (
     thermal_ratio,
 )
 import qreset.control
-from qreset.dynamics import _advance
-from qreset.spectra import _cap_edge, _golden_max
+from qreset.control import _grid_terms
+from qreset.dynamics import ControlLawProtocol, _advance
+from qreset.spectra import _cap_edge, _golden_max, _window_grid, rate_fn
 from qreset.thermo import RAD_PER_US_PER_GHZ
 
 # One model of each spectrum kind; the tabulated one has a node at the
@@ -341,3 +351,250 @@ def reference_table(header: str, rows) -> str:
     """A CSV table as the writer's per-cell rule gives it, one row at a time."""
     cell = lambda c: c if isinstance(c, str) else repr(float(c))  # noqa: E731
     return header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def reference_integrate_restore(
+    initial: QubitState,
+    law: ControlLawProtocol,
+    model: SpectrumModel,
+    env: Environment,
+    bounds: ControlBounds,
+    numerics: Numerics = Numerics(),
+    *,
+    t_final: float | None = None,
+) -> Trajectory:
+    """``qreset.integrate_restore`` as it was with builtin calls in its loop.
+
+    A verbatim copy of the stepper from before it traded ``min``/``max``/
+    ``abs``/``math.isfinite`` for conditional expressions and skipped the
+    crossing ``log`` far from the target; ``integrate_restore`` must match
+    it bit for bit.  Bind ``ReferenceTimeLocalOptimal`` as ``law`` for the
+    tracked runtime of that version too.
+    """
+    eps = bounds.epsilon
+    precision_mode = t_final is None
+    if not (precision_mode or (math.isfinite(t_final) and t_final >= 0.0)):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    if precision_mode and initial.p_e <= eps:
+        raise ValueError(f"initial p_e={initial.p_e!r} must exceed epsilon={eps!r}")
+    if (
+        numerics.rate_cap_per_us is None
+        and isinstance(model, Protected)
+        and bounds.f_min_ghz <= model.f_r_ghz <= bounds.f_max_ghz
+    ):
+        raise InfiniteRateError(
+            f"the rate is infinite at the protected pole f_r={model.f_r_ghz!r} GHz,"
+            f" inside the control window [{bounds.f_min_ghz!r}, {bounds.f_max_ghz!r}]"
+            " GHz, with no rate cap: the state would jump to equilibrium in zero time"
+        )
+
+    runtime = law.bind(model, env, bounds, numerics)
+    drift_cap = numerics.drift_cap(bounds)
+    rate_at = rate_fn(model, numerics.rate_cap_per_us)
+    ratio_c = env.ratio_per_ghz
+    # Looked up once per run: the loop below runs once per sample.
+    refresh, next_transition, exp = runtime.frequency, runtime.next_transition_after, math.exp
+    step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
+    if precision_mode and runtime.held_ghz is not None:
+        floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
+        if floor >= eps:
+            raise NoDescentError(
+                f"control holds f={runtime.held_ghz!r} GHz, whose thermal floor"
+                f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
+                " target is unreachable"
+            )
+    # One stop time: the horizon of an open-loop run, else the time limit.
+    if precision_mode:
+        t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
+        t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
+    else:
+        t_stop = t_final
+
+    # One sample per row: the seven Trajectory columns, in order.
+    samples: list[float] = []
+    pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
+    t = 0.0
+    steps = 0
+    dt_drift_hint = math.inf
+    f = refresh(pe, t, None)
+
+    while True:
+        rate = rate_at(f)
+        if rate == math.inf:
+            raise InfiniteRateError(
+                f"rate at f={f!r} GHz is infinite with no rate cap: the state"
+                " would jump to equilibrium in zero time"
+            )
+        e = exp(-ratio_c * f)
+        peq = e / (1.0 + e)
+        gap = pe - peq
+        samples += (t, f, pe, pr, pi, rate, peq)
+
+        # The horizon outranks the step limit, which outranks the time limit.
+        at_stop = t >= t_stop
+        if steps >= step_limit and (precision_mode or not at_stop):
+            termination, tau = "step_limit", t
+            break
+        if at_stop:
+            termination, tau = ("time_limit" if precision_mode else "horizon"), t
+            break
+        if precision_mode and gap <= 0.0:
+            raise NoDescentError(
+                f"control law chose f={f!r} GHz with p_eq={peq!r} >= p_e={pe!r};"
+                " the precision target is unreachable from here"
+            )
+
+        t_bp = next_transition(t)
+        dt_free = log_bound / rate if rate > 0.0 else math.inf
+        dt_free = min(dt_free, dt_drift_hint)
+
+        # Terminal crossing within the upcoming segment, in closed form.
+        if precision_mode and rate > 0.0 and peq < eps:
+            dt_cross = math.log(gap / (eps - peq)) / rate
+            if (
+                dt_cross <= dt_free
+                and (t_bp is None or t + dt_cross <= t_bp)
+                and t + dt_cross <= t_stop
+            ):
+                _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
+                pe = eps
+                tau = t + dt_cross
+                samples += (tau, f, pe, pr, pi, rate, peq)
+                termination = "precision"
+                break
+
+        # Pick the step; scheduled transitions and the stop time are landed
+        # on exactly and are exempt from drift control.
+        dt, snap_to = dt_free, None
+        if t_bp is not None and t_bp > t and t_bp - t <= dt:
+            dt, snap_to = t_bp - t, t_bp
+        if t_stop - t <= dt:
+            dt, snap_to = t_stop - t, t_stop
+        if not math.isfinite(dt):
+            raise NoDescentError(
+                f"rate at f={f!r} GHz is zero with no time limit or transition"
+                " ahead: the state can never move"
+            )
+        dt = max(dt, 1.0e-18)
+
+        if snap_to is not None:
+            pe, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt)
+            t = snap_to
+            steps += 1
+            # A refresh is anchored at the frequency of the previous segment.
+            f = refresh(pe, t, f)
+            continue
+
+        # Free step: shrink it if the control would move too fast.  A move
+        # that does not shrink with dt is not step-driven (e.g. a hop
+        # across a capped plateau) and is accepted as-is.
+        retries = 0
+        df_prev = math.inf
+        while True:
+            pe2, pr2, pi2 = _advance(pe, pr, pi, rate, peq, f, dt)
+            f_probe = refresh(pe2, t + dt, f)
+            df = abs(f_probe - f)
+            if df <= 2.0 * drift_cap or retries >= 60 or df >= 0.9 * df_prev:
+                break
+            df_prev = df
+            dt *= max(0.25, 0.8 * drift_cap / df)
+            retries += 1
+
+        # The accepted probe is the refresh at the new state.
+        pe, pr, pi, t, f = pe2, pr2, pi2, t + dt, f_probe
+        steps += 1
+        dt_floor = 1.0e-3 * (log_bound / rate) if rate > 0.0 else dt
+        if df > 0.0:
+            dt_drift_hint = max(min(dt * drift_cap / df, dt * 2.0), dt_floor)
+        else:
+            dt_drift_hint = dt_drift_hint * 2.0
+
+    columns = np.reshape(samples, (-1, 7)).T
+    return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
+
+
+class ReferenceTimeLocalRuntime:
+    """``control._TimeLocalRuntime`` as it was, refitting its predictor at every refresh.
+
+    Verbatim, but for one change: ``optimal_frequency`` is looked up on
+    ``qreset.control`` at call time, so that a test can count its calls.
+    """
+
+    def __init__(
+        self,
+        law: TimeLocalOptimal,
+        model: SpectrumModel,
+        env: Environment,
+        bounds: ControlBounds,
+        numerics: Numerics,
+    ) -> None:
+        self._problem = (model, env, bounds)
+        self._f_lo, self._f_hi = bounds.f_min_ghz, bounds.f_max_ghz
+        self._grid_points = numerics.grid_points
+        self._cap = numerics.rate_cap_per_us
+        self._tracked = law.mode == "tracked"
+        # The cap the tracked refresh applies.  Where the start scan finds
+        # the rate below it across the window it cannot bind, so it is left
+        # out, and with it the plateau checks, so that every refresh takes
+        # the cheaper parabolic steps.
+        self._tracked_cap = numerics.rate_cap_per_us
+        # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
+        # so (p_e, f) of the last three refreshes that corrected their start
+        # extrapolate it, and one stencil usually accepts the guess.  An
+        # accepted guess is known only to the tolerance, so it is not kept;
+        # a window bound (mix and jqf start pinned at 2 GHz) clears them.
+        # Not on a tabulated spectrum, whose J kinks at every node.
+        self._history: list[tuple[float, float]] = []
+        self._predicts = not isinstance(model, Tabulated)
+        self._reach = 2.0 * numerics.drift_cap(bounds)
+        # Every global refresh scans one grid, so its _grid_terms are taken once.
+        self._grid = None
+        if not self._tracked:
+            fs = _window_grid(bounds, numerics.grid_points)
+            self._grid = _grid_terms(model, env, numerics.rate_cap_per_us, fs)
+
+    held_ghz = None
+
+    def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
+        grid_points = self._grid_points
+        if not self._tracked:
+            return qreset.control.optimal_frequency(
+                p_e, *self._problem, grid_points=grid_points, rate_cap=self._cap, grid=self._grid
+            )
+        if f_anchor is None:  # the run's first refresh starts from the rate argmax
+            model, _, bounds = self._problem
+            start = argmax_rate(model, bounds, grid_points=grid_points, rate_cap=self._cap)
+            f_anchor = start.f_ghz
+            if not start.cap_hit:
+                self._tracked_cap = None
+        near, rate_cap = f_anchor, self._tracked_cap
+        predicts = rate_cap is None and self._predicts
+        history = self._history
+        if predicts and len(history) == 3:
+            (p0, f0), (p1, f1), (p2, f2) = history
+            d21 = (f2 - f1) / (p2 - p1)
+            d210 = (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0)
+            guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
+            if self._f_lo < guess < self._f_hi and abs(guess - near) <= self._reach:
+                near = guess
+        f = qreset.control.optimal_frequency(p_e, *self._problem, rate_cap=rate_cap, near=near)
+        if predicts:
+            if f == self._f_lo or f == self._f_hi:
+                history.clear()
+            elif f != near:
+                history[:] = [h for h in history[-2:] if h[0] != p_e]
+                history.append((p_e, f))
+        return f
+
+    def next_transition_after(self, t_us: float) -> float | None:
+        return None
+
+
+@dataclass(frozen=True)
+class ReferenceTimeLocalOptimal:
+    """``TimeLocalOptimal`` bound to ``ReferenceTimeLocalRuntime``."""
+
+    mode: str = "tracked"
+
+    def bind(self, model, env, bounds, numerics) -> ReferenceTimeLocalRuntime:
+        return ReferenceTimeLocalRuntime(self, model, env, bounds, numerics)

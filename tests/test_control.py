@@ -62,6 +62,16 @@ def test_optimal_frequency_rejects_populations_outside_its_domain(p_e, env10, bo
         optimal_frequency(p_e, Lorentzian(), env10, bounds)
 
 
+@pytest.mark.parametrize("rate_cap", [1.0e6, None])
+@pytest.mark.parametrize("near", [math.nan, math.inf, -math.inf])
+def test_tracked_refresh_rejects_a_non_finite_near(near, rate_cap, env10, bounds):
+    # A NaN start returned a plausible 2.000000034 GHz (mix) or 6.5008 GHz
+    # (prot), and an infinite one was clamped to a window bound in silence.
+    for model in (Mixed(), Protected()):
+        with pytest.raises(ValueError, match="near must be a finite frequency"):
+            optimal_frequency(1e-3, model, env10, bounds, rate_cap=rate_cap, near=near)
+
+
 def test_global_refresh_below_every_floor_raises_no_descent(env10, bounds):
     # p_e = 1e-20 lies below p_eq at every window frequency, so the
     # objective is negative across the whole scan.
