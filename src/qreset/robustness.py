@@ -18,7 +18,8 @@ the two-level Uhlmann fidelity against the reset target diag(1-eps, eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -96,9 +97,17 @@ DeviationSpec = PopulationDeviation | CoherenceDeviation | ControlTimeDeviation
 
 @dataclass(frozen=True)
 class DeviationResult:
+    """A replay's end state and fidelity; its rows are built when first read."""
+
     final_state: QubitState
     fidelity: float
-    trajectory: Trajectory
+    baseline: Baseline
+    initial: QubitState
+    t_final_us: float
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        return self.baseline.propagate(self.initial, self.t_final_us)
 
 
 class Baseline:
@@ -146,26 +155,39 @@ class Baseline:
     def tau_st_us(self) -> float:
         return self.trajectory.tau_st_us
 
+    def _segment(self, t_final_us: float) -> int:
+        """Index of the segment in force at ``t_final_us`` (the last one past the end)."""
+        if not (math.isfinite(t_final_us) and t_final_us >= 0.0):
+            raise ValueError(f"t_final_us must be finite and >= 0, got {t_final_us!r}")
+        return int(np.searchsorted(self._t_us, t_final_us, side="right")) - 1
+
+    def _maps(self, initial: QubitState, at: int | slice) -> tuple:
+        """``(p_e, p_r, p_i)`` reached from ``initial`` at breakpoint(s) ``at``."""
+        p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
+        amp, cos, sin = self._amp[at], self._cos[at], self._sin[at]
+        p_e = self._decay[at] * p0 + self._offset[at]
+        return p_e, amp * (r0 * cos + i0 * sin), amp * (i0 * cos - r0 * sin)
+
+    def state_at(self, initial: QubitState, t_final_us: float) -> QubitState:
+        """Exact open-loop state at ``t_final_us``: ``propagate``'s terminal row, without rows."""
+        k = self._segment(t_final_us)
+        p_e, p_r, p_i = map(float, self._maps(initial, k))
+        rate, p_eq, f = float(self._rate_per_us[k]), float(self._p_eq[k]), float(self._f_ghz[k])
+        dt = t_final_us - float(self._t_us[k])
+        return QubitState(*_advance(p_e, p_r, p_i, rate, p_eq, f, dt))
+
     def propagate(self, initial: QubitState, t_final_us: float) -> Trajectory:
         """Exact open-loop trajectory from ``initial`` up to ``t_final_us``.
 
         Rows are the breakpoints before ``t_final_us`` plus a terminal row,
-        which holds the frequency in force at ``t_final_us``.
+        ``state_at``'s state under the frequency in force at ``t_final_us``.
         """
-        if not (math.isfinite(t_final_us) and t_final_us >= 0.0):
-            raise ValueError(f"t_final_us must be finite and >= 0, got {t_final_us!r}")
+        k = self._segment(t_final_us)
+        end = self.state_at(initial, t_final_us)
         rows = int(np.searchsorted(self._t_us, t_final_us, side="left"))
-        k = int(np.searchsorted(self._t_us, t_final_us, side="right")) - 1
-        p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
-        p_e = self._decay[: k + 1] * p0 + self._offset[: k + 1]
-        amp, cos, sin = self._amp[: k + 1], self._cos[: k + 1], self._sin[: k + 1]
-        p_r = amp * (r0 * cos + i0 * sin)
-        p_i = amp * (i0 * cos - r0 * sin)
-        rate, p_eq, f = float(self._rate_per_us[k]), float(self._p_eq[k]), float(self._f_ghz[k])
-        dt = t_final_us - float(self._t_us[k])
-        end = _advance(float(p_e[k]), float(p_r[k]), float(p_i[k]), rate, p_eq, f, dt)
+        p_e, p_r, p_i = self._maps(initial, slice(0, rows))
         held = (self._t_us, self._f_ghz, p_e, p_r, p_i, self._rate_per_us, self._p_eq)
-        terminal = (t_final_us, f, *end, rate, p_eq)
+        terminal = (t_final_us, self._f_ghz[k], *astuple(end), self._rate_per_us[k], self._p_eq[k])
         columns = (np.append(col[:rows], last) for col, last in zip(held, terminal))
         return Trajectory(
             *columns, tau_st_us=t_final_us, termination="horizon", epsilon=self.trajectory.epsilon
@@ -230,13 +252,9 @@ def _initial_state(spec: DeviationSpec, tau_st_us: float) -> tuple[QubitState, f
 def run_deviation(spec: DeviationSpec, baseline: Baseline) -> DeviationResult:
     """Propagate a deviated initial condition under the recorded schedule (exact)."""
     initial, t_f = _initial_state(spec, baseline.tau_st_us)
-    trajectory = baseline.propagate(initial, t_f)
-    final = trajectory.terminal_state
-    return DeviationResult(
-        final_state=final,
-        fidelity=fidelity(final, trajectory.epsilon),
-        trajectory=trajectory,
-    )
+    final = baseline.state_at(initial, t_f)
+    eps = baseline.trajectory.epsilon
+    return DeviationResult(final, fidelity(final, eps), baseline, initial, t_f)
 
 
 # sensitivity_report's central differences: p_e and |c| steps, and dtau / tau.

@@ -27,6 +27,8 @@ from qreset import (
     run_deviation,
     sensitivity_report,
 )
+from qreset.cli import _FIG4_POINTS
+from qreset.dynamics import _advance
 from qreset.robustness import _initial_state
 from helpers import chained_exponential_population, stepper_replay
 
@@ -235,10 +237,74 @@ def test_run_and_replay_columns_are_read_only(column, baselines):
             getattr(trajectory, column)[:] = 0.0
 
 
-@pytest.mark.parametrize("t_final_us", [-1.0, math.nan, math.inf])
-def test_propagate_rejects_an_invalid_end_time(t_final_us, baselines):
+@pytest.mark.parametrize("t_final_us", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["propagate", "state_at"])
+def test_propagate_rejects_an_invalid_end_time(entry, t_final_us, baselines):
     with pytest.raises(ValueError, match=f"t_final_us must be finite and >= 0, got {t_final_us!r}"):
-        baselines["lz"].propagate(QubitState(0.5), t_final_us)
+        getattr(baselines["lz"], entry)(QubitState(0.5), t_final_us)
+
+
+def _elementwise_end_state(baseline, initial, t_final_us):
+    # The end state as the replay's columns compute it: the composed maps
+    # taken elementwise up to the segment in force, then one partial segment.
+    k = int(np.searchsorted(baseline._t_us, t_final_us, side="right")) - 1
+    p0, r0, i0 = initial.p_e, initial.p_r, initial.p_i
+    p_e = baseline._decay[: k + 1] * p0 + baseline._offset[: k + 1]
+    amp, cos, sin = baseline._amp[: k + 1], baseline._cos[: k + 1], baseline._sin[: k + 1]
+    p_r = amp * (r0 * cos + i0 * sin)
+    p_i = amp * (i0 * cos - r0 * sin)
+    held = (baseline._rate_per_us[k], baseline._p_eq[k], baseline._f_ghz[k])
+    dt = t_final_us - float(baseline._t_us[k])
+    start = (float(p_e[k]), float(p_r[k]), float(p_i[k]))
+    return QubitState(*_advance(*start, *map(float, held), dt))
+
+
+def _end_state_specs(baseline):
+    # Every point of the three fig4 axes, and control times that end on a
+    # breakpoint, inside a segment, past the last recorded row and at t=0.
+    tau = baseline.tau_st_us
+    points = _FIG4_POINTS
+    specs = [PopulationDeviation(p) for p in np.linspace(0.0, 1.0, points["population"]).tolist()]
+    specs += [CoherenceDeviation(c) for c in np.linspace(0.0, 0.5, points["coherence"]).tolist()]
+    deltas = np.linspace(-0.5 * tau, 5.0 * tau, points["control_time"]).tolist()
+    t = baseline.trajectory.t_us
+    mid = t.size // 2
+    on_breakpoint, inside = float(t[-2]) - tau, 0.5 * float(t[mid] + t[mid + 1]) - tau
+    assert tau + on_breakpoint == t[-2] and t[mid] < tau + inside < t[mid + 1]
+    deltas += [on_breakpoint, inside, tau, -tau]
+    return specs + [ControlTimeDeviation(d) for d in deltas]
+
+
+def test_end_state_is_the_replay_terminal_row_bit_for_bit(baselines):
+    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
+    for name, baseline in baselines.items():
+        for spec in _end_state_specs(baseline):
+            initial, t_f = _initial_state(spec, baseline.tau_st_us)
+            replay = baseline.propagate(initial, t_f)
+            result = run_deviation(spec, baseline)
+            assert result.final_state == replay.terminal_state, (name, spec)
+            elementwise = _elementwise_end_state(baseline, initial, t_f)
+            assert result.final_state == elementwise, (name, spec)
+            assert result.fidelity == fidelity(replay.terminal_state, replay.epsilon), (name, spec)
+            built = result.trajectory
+            assert built is result.trajectory
+            for column in names:
+                assert np.array_equal(getattr(built, column), getattr(replay, column)), (name, spec)
+            for field in ("tau_st_us", "termination", "epsilon"):
+                assert getattr(built, field) == getattr(replay, field), (name, spec)
+
+
+def test_sweeps_and_sensitivities_build_no_replay_rows(baselines, monkeypatch):
+    # fig4 and the sensitivity report read only end states, so they run
+    # without a single propagate call.
+    def no_rows(self, initial, t_final_us):
+        raise AssertionError("a sweep built a replay's rows")
+
+    monkeypatch.setattr(Baseline, "propagate", no_rows)
+    baseline = baselines["jqf"]
+    for axis, n_points in _FIG4_POINTS.items():
+        assert fidelity_sweep(baseline, axis, n_points).fidelity.size == n_points
+    assert sensitivity_report(baseline).population_rel_diff < 1e-4
 
 
 def test_no_deviation_reaches_target(baselines):
