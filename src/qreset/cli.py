@@ -167,6 +167,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
             spectrum = (grid, eval_rate(model, grid, numerics.rate_cap_per_us))
             _write_csv(out_dir / f"fig2_spectrum_{key}.csv", "f_GHz,rate_per_us", spectrum)
+            del traj, control  # released before the next run records its rows
         return 0
 
     # T1 is infinite for prot, where t / T1 and T_reset / T1 read 0.0.
@@ -179,6 +180,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             columns = (t_us, t_us / report.T1, traj.p_e[idx])
             _write_csv(out_dir / f"fig3a_{key}.csv", "t_us,t_over_T1,p_e", columns)
             terminals.append((key, traj.t_us[-1], report.tau_st_over_T1, traj.p_e[-1]))
+            del traj
         header = "spectrum,t_us,t_over_T1,p_e"
         _write_csv(out_dir / "fig3a_terminals.csv", header, list(zip(*terminals)))
         return 0
@@ -186,7 +188,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if which == "fig3b":
         points = []
         for key, scenario in keyed:
-            report, _ = _execute(scenario, base_dir)
+            report = _execute(scenario, base_dir)[0]
             flag = str(report.t1_infinite).lower()
             points.append((key, report.T_reset / report.T1, report.W_ex_norm, flag))
         header = "spectrum,T_reset_over_T1,W_ex_norm,t1_infinite"
@@ -204,6 +206,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 curve = fidelity_sweep(baseline, axis, n_points)
                 with open(out_dir / f"fig4_{key}_{axis}.csv", "w", encoding="utf-8") as fh:
                     curve.to_csv(fh)
+            del baseline
         return 0
 
     raise ConfigError(f"unknown figure {which!r}")
@@ -251,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
-        report, _ = _execute(replace(scenario, **{name: float(value)}), _config_base_dir(args))
+        report = _execute(replace(scenario, **{name: float(value)}), _config_base_dir(args))[0]
         rows.append((value, *astuple(report)))
     path = out_dir / f"sweep_{scenario.name}_{name}.csv"
     _write_csv(path, f"{name},{_REPORT_HEADER}", list(zip(*rows)))
@@ -329,7 +332,7 @@ def calibrate_temperature(
                     temperature_K=temperature,
                     numerics=CALIBRATION_NUMERICS,
                 )
-                report, _ = _execute(scenario)
+                report = _execute(scenario)[0]
                 out[key] = report.W_ex_norm
             computed_cache[temperature] = out
         return computed_cache[temperature]

@@ -34,6 +34,9 @@ __all__ = [
 
 _POSITIVITY_TOL = 1.0e-12
 MAX_GRID_POINTS = 1_000_000  # the largest scan grid allowed, 250 times the default
+# A run records its rows as Python floats and packs every this many rows into
+# a float64 block, so a long run holds 56 bytes per row, not seven objects.
+RECORD_BLOCK_ROWS = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -296,6 +299,8 @@ def integrate_restore(
 
     # One sample per row: the seven Trajectory columns, in order.
     samples: list[float] = []
+    blocks: list[np.ndarray] = []
+    block_len = 7 * RECORD_BLOCK_ROWS
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
@@ -313,6 +318,9 @@ def integrate_restore(
         peq = e / (1.0 + e)
         gap = pe - peq
         samples += (t, f, pe, pr, pi, rate, peq)
+        if len(samples) == block_len:
+            blocks.append(np.array(samples, dtype=float))
+            samples = []
 
         # The horizon outranks the step limit, which outranks the time limit.
         at_stop = t >= t_stop
@@ -395,7 +403,8 @@ def integrate_restore(
         else:
             dt_drift_hint = dt_drift_hint * 2.0
 
-    columns = np.reshape(samples, (-1, 7)).T
+    blocks.append(np.array(samples, dtype=float))
+    columns = np.concatenate(blocks).reshape(-1, 7).T
     return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .dynamics import IntegrationError, Numerics, QubitState, Trajectory, integrate_restore
 from .spectra import ControlBounds, SpectrumModel, coherence_time
 from .thermo import LN2, Environment, entropy, equilibrium_population, thermal_ratio
@@ -131,17 +133,21 @@ def work_ledger(
             f" {trajectory.termination!r}"
         )
     x_cp = thermal_ratio(bounds.f_cp_ghz, env)
-    xs = [thermal_ratio(f, env) for f in trajectory.f_ghz.tolist()]
-    pe = trajectory.p_e.tolist()
+    f, p_e = trajectory.f_ghz, trajectory.p_e
+    below = f < 0.0
+    if below.any():
+        thermal_ratio(float(f[below.argmax()]), env)  # raises for the first negative f
+    x = env.ratio_per_ghz * f
 
     # Exact per-segment restore-stage integral of x * rate * (p_e - p_eq) dt:
     # the frequency is constant on each segment, so it equals -x * dp_e.
-    integral = 0.0
-    for x, pe_k, pe_next in zip(xs, pe, pe[1:]):
-        integral += x * (pe_k - pe_next)
+    # cumsum adds strictly left to right, here from a leading +0.0 term.
+    terms = np.zeros(p_e.size)
+    np.multiply(x[:-1], p_e[:-1] - p_e[1:], out=terms[1:])
+    integral = np.cumsum(terms, out=terms)[-1].item()
 
-    pe0, pe_end = pe[0], pe[-1]
-    x0, x_end = xs[0], xs[-1]
+    pe0, pe_end = p_e[0].item(), p_e[-1].item()
+    x0, x_end = x[0].item(), x[-1].item()
 
     w_sw1 = (x0 - x_cp) * (pe0 - 0.5)
     w_st = x_end * (pe_end - 0.5) - x0 * (pe0 - 0.5) + integral

@@ -110,6 +110,15 @@ class DeviationResult:
         return self.baseline.propagate(self.initial, self.t_final_us)
 
 
+def _offsets(p_eq, decay):
+    """``B_k``: the populations the segment maps reach from p0=0, one float at a time."""
+    offset = 0.0
+    yield offset
+    for p, d in zip(p_eq, decay):
+        offset = p + (offset - p) * d
+        yield offset
+
+
 class Baseline:
     """A recorded optimal run, replayed open loop from its own rows.
 
@@ -146,10 +155,8 @@ class Baseline:
         self._cos = np.cos(theta)
         self._sin = np.sin(theta)
         segment_decay = np.exp(-self._rate_per_us[:-1] * np.diff(self._t_us))
-        offset = [0.0]
-        for p_eq, d in zip(self._p_eq[:-1].tolist(), segment_decay.tolist()):
-            offset.append(p_eq + (offset[-1] - p_eq) * d)
-        self._offset = np.array(offset)
+        offsets = _offsets(memoryview(self._p_eq[:-1]), memoryview(segment_decay))
+        self._offset = np.fromiter(offsets, float, self._p_eq.size)
 
     @property
     def tau_st_us(self) -> float:

@@ -11,8 +11,10 @@ right edge, the Python double loop that scored ``verify_pmp``'s
 probes before it became one numpy pass, and the table writer's per-cell
 rule from before it wrote in blocks and formatted each cell once.  The
 stepper loop and the tracked runtime are kept as they were before their
-builtin calls and per-refresh predictor fit went, for a bit-for-bit
-comparison.  Two references wrap package internals that only tests use:
+builtin calls and per-refresh predictor fit went, and the work ledger's
+restore integral and the robustness baseline's offset recurrence as the
+Python-float loops they were before they read float64 columns, all for a
+bit-for-bit comparison.  Two references wrap package internals that only tests use:
 one exact constant-control step, and the adaptive stepper replaying a
 recorded schedule, which the closed-form robustness replay is checked
 against.
@@ -42,9 +44,11 @@ from qreset import (
     Tabulated,
     TimeLocalOptimal,
     Trajectory,
+    WorkLedger,
     argmax_rate,
     coherence_time,
     costate_along,
+    entropy,
     equilibrium_population,
     eval_rate,
     integrate_restore,
@@ -598,3 +602,95 @@ class ReferenceTimeLocalOptimal:
 
     def bind(self, model, env, bounds, numerics) -> ReferenceTimeLocalRuntime:
         return ReferenceTimeLocalRuntime(self, model, env, bounds, numerics)
+
+
+def reference_work_ledger(
+    trajectory: Trajectory, bounds: ControlBounds, env: Environment
+) -> WorkLedger:
+    """``qreset.work_ledger`` as it was, summing the restore integral in a Python loop.
+
+    A verbatim copy of the ledger from before it took the integral as a
+    ``np.cumsum`` of the float64 columns; ``work_ledger`` must match it bit
+    for bit, signed zeros included.
+    """
+    if trajectory.termination != "precision":
+        raise ValueError(
+            f"work ledger requires a precision-terminated trajectory, got"
+            f" {trajectory.termination!r}"
+        )
+    x_cp = thermal_ratio(bounds.f_cp_ghz, env)
+    xs = [thermal_ratio(f, env) for f in trajectory.f_ghz.tolist()]
+    pe = trajectory.p_e.tolist()
+
+    # Exact per-segment restore-stage integral of x * rate * (p_e - p_eq) dt:
+    # the frequency is constant on each segment, so it equals -x * dp_e.
+    integral = 0.0
+    for x, pe_k, pe_next in zip(xs, pe, pe[1:]):
+        integral += x * (pe_k - pe_next)
+
+    pe0, pe_end = pe[0], pe[-1]
+    x0, x_end = xs[0], xs[-1]
+
+    w_sw1 = (x0 - x_cp) * (pe0 - 0.5)
+    w_st = x_end * (pe_end - 0.5) - x0 * (pe0 - 0.5) + integral
+    w_sw2 = (x_cp - x_end) * (pe_end - 0.5)
+    w = w_sw1 + w_st + w_sw2
+    d_u = x_cp * (pe_end - pe0)
+    d_s = entropy(pe0) - entropy(pe_end)
+    d_f = d_u - d_s
+    w_ex = integral + d_s
+    return WorkLedger(
+        W_sw1=w_sw1, W_st=w_st, W_sw2=w_sw2, W=w, dU=d_u, dS=d_s, dF=d_f, W_ex=w_ex
+    )
+
+
+def reference_baseline_offsets(trajectory: Trajectory) -> np.ndarray:
+    """``Baseline._offset`` as it was built, appending Python floats to a list.
+
+    The recurrence is verbatim from before it ran as a generator over
+    ``memoryview``s into ``np.fromiter``; the slicing and segment decays are
+    ``Baseline.__init__``'s own.
+    """
+    held = slice(0, max(trajectory.n_samples - 1, 1))
+    t_us, rate_per_us = trajectory.t_us[held], trajectory.rate_per_us[held]
+    segment_decay = np.exp(-rate_per_us[:-1] * np.diff(t_us))
+    offset = [0.0]
+    for p_eq, d in zip(trajectory.p_eq[held][:-1].tolist(), segment_decay.tolist()):
+        offset.append(p_eq + (offset[-1] - p_eq) * d)
+    return np.array(offset)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal as IEEE doubles, with a zero's sign counted: ``-0.0`` differs from ``0.0``."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Trajectories on which the float64-column ledger and baseline offsets are
+# held to their Python-float references: the four defaults, the mix default's
+# schedule replayed by FixedSchedule and zero_restore_trajectory().
+FLOAT_COLUMN_CASES = ("lz", "prot", "mix", "jqf", "mix-schedule", "zero-restore")
+
+
+def zero_restore_trajectory() -> Trajectory:
+    """Two precision rows whose one restore term ``x_0 (p_e0 - p_e1)`` is ``-0.0``.
+
+    ``f = (-0.0, 0.0)`` gives ``x_0 = -0.0`` while ``p_e`` falls from 0.4, and
+    ``W_st = x_1 (p_e1 - 1/2) - x_0 (p_e0 - 1/2) + integral = -0.0 + integral``
+    shows the sum's sign: ``+0.0`` when it starts from ``+0.0``, as a loop
+    does, ``-0.0`` when it starts from its first term.
+    """
+    return Trajectory(
+        t_us=[0.0, 1.0], f_ghz=[-0.0, 0.0], p_e=[0.4, 1.0e-5], p_r=[0.0, 0.0], p_i=[0.0, 0.0],
+        rate_per_us=[1.0, 1.0], p_eq=[0.5, 0.5], tau_st_us=1.0, termination="precision",
+        epsilon=1.0e-5,
+    )
+
+
+def float_column_case(case: str, default_runs, models, env, bounds) -> Trajectory:
+    """The trajectory of one of ``FLOAT_COLUMN_CASES``."""
+    if case == "zero-restore":
+        return zero_restore_trajectory()
+    if case == "mix-schedule":
+        law = FixedSchedule(default_runs["mix"][1].schedule())
+        return integrate_restore(QubitState(0.5), law, models["mix"], env, bounds)
+    return default_runs[case][1]

@@ -1,0 +1,66 @@
+"""Traced memory per recorded sample of a long run, layer by layer.
+
+Each bound is on the ``tracemalloc`` peak over one call, less the traced
+memory before it, divided by the trajectory's row count, on mix-default
+(10,979 rows) and jqf-default (16,699 rows).  A run's rows end as seven
+float64 columns, 56 bytes per row; what a layer holds beyond that while it
+runs is what these bounds cap.
+
+- ``integrate_restore``: at most 160 B.  It measures the recorded rows
+  while the run records them.  With every sample kept as seven Python floats
+  in one list it peaked at 282-286 B; packed into float64 blocks every
+  ``RECORD_BLOCK_ROWS`` rows it peaks at 117-128 B (the blocks, their
+  concatenation and one block's list of floats).
+- ``work_ledger``: at most 40 B.  It measures the ledger's temporaries.
+  Copying ``x`` and ``p_e`` into lists of Python floats took 72-73 B; three
+  float64 temporaries take 24-25 B.
+- ``Baseline(trajectory)``: at most 150 B.  It measures the composed maps
+  and their temporaries.  The offset recurrence over ``tolist`` copies
+  peaked at 192-193 B; over ``memoryview``s into ``np.fromiter``, 112 B.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from qreset import Baseline, QubitState, integrate_restore, work_ledger
+from qreset.scenario import builtin_scenario
+
+BYTES_PER_ROW_BOUND = {"integrate_restore": 160, "work_ledger": 40, "Baseline": 150}
+
+
+def _traced_peak(call):
+    """``(call(), peak traced bytes above the memory traced when it started)``."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bytes_per_row() -> dict:
+    out = {}
+    for name in ("mix-default", "jqf-default"):
+        model, env, bounds, law, numerics = builtin_scenario(name).build()
+        run = lambda: integrate_restore(QubitState(0.5), law, model, env, bounds, numerics)  # noqa: E731
+        trajectory, peak = _traced_peak(run)
+        rows = trajectory.n_samples
+        out[name, "integrate_restore"] = peak / rows
+        out[name, "work_ledger"] = _traced_peak(lambda: work_ledger(trajectory, bounds, env))[1] / rows
+        out[name, "Baseline"] = _traced_peak(lambda: Baseline(trajectory))[1] / rows
+    return out
+
+
+@pytest.mark.parametrize("layer", list(BYTES_PER_ROW_BOUND))
+@pytest.mark.parametrize("scenario", ["mix-default", "jqf-default"])
+def test_a_long_run_peaks_within_its_bytes_per_row_bound(scenario, layer, bytes_per_row):
+    assert bytes_per_row[scenario, layer] <= BYTES_PER_ROW_BOUND[layer]

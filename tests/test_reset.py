@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -17,7 +18,10 @@ from qreset import (
     Mixed,
     Numerics,
     Tabulated,
+    ThermoDomainError,
     TimeLocalOptimal,
+    Trajectory,
+    WorkLedger,
     constant_control_work_approx,
     epsilon_min,
     report_to_dict,
@@ -26,6 +30,7 @@ from qreset import (
     work_ledger,
 )
 from qreset.cli import main
+from helpers import FLOAT_COLUMN_CASES, float_column_case, reference_work_ledger, same_float
 
 
 def test_reset_time_composition(default_runs, bounds):
@@ -70,6 +75,37 @@ def test_work_ledger_requires_precision(models, env10, bounds):
     )
     with pytest.raises(ValueError):
         work_ledger(trajectory, bounds, env10)
+
+
+@pytest.mark.parametrize("case", FLOAT_COLUMN_CASES)
+def test_ledger_matches_its_python_loop_reference_bit_for_bit(
+    case, default_runs, models, env10, bounds
+):
+    # The restore integral is a np.cumsum over the float64 columns; the loop
+    # over Python floats it replaced must give every field, signed zeros included.
+    trajectory = float_column_case(case, default_runs, models, env10, bounds)
+    current = work_ledger(trajectory, bounds, env10)
+    reference = reference_work_ledger(trajectory, bounds, env10)
+    for field in dataclasses.fields(WorkLedger):
+        value, expected = getattr(current, field.name), getattr(reference, field.name)
+        assert type(value) is float and same_float(value, expected), (field.name, value, expected)
+    if case == "zero-restore":
+        assert math.copysign(1.0, current.W_st) == 1.0
+
+
+def test_ledger_rejects_a_negative_frequency_as_its_reference_does(env10, bounds):
+    # The first negative frequency is named, whatever its row.
+    trajectory = Trajectory(
+        t_us=[0.0, 1.0, 2.0], f_ghz=[5.0, -1.0, -2.0], p_e=[0.5, 0.1, 1.0e-5],
+        p_r=[0.0] * 3, p_i=[0.0] * 3, rate_per_us=[1.0] * 3, p_eq=[0.0] * 3,
+        tau_st_us=2.0, termination="precision", epsilon=1.0e-5,
+    )
+    messages = []
+    for ledger in (work_ledger, reference_work_ledger):
+        with pytest.raises(ThermoDomainError, match="got -1.0$") as info:
+            ledger(trajectory, bounds, env10)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_constant_rate_work_matches_approximation(env10):

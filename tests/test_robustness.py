@@ -30,7 +30,14 @@ from qreset import (
 from qreset.cli import _FIG4_POINTS
 from qreset.dynamics import _advance
 from qreset.robustness import _initial_state
-from helpers import chained_exponential_population, stepper_replay
+from helpers import (
+    FLOAT_COLUMN_CASES,
+    chained_exponential_population,
+    float_column_case,
+    reference_baseline_offsets,
+    same_float,
+    stepper_replay,
+)
 
 EPS = 1.0e-5
 
@@ -216,6 +223,17 @@ def test_closed_form_replay_returns_the_recorded_rows(baselines):
             got, want = getattr(replay, column)[:-1], getattr(recorded, column)[:-1]
             assert np.array_equal(got, want), (name, column)
         np.testing.assert_allclose(replay.p_e[:-1], recorded.p_e[:-1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", FLOAT_COLUMN_CASES)
+def test_offsets_match_their_list_reference_bit_for_bit(case, default_runs, models, env10, bounds):
+    # The offset recurrence reads the columns through memoryviews into
+    # np.fromiter; the list of Python floats it replaced must give every entry.
+    trajectory = float_column_case(case, default_runs, models, env10, bounds)
+    offsets = Baseline(trajectory)._offset
+    reference = reference_baseline_offsets(trajectory)
+    assert offsets.dtype == reference.dtype and offsets.shape == reference.shape
+    assert all(map(same_float, offsets.tolist(), reference.tolist()))
 
 
 @pytest.mark.parametrize(
