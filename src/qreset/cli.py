@@ -85,10 +85,10 @@ def _execute(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args)
+    scenario, base_dir = _resolve_scenario(args)
     scenario = replace(scenario, numerics=_override_numerics(scenario.numerics, args))
     out_dir = Path(args.out)
-    report, trajectory = _execute(scenario, _config_base_dir(args))
+    report, trajectory = _execute(scenario, base_dir)
     run_dir = _run_dir(out_dir, scenario)
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / "config.json", scenario.to_dict())
@@ -107,18 +107,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scenario(args: argparse.Namespace) -> Scenario:
+def _resolve_scenario(args: argparse.Namespace) -> tuple[Scenario, Path | None]:
+    """The scenario and the directory its relative paths resolve against."""
     if getattr(args, "config", None):
-        return load_scenario(Path(args.config))
+        path = Path(args.config)
+        return load_scenario(path), path.resolve().parent
     if getattr(args, "scenario", None):
-        return builtin_scenario(args.scenario)
+        return builtin_scenario(args.scenario), None
     raise ConfigError("either --config PATH or --scenario NAME is required")
-
-
-def _config_base_dir(args: argparse.Namespace) -> Path | None:
-    if getattr(args, "config", None):
-        return Path(args.config).resolve().parent
-    return None
 
 
 def _override_numerics(numerics: Numerics, args: argparse.Namespace) -> Numerics:
@@ -247,14 +243,14 @@ def parse_axis(spec: str) -> tuple[str, float, float, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args)
+    scenario, base_dir = _resolve_scenario(args)
     name, start, stop, n = parse_axis(args.axis)
     values = [start] if n == 1 else list(np.linspace(start, stop, n))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
-        report = _execute(replace(scenario, **{name: float(value)}), _config_base_dir(args))[0]
+        report = _execute(replace(scenario, **{name: float(value)}), base_dir)[0]
         rows.append((value, *astuple(report)))
     path = out_dir / f"sweep_{scenario.name}_{name}.csv"
     _write_csv(path, f"{name},{_REPORT_HEADER}", list(zip(*rows)))

@@ -80,7 +80,7 @@ class QubitState:
 class Numerics:
     """Integrator and scan settings.
 
-    ``step_log_bound`` caps the per-step decay of ``ln(p_e - p_eq)``;
+    ``step_log_bound``, in (0, 1], caps the per-step decay of ``ln(p_e - p_eq)``;
     ``control_drift_ghz`` caps how far the control may move per step
     (default: 1/16 of the scan-grid resolution).
     """
@@ -104,6 +104,11 @@ class Numerics:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"numerics.{name} must be an integer, got {value!r}")
+        # Steps of more than one e-fold gave a wrong tau_st with no error.
+        if not self.step_log_bound <= 1.0:
+            raise ValueError(
+                f"numerics.step_log_bound must lie in (0, 1], got {self.step_log_bound!r}"
+            )
         if not 3 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"numerics.grid_points must be in [3, {MAX_GRID_POINTS}], got {self.grid_points!r}"
@@ -281,7 +286,7 @@ def integrate_restore(
     step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
     # dt_free <= log_bound / rate, so no crossing lies within a step where
     # gap >= 1.01 e^log_bound (eps - p_eq): its log is skipped there.
-    no_cross = 1.01 * math.exp(log_bound) if log_bound < 709.0 else inf
+    no_cross = 1.01 * math.exp(log_bound)
     if precision_mode and runtime.held_ghz is not None:
         floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
         if floor >= eps:

@@ -106,10 +106,10 @@ class Scenario:
         num_unknown = set(num_data) - {f.name for f in fields(Numerics)} - {"control_mode"}
         if num_unknown:
             raise ConfigError(f"unknown numerics key(s): {sorted(num_unknown)}")
-        for owner, values, prefix in ((cls, payload, ""), (Numerics, num_data, "numerics.")):
-            annotations = {f.name: f.type for f in fields(owner)}
-            for key, value in values.items():
-                _check_json_type(prefix + key, value, annotations.get(key))
+        # Numerics checks its own fields, naming each ``numerics.<field>``.
+        annotations = {f.name: f.type for f in fields(cls)}
+        for key, value in payload.items():
+            _check_json_type(key, value, annotations.get(key))
         if "control_mode" in num_data:
             payload["control_mode"] = num_data.pop("control_mode")
         params = payload.pop("spectrum_params", {})
@@ -148,8 +148,8 @@ class Scenario:
             )
         try:
             return cls(**self.spectrum_params)
-        except SpectrumError as exc:
-            raise ConfigError(str(exc)) from None
+        except SpectrumError as exc:  # it names the field, which is the config key
+            raise ConfigError(f"spectrum_params.{exc}") from None
 
     def build_law(self, base_dir: Path | None = None):
         if self.control == "time_local":
@@ -195,9 +195,7 @@ class Scenario:
 # The JSON values each field annotation accepts; a bool is not a number.
 _JSON_TYPES = {
     "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
-    "float | None": ((int, float, type(None)), "a number or null"),
 }
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, TextIO, TypeVar, Union
 
@@ -101,29 +101,33 @@ FloatOrArray = TypeVar("FloatOrArray", float, np.ndarray)
 RateKernel = Callable[[FloatOrArray], FloatOrArray]
 
 
-class _KernelCache:
-    """Keeps a model picklable: the cached kernel is a closure, rebuilt on use."""
+class _Model:
+    """A spectrum model: every field finite and > 0, picklable with its kernel.
+
+    ``Tabulated`` checks its table instead.  The cached kernel is a
+    closure, so pickling drops it and it is rebuilt on use.
+    """
+
+    def __post_init__(self) -> None:
+        _require_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "rate_kernel"}
 
 
-def _require_positive(**fields: float) -> None:
-    for name, value in fields.items():
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
         if not (value > 0.0 and math.isfinite(value)):
             raise SpectrumError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
-class Lorentzian(_KernelCache):
+class Lorentzian(_Model):
     """Resonator-induced Lorentzian peak: coupling g, linewidth kappa, center f_r."""
 
     g_ghz: float = 0.107
     kappa_ghz: float = 0.044
     f_r_ghz: float = 5.4
-
-    def __post_init__(self) -> None:
-        _require_positive(g=self.g_ghz, kappa=self.kappa_ghz, f_r=self.f_r_ghz)
 
     @cached_property
     def rate_kernel(self) -> RateKernel:
@@ -135,18 +139,13 @@ class Lorentzian(_KernelCache):
 
 
 @dataclass(frozen=True)
-class Protected(_KernelCache):
+class Protected(_Model):
     """Filtered line with a zero at f_f and a pole at f_r (both in the GHz window)."""
 
     kappa_ghz: float = 0.005
     g_ghz: float = 0.150
     f_f_ghz: float = 5.0
     f_r_ghz: float = 6.5
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            kappa=self.kappa_ghz, g=self.g_ghz, f_f=self.f_f_ghz, f_r=self.f_r_ghz
-        )
 
     @cached_property
     def rate_kernel(self) -> RateKernel:
@@ -169,7 +168,7 @@ class Protected(_KernelCache):
 
 
 @dataclass(frozen=True)
-class Mixed(_KernelCache):
+class Mixed(_Model):
     """Flux + dielectric + Purcell + residual background of a tunable flux qubit.
 
     Coefficients follow the published raw-number convention: frequencies
@@ -183,16 +182,6 @@ class Mixed(_KernelCache):
     kappa_ghz: float = 0.0015
     c_other: float = 0.02
 
-    def __post_init__(self) -> None:
-        _require_positive(
-            c_phi=self.c_phi,
-            c_q=self.c_q,
-            c_purcell=self.c_purcell,
-            f_r=self.f_r_ghz,
-            kappa=self.kappa_ghz,
-            c_other=self.c_other,
-        )
-
     @cached_property
     def rate_kernel(self) -> RateKernel:
         c_phi, c_q, c_other, f_r = self.c_phi, self.c_q, self.c_other, self.f_r_ghz
@@ -204,21 +193,13 @@ class Mixed(_KernelCache):
 
 
 @dataclass(frozen=True)
-class JQF(_KernelCache):
+class JQF(_Model):
     """Giant-atom filter: bare decay time tau0, filtered decay time tau, dip at f_0."""
 
     tau0_us: float = 9.1
     tau_us: float = 98.0
     four_kappa_j_ghz: float = 0.0508
     f_0_ghz: float = 5.011
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            tau0=self.tau0_us,
-            tau=self.tau_us,
-            four_kappa_j=self.four_kappa_j_ghz,
-            f_0=self.f_0_ghz,
-        )
 
     @cached_property
     def rate_kernel(self) -> RateKernel:
@@ -228,7 +209,7 @@ class JQF(_KernelCache):
 
 
 @dataclass(frozen=True)
-class Tabulated(_KernelCache):
+class Tabulated(_Model):
     """Piecewise-linear spectrum through strictly increasing (f_GHz, rate_1/us) points."""
 
     points: tuple[tuple[float, float], ...]

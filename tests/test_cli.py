@@ -234,6 +234,14 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
             {"spectrum": "lz", "spectrum_params": {"g_ghz": "x"}},
             "spectrum_params.g_ghz must be a number",
         ),
+        (
+            {"spectrum": "lz", "spectrum_params": {"kappa_ghz": -1}},
+            "spectrum_params.kappa_ghz must be finite and > 0, got -1",
+        ),
+        (
+            {"spectrum": "jqf", "spectrum_params": {"four_kappa_j_ghz": 0}},
+            "spectrum_params.four_kappa_j_ghz must be finite and > 0, got 0",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -245,6 +253,8 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
         "temperature-bool",
         "epsilon-str",
         "param-str",
+        "param-negative",
+        "param-zero",
     ],
 )
 def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
@@ -377,6 +387,9 @@ def test_cmd_run_achievability_exit_code(tmp_path, capsys):
         {"step_limit": True},
         # Rejected before the scan grid is allocated.
         {"grid_points": 100_000_000_000},
+        # More than one e-fold of the gap per step.
+        {"step_log_bound": 1.5},
+        {"step_log_bound": 800},
     ],
 )
 def test_cmd_run_invalid_numerics_exit_code(tmp_path, capsys, numerics):

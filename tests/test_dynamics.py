@@ -407,6 +407,8 @@ def test_trajectory_csv_export(default_runs):
         ("step_log_bound", 0.0),
         ("step_log_bound", math.nan),
         ("step_log_bound", -0.05),
+        ("step_log_bound", 1.5),  # more than one e-fold of the gap per step
+        ("step_log_bound", 800.0),
         ("time_limit_t1", 0.0),
         ("time_limit_t1", math.inf),
         ("control_drift_ghz", 0.0),
@@ -446,7 +448,6 @@ _LOOP_VARIANTS = {
     "global": {"control_mode": "global"},
     "constant": {"control": "constant"},
     "10.03mK": {"temperature_K": 0.01003},
-    "log800": {"numerics": Numerics(step_log_bound=800.0)},  # e^800 overflows a float
 }
 
 
@@ -471,7 +472,7 @@ def _loop_case(case: str):
     [
         "lz-tracked", "prot-tracked", "mix-tracked", "jqf-tracked", "prot-10.03mK",
         "lz-global", "prot-global", "jqf-global", "lz-constant", "prot-constant",
-        "tent-20mK", "mix-open", "mix-schedule", "mix-log800", "lz-log800",
+        "tent-20mK", "mix-open", "mix-schedule",
     ],
 )
 def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatch):

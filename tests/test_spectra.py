@@ -106,6 +106,18 @@ def test_parameter_validation():
         Tabulated(((2.0, 1.0), (3.0, -0.5)))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "model, name",
+    [(m, f.name) for m in (Lorentzian, Protected, Mixed, JQF) for f in dataclasses.fields(m)],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_invalid_parameter_names_its_field(model, name, value):
+    # The field name is also the scenario's spectrum_params key.
+    with pytest.raises(SpectrumError, match=rf"^{name} must be finite and > 0, got {value!r}$"):
+        model(**{name: value})
+
+
 def test_control_bounds_validation():
     b = ControlBounds()
     assert b.f_min_ghz == 2.0
