@@ -103,13 +103,11 @@ def _objective(
     rate_cap: float | None,
     p_e: float,
 ) -> Callable[[float], float]:
-    """Float ``J(f) = rate(f) * (p_e - p_eq(f))`` in one closure; grids use ``_grid_terms``."""
-    raw = model.rate_kernel
+    """Float ``J(f) = rate(f) * (p_e - p_eq(f))`` as one function; grids use ``_grid_terms``."""
     cap = math.inf if rate_cap is None else rate_cap
-    c = env.ratio_per_ghz
-    exp = math.exp
 
-    def j(f: float) -> float:
+    # Default values, not closure cells: one tuple per refresh instead of five cells.
+    def j(f: float, raw=model.rate_kernel, cap=cap, c=env.ratio_per_ghz, p_e=p_e, exp=math.exp):
         e = exp(-c * f)
         r = raw(f)
         return (cap if r > cap else r) * (p_e - e / (1.0 + e))

@@ -11,6 +11,7 @@ the rate (which spans many orders of magnitude across spectra).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from typing import Protocol, TextIO
 
@@ -34,9 +35,6 @@ __all__ = [
 
 _POSITIVITY_TOL = 1.0e-12
 MAX_GRID_POINTS = 1_000_000  # the largest scan grid allowed, 250 times the default
-# A run records its rows as Python floats and packs every this many rows into
-# a float64 block, so a long run holds 56 bytes per row, not seven objects.
-RECORD_BLOCK_ROWS = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -302,10 +300,10 @@ def integrate_restore(
     else:
         t_stop = t_final
 
-    # One sample per row: the seven Trajectory columns, in order.
-    samples: list[float] = []
-    blocks: list[np.ndarray] = []
-    block_len = 7 * RECORD_BLOCK_ROWS
+    # One float64 buffer, a row of the seven Trajectory columns per sample:
+    # 56 bytes a row, and no Python float outlives its step.
+    samples = array("d")
+    record = samples.fromlist
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
@@ -322,10 +320,7 @@ def integrate_restore(
         e = exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
-        samples += (t, f, pe, pr, pi, rate, peq)
-        if len(samples) == block_len:
-            blocks.append(np.array(samples, dtype=float))
-            samples = []
+        record([t, f, pe, pr, pi, rate, peq])
 
         # The horizon outranks the step limit, which outranks the time limit.
         at_stop = t >= t_stop
@@ -356,7 +351,7 @@ def integrate_restore(
                 _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
                 pe = eps
                 tau = t + dt_cross
-                samples += (tau, f, pe, pr, pi, rate, peq)
+                record([tau, f, pe, pr, pi, rate, peq])
                 termination = "precision"
                 break
 
@@ -408,8 +403,7 @@ def integrate_restore(
         else:
             dt_drift_hint = dt_drift_hint * 2.0
 
-    blocks.append(np.array(samples, dtype=float))
-    columns = np.concatenate(blocks).reshape(-1, 7).T
+    columns = np.frombuffer(samples).reshape(-1, 7).T
     return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, TextIO
@@ -117,6 +118,11 @@ class Scenario:
             raise ConfigError("spectrum_params must be a JSON object")
         for key, value in params.items():
             _check_json_type(f"spectrum_params.{key}", value, "float")
+        # JSON integers have no size limit; past a float's, the checks behind overflow.
+        for where, values in (("", payload), ("spectrum_params.", params), ("numerics.", num_data)):
+            for key, value in values.items():
+                if isinstance(value, int) and abs(value) > sys.float_info.max:
+                    raise ConfigError(f"{where}{key} must fit in a float, got a larger integer")
         if "spectrum" not in payload:
             raise ConfigError("scenario is missing the 'spectrum' key")
         if "name" not in payload:
@@ -239,7 +245,7 @@ def load_scenario(path: Path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer past Python's digit limit
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return Scenario.from_dict(data)
 

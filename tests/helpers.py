@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the package's integration and scan machinery:
-closed-form chained exponentials for piecewise-constant dynamics, a
-plain dense scan for maximization, the scalar-loop grid scan that
+closed-form chained exponentials for piecewise-constant dynamics, the
+tracked law as a quadrature over ``p_e``, a plain dense scan for
+maximization, the scalar-loop grid scan that
 ``_scan_max`` replaced (it shares only the package's refinement helpers,
 which that change left as they were), the ``(model, f)`` rate
 formulas and control objective that the bound rate kernels replaced, and
@@ -30,6 +31,7 @@ import numpy as np
 
 from qreset import (
     JQF,
+    LN2,
     ControlBounds,
     Environment,
     FixedSchedule,
@@ -116,6 +118,101 @@ def stepper_replay(
     return integrate_restore(
         initial, schedule, model, env, bounds, numerics, t_final=t_final_us
     )
+
+
+def _held_arc(rate: float, p_eq: float, x: float, p_hi: float, p_lo: float):
+    """``(duration, int x dp, ln eta)`` of ``p_e`` falling from ``p_hi`` to ``p_lo`` at one f."""
+    log_gap = math.log((p_hi - p_eq) / (p_lo - p_eq))
+    return log_gap / rate, x * (p_hi - p_lo), -log_gap
+
+
+def _restore_totals(tau: float, work: float, ln_eta: float, epsilon: float):
+    """``(tau_st, W_ex_norm, eta(tau))`` of a restore from ``p_e = 1/2`` to ``epsilon``."""
+    w_ex = work + entropy(0.5) - entropy(epsilon)
+    return tau, w_ex / LN2, math.exp(ln_eta)
+
+
+def held_restore_oracle(f_ghz: float, model, env, bounds, rate_cap: float | None = 1.0e6):
+    """``(tau_st, W_ex_norm, eta(tau))`` of a restore that holds ``f_ghz`` throughout.
+
+    One segment in closed form, as the tracked law runs on lz and prot.
+    """
+    e = math.exp(-env.ratio_per_ghz * f_ghz)
+    rate = reference_rate(model, f_ghz, rate_cap)
+    arc = _held_arc(rate, e / (1.0 + e), env.ratio_per_ghz * f_ghz, 0.5, bounds.epsilon)
+    return _restore_totals(*arc, bounds.epsilon)
+
+
+def tracked_branch_oracle(model, env, bounds, *, nodes: int = 1025, lag_ghz: float = 0.0):
+    """``(tau_st, W_ex_norm, eta(tau))`` of the tracked law by quadrature in ``p_e``.
+
+    The time-local law depends on ``p_e`` only, so a restore is a 1-D
+    integral over ``p`` from ``epsilon`` to 1/2: ``tau = int dp / J*(p)``,
+    ``W_ex = int x(f*(p)) dp + dS`` and ``ln eta = -int dp / (p - p_eq(f*))``.
+    For a law pinned at the window's lower edge (mix and jqf), ``f*`` stays
+    there down to where ``dJ/df`` changes sign, ``p_dep = q + r q'/r'``
+    (``q = p_eq``, ``q' = -c q (1 - q)``, ``r'`` by one complex step,
+    exact to round-off for these kernels; Squire & Trapp, SIAM Rev. 40,
+    1998).  That arc is one closed-form segment.  Below it, stationarity
+    gives the branch explicitly, ``p(f) = q + r q'/r'``, and ``f*`` at each
+    of ``nodes`` points uniform in ``ln p`` is its root, followed from the
+    previous node by bracketed regula falsi; composite Simpson sums the
+    three integrands there.  No maximizer and no stepper is involved.
+    The uncapped kernel is used: the cap does not bind on this branch.
+
+    ``lag_ghz`` evaluates the branch integrands that far below ``f*``
+    (never below the window): a left-point stepper's held frequency trails
+    the branch by at most one step's move.
+    """
+    kernel, c, f_lo, eps = model.rate_kernel, env.ratio_per_ghz, bounds.f_min_ghz, bounds.epsilon
+
+    def p_eq(f: float) -> float:
+        e = math.exp(-c * f)
+        return e / (1.0 + e)
+
+    def branch_p(f: float) -> float:
+        z = kernel(f + 1.0e-20j)
+        q = p_eq(f)
+        return q - z.real * c * q * (1.0 - q) / (z.imag / 1.0e-20)
+
+    p_dep = branch_p(f_lo)
+    if not eps < p_dep < 0.5:
+        raise ValueError(f"no departure from the window edge in (epsilon, 1/2): p_dep={p_dep!r}")
+    tau, work, ln_eta = _held_arc(kernel(f_lo), p_eq(f_lo), c * f_lo, 0.5, p_dep)
+
+    us = np.linspace(math.log(p_dep), math.log(eps), nodes)
+    terms = np.empty((3, nodes))
+    f, step = f_lo, 1.0e-3
+    for k, u in enumerate(us):
+        p = math.exp(u)
+        if k:  # root of branch_p(f) = p above the previous node, where branch_p > p
+            a, ga = f, branch_p(f) - p
+            b = a + step
+            while (gb := branch_p(b) - p) > 0.0:
+                a, ga, b = b, gb, b + 2.0 * (b - a)
+            side = 0
+            for _ in range(100):
+                m = (a * gb - b * ga) / (gb - ga)
+                gm = branch_p(m) - p
+                if gm > 0.0:
+                    a, ga = m, gm
+                    gb, side = (0.5 * gb if side > 0 else gb), 1  # Illinois: halve the stuck end
+                elif gm < 0.0:
+                    b, gb = m, gm
+                    ga, side = (0.5 * ga if side < 0 else ga), -1
+                if gm == 0.0 or b - a <= 1.0e-13:
+                    break
+            else:
+                raise RuntimeError(f"no branch frequency found at p={p!r}")
+            step = max(m - f, 1.0e-6)
+            f = m
+        held = max(f - lag_ghz, f_lo)
+        gap = p - p_eq(held)
+        terms[:, k] = p / (kernel(held) * gap), p * c * held, p / gap
+    weights = np.full(nodes, 2.0)
+    weights[1::2], weights[0], weights[-1] = 4.0, 1.0, 1.0
+    d_tau, d_work, d_ln = terms @ weights * ((us[0] - us[-1]) / (nodes - 1) / 3.0)
+    return _restore_totals(tau + d_tau, work + d_work, ln_eta - d_ln, eps)
 
 
 def brute_force_argmax(fn, lo: float, hi: float, n: int) -> tuple[float, float]:

@@ -242,6 +242,17 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
             {"spectrum": "jqf", "spectrum_params": {"four_kappa_j_ghz": 0}},
             "spectrum_params.four_kappa_j_ghz must be finite and > 0, got 0",
         ),
+        # JSON integers of 401 digits, past the largest float: each overflowed
+        # converting to float, a traceback instead of one line.
+        ({"spectrum": "lz", "temperature_K": 10**400}, "temperature_K must fit in a float"),
+        (
+            {"spectrum": "lz", "spectrum_params": {"g_ghz": 10**400}},
+            "spectrum_params.g_ghz must fit in a float",
+        ),
+        (
+            {"spectrum": "lz", "numerics": {"step_log_bound": 10**400}},
+            "numerics.step_log_bound must fit in a float",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -255,6 +266,9 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
         "param-str",
         "param-negative",
         "param-zero",
+        "temperature-401-digits",
+        "param-401-digits",
+        "numerics-401-digits",
     ],
 )
 def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
@@ -264,6 +278,23 @@ def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Python refuses to parse an integer of more than 4,300 digits.
+        b'{"spectrum": "lz", "temperature_K": 1' + b"0" * 5000 + b"}",
+        b'{"spectrum": "lz", "name": "\xff"}',  # not UTF-8
+    ],
+    ids=["digit-limit", "latin-1"],
+)
+def test_cmd_run_unreadable_json_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid JSON in ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

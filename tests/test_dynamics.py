@@ -30,7 +30,6 @@ from qreset import (
     thermal_ratio,
 )
 import qreset.control
-import qreset.dynamics
 from qreset.scenario import builtin_scenario
 from helpers import (
     ReferenceTimeLocalOptimal,
@@ -480,7 +479,7 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     # crossing log far from the target and refit the predictor only when its
     # history changes; the copies from before must give the same floats
     # through the same refreshes and objectives.  The reference records one
-    # list of Python floats: mix and jqf span 11 and 17 recording blocks.
+    # list of Python floats, the loop one float64 buffer.
     initial, law, model, env, bounds, numerics, t_final = _loop_case(case)
     calls = {"optimal_frequency": 0, "_objective": 0}
     for name in calls:
@@ -506,23 +505,3 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
     assert current.termination == ("horizon" if t_final else "precision")
-
-
-@pytest.mark.parametrize("block_rows", [1, 2, 109, 217])
-@pytest.mark.parametrize(
-    "case, changes",
-    [("lz-tracked", {}), ("lz-tracked", {"step_limit": 6}), ("prot-constant", {})],
-    ids=["precision", "step_limit", "constant"],
-)
-def test_recording_blocks_leave_every_column_unchanged(case, changes, block_rows, monkeypatch):
-    # lz-tracked records 217 loop rows plus the crossing row, and 7 rows at
-    # step_limit 6, so these block sizes leave a final list that is empty or
-    # partial; the columns must be those recorded in default-size blocks.
-    initial, law, model, env, bounds, numerics, t_final = _loop_case(case)
-    numerics = dataclasses.replace(numerics, **changes)
-    whole = integrate_restore(initial, law, model, env, bounds, numerics, t_final=t_final)
-    monkeypatch.setattr(qreset.dynamics, "RECORD_BLOCK_ROWS", block_rows)
-    blocked = integrate_restore(initial, law, model, env, bounds, numerics, t_final=t_final)
-    assert (blocked.termination, blocked.tau_st_us) == (whole.termination, whole.tau_st_us)
-    for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name

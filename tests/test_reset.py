@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qreset import (
@@ -23,6 +24,7 @@ from qreset import (
     Trajectory,
     WorkLedger,
     constant_control_work_approx,
+    decoherence_factor,
     epsilon_min,
     report_to_dict,
     run_reset,
@@ -30,7 +32,15 @@ from qreset import (
     work_ledger,
 )
 from qreset.cli import main
-from helpers import FLOAT_COLUMN_CASES, float_column_case, reference_work_ledger, same_float
+from qreset.control import TRACK_TOL_GHZ
+from helpers import (
+    FLOAT_COLUMN_CASES,
+    float_column_case,
+    held_restore_oracle,
+    reference_work_ledger,
+    same_float,
+    tracked_branch_oracle,
+)
 
 
 def test_reset_time_composition(default_runs, bounds):
@@ -53,6 +63,38 @@ def test_lorentzian_normalized_duration(default_runs):
 def test_ledger_closure(default_runs):
     for name, (report, _) in default_runs.items():
         assert report.W - report.dF == pytest.approx(report.W_ex, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["lz", "prot", "mix", "jqf"])
+def test_tracked_law_matches_its_quadrature_oracle(name, default_runs, models, env10, bounds):
+    # The oracles integrate the tracked law over p_e with no stepper;
+    # tau_st, W_ex_norm and eta(tau) of the default run are held to them.
+    report, trajectory = default_runs[name]
+    model, numerics = models[name], Numerics()
+    got = (report.tau_st, report.W_ex_norm, decoherence_factor(trajectory).at_terminal)
+    if name in ("lz", "prot"):
+        # The law holds its first refresh for the whole run, so the oracle is
+        # one closed-form segment, which the stepper's exact exponentials give
+        # but for round-off over about 220 steps: 1e-12 (measured 2e-14).
+        f0 = TimeLocalOptimal().bind(model, env10, bounds, numerics).frequency(0.5, 0.0, None)
+        assert np.all(trajectory.f_ghz == f0)
+        want = held_restore_oracle(f0, model, env10, bounds, numerics.rate_cap_per_us)
+        assert got == pytest.approx(want, rel=1.0e-12, abs=0.0)
+        return
+    # mix and jqf: each segment holds the refresh at its start, so the held
+    # frequency trails the branch by at most one step's move, 2 drift caps,
+    # and leads it by at most the refresh tolerance.  x(f) and 1/(p - p_eq(f))
+    # are monotone in that offset, and 1/J(f) grows either side of zero
+    # offset, where J peaks (by 3e-15 at the tolerance end), so each quantity
+    # lies between the oracle at the two offsets; 1e-10 covers that and the
+    # Simpson error at 1,025 nodes (1.2e-11 for jqf W_ex_norm, against 16,385).  The stepper reads tau_st +1.0e-9 (mix) and
+    # +5.6e-11 (jqf), W_ex_norm -4.6e-8 and -8.5e-6, and eta(tau) -7.3e-5 and
+    # -3.0e-6 from the oracle at zero offset, inside brackets 1.2e-8, 6.7e-10,
+    # 1.9e-7, 3.4e-5, 2.9e-4 and 1.2e-5 wide.
+    offsets = (-TRACK_TOL_GHZ, 2.0 * numerics.drift_cap(bounds))
+    ends = [tracked_branch_oracle(model, env10, bounds, lag_ghz=lag) for lag in offsets]
+    for quantity, value, a, b in zip(("tau_st", "W_ex_norm", "eta"), got, *ends):
+        assert min(a, b) * (1.0 - 1.0e-10) <= value <= max(a, b) * (1.0 + 1.0e-10), quantity
 
 
 def test_switch_work_vanishes_at_half(default_runs):
