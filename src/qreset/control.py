@@ -13,10 +13,10 @@ window at every refresh, which is the literal pointwise optimum.
 by a local search from the previous frequency, or from one extrapolated
 along the branch, starting from the rate argmax.  For single-peaked
 spectra the two coincide.  They differ only when two near-degenerate
-maxima straddle the window (the filter-dip spectrum is flat to a few
-1e-5 across its edges): the tracked branch reproduces the published
-control shapes and work costs, while the global mode jumps basins for a
-time gain of the same few 1e-5.
+maxima straddle the window (the filter-dip rate is flat to a few 1e-5
+across its edges): the tracked branch reproduces the published control
+shapes and work costs, while the global mode jumps basins and ends 4.3e-3
+sooner (jqf at the 10 mK defaults: 98.766 against 99.190 us).
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ REFINE_TOL_GHZ = 1.0e-9
 TRACK_WINDOW_GHZ = 0.02
 TRACK_TOL_GHZ = 1.0e-7
 TRACK_STENCIL_GHZ = 2.0e-4
+_PARABOLIC_ROUNDS = range(64)  # built once: every uncapped tracked refresh iterates it
+_NEG_INF, _INF = -math.inf, math.inf  # a finite near lies between, read per tracked refresh
 # verify_pmp probes this many sample times (drawn with this seed) against
 # this many window frequencies, with these tolerances.
 PMP_PROBE_TIMES = 64
@@ -185,7 +187,7 @@ def optimal_frequency(
             )
         return f_best
 
-    if not -math.inf < near < math.inf:
+    if not _NEG_INF < near < _INF:
         raise ValueError(f"near must be a finite frequency, got {near!r}")
     # Per-refresh work, so conditional expressions stand in for min/max/abs.
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
@@ -198,8 +200,9 @@ def optimal_frequency(
         if isinstance(model, Tabulated):  # J has a kink at each node: stay between two
             i, nodes = bisect_right(model.points, (f, math.inf)), model.points
             lo, hi = max(lo, nodes[i - 1][0]), min(hi, nodes[min(i, len(nodes) - 1)][0])
-        x, width, jx, half_tol = f, stencil, None, 0.5 * tol
-        for _ in range(64):  # then, as on every break, the window loop below
+        x, width, jx = f, stencil, None
+        half_tol = 0.5 * tol
+        for _ in _PARABOLIC_ROUNDS:  # then, as on every break, the window loop below
             h = x - lo if x - lo < width else width
             h = hi - x if hi - x < h else h
             if not h >= tol:
@@ -287,86 +290,82 @@ class TimeLocalOptimal:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_TimeLocalRuntime":
-        return _TimeLocalRuntime(self, model, env, bounds, numerics)
+        refresh = _tracked_refresh if self.mode == "tracked" else _global_refresh
+        return _TimeLocalRuntime(refresh(model, env, bounds, numerics))
 
 
 class _TimeLocalRuntime:
-    # Each refresh is one optimal_frequency call, and each builds its J with
-    # _objective: the benchmark's tracer counts refreshes and evaluations there.
-    def __init__(
-        self,
-        law: TimeLocalOptimal,
-        model: SpectrumModel,
-        env: Environment,
-        bounds: ControlBounds,
-        numerics: Numerics,
-    ) -> None:
-        self._problem = (model, env, bounds)
-        self._f_lo, self._f_hi = bounds.f_min_ghz, bounds.f_max_ghz
-        self._grid_points = numerics.grid_points
-        self._cap = numerics.rate_cap_per_us
-        self._tracked = law.mode == "tracked"
-        # The cap the tracked refresh applies.  Where the start scan finds
-        # the rate below it across the window it cannot bind, so it is left
-        # out, and with it the plateau checks, so that every refresh takes
-        # the cheaper parabolic steps.
-        self._tracked_cap = numerics.rate_cap_per_us
-        # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
-        # so (p_e, f) of the last three refreshes that corrected their start
-        # extrapolate it, and one stencil usually accepts the guess.  An
-        # accepted guess is known only to the tolerance, so it is not kept;
-        # a window bound (mix and jqf start pinned at 2 GHz) clears them.
-        # Not on a tabulated spectrum, whose J kinks at every node.  The fit is
-        # redone only when the history changes, about one refresh in ten.
-        self._history: list[tuple[float, float]] = []
-        self._fit: tuple[float, float, float, float, float] | None = None
-        self._predicts = False
-        self._reach = 2.0 * numerics.drift_cap(bounds)
-        # Every global refresh scans one grid, so its _grid_terms are taken once.
-        self._grid = None
-        if not self._tracked:
-            fs = _window_grid(bounds, numerics.grid_points)
-            self._grid = _grid_terms(model, env, numerics.rate_cap_per_us, fs)
+    """A bound ``TimeLocalOptimal``, whose ``frequency`` is its tracked or global refresh."""
 
+    # One optimal_frequency call and one _objective J per refresh: the bench tracer counts both.
     held_ghz = None
+    next_transition_after = None  # a feedback law has no scheduled transitions
 
-    def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        grid_points = self._grid_points
-        if not self._tracked:
-            return optimal_frequency(
-                p_e, *self._problem, grid_points=grid_points, rate_cap=self._cap, grid=self._grid
-            )
-        model, env, bounds = self._problem
+    def __init__(self, frequency: Callable[[float, float, float | None], float]) -> None:
+        self.frequency = frequency
+
+
+def _global_refresh(model, env, bounds, numerics):
+    """Refresh scanning the window; its scans share one grid, whose _grid_terms are taken once."""
+    grid_points, cap = numerics.grid_points, numerics.rate_cap_per_us
+    grid = _grid_terms(model, env, cap, _window_grid(bounds, grid_points))
+
+    def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
+        return optimal_frequency(
+            p_e, model, env, bounds, grid_points=grid_points, rate_cap=cap, grid=grid
+        )
+
+    return frequency
+
+
+def _tracked_refresh(model, env, bounds, numerics):
+    """Refresh following the extremal branch; the run's constants and state are its cells."""
+    f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
+    reach = 2.0 * numerics.drift_cap(bounds)
+    # rate_cap, the cap the refresh applies, is left out where the start scan
+    # finds the rate below it across the window, and with it the plateau
+    # checks: every refresh then takes the cheaper parabolic steps.
+    cap = rate_cap = numerics.rate_cap_per_us
+    # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
+    # so (p_e, f) of the last three refreshes that corrected their start
+    # extrapolate it, and one stencil usually accepts the guess.  An
+    # accepted guess is known only to the tolerance, so it is not kept;
+    # a window bound (mix and jqf start pinned at 2 GHz) clears them.
+    # Not on a tabulated spectrum, whose J kinks at every node.  The fit is
+    # redone only when the history changes, about one refresh in ten.
+    history: list[tuple[float, float]] = []
+    fit, predicts = None, False
+
+    def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
+        nonlocal rate_cap, fit, predicts
         if f_anchor is None:  # the run's first refresh starts from the rate argmax
-            start = argmax_rate(model, bounds, grid_points=grid_points, rate_cap=self._cap)
+            start = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap)
             f_anchor = start.f_ghz
             if not start.cap_hit:
-                self._tracked_cap = None
-            self._predicts = self._tracked_cap is None and not isinstance(model, Tabulated)
-        near, fit, reach = f_anchor, self._fit, self._reach
+                rate_cap = None
+            predicts = rate_cap is None and not isinstance(model, Tabulated)
+        near = f_anchor
         if fit is not None:
             p1, p2, f2, d21, d210 = fit
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
-            if self._f_lo < guess < self._f_hi and -reach <= guess - near <= reach:
+            if f_lo < guess < f_hi and -reach <= guess - near <= reach:
                 near = guess
-        f = optimal_frequency(p_e, model, env, bounds, rate_cap=self._tracked_cap, near=near)
-        if self._predicts:
-            history = self._history
-            if f == self._f_lo or f == self._f_hi:
+        f = optimal_frequency(p_e, model, env, bounds, rate_cap=rate_cap, near=near)
+        if predicts:
+            if f == f_lo or f == f_hi:
                 history.clear()
-                self._fit = None
+                fit = None
             elif f != near:
                 history[:] = [h for h in history[-2:] if h[0] != p_e]
                 history.append((p_e, f))
-                self._fit = None
+                fit = None
                 if len(history) == 3:
                     (p0, f0), (p1, f1), (p2, f2) = history
                     d21 = (f2 - f1) / (p2 - p1)
-                    self._fit = (p1, p2, f2, d21, (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0))
+                    fit = (p1, p2, f2, d21, (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0))
         return f
 
-    def next_transition_after(self, t_us: float) -> float | None:
-        return None
+    return frequency
 
 
 @dataclass(frozen=True)

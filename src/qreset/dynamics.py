@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Protocol, TextIO
+from struct import Struct
+from typing import Callable, Protocol, TextIO
 
 import numpy as np
 
 from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _write_columns
 from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn
-from .thermo import Environment, RAD_PER_US_PER_GHZ, equilibrium_population, thermal_ratio
+from .thermo import Environment, RAD_PER_US_PER_GHZ, _FLOAT_MAX
+from .thermo import equilibrium_population, thermal_ratio
 
 __all__ = [
     "QubitState",
@@ -96,7 +98,7 @@ class Numerics:
             if value is None and name in ("rate_cap_per_us", "control_drift_ghz"):
                 continue
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > 0.0):
+            if not (number and 0.0 < value <= _FLOAT_MAX):
                 raise ValueError(f"numerics.{name} must be finite and > 0, got {value!r}")
         for name in ("grid_points", "step_limit"):
             value = getattr(self, name)
@@ -125,14 +127,14 @@ class ControlRuntime(Protocol):
     """Per-trajectory control state produced by a law's ``bind``.
 
     ``held_ghz`` is the frequency held for the whole run when the law
-    fixes it in advance, and ``None`` otherwise.
+    fixes it in advance, and ``None`` otherwise; ``next_transition_after``
+    is ``None`` when the runtime has no scheduled transitions.
     """
 
     held_ghz: float | None
+    next_transition_after: Callable[[float], float | None] | None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float: ...
-
-    def next_transition_after(self, t_us: float) -> float | None: ...
 
 
 class ControlLawProtocol(Protocol):
@@ -300,10 +302,10 @@ def integrate_restore(
     else:
         t_stop = t_final
 
-    # One float64 buffer, a row of the seven Trajectory columns per sample:
-    # 56 bytes a row, and no Python float outlives its step.
+    # One float64 buffer, a packed row of the seven Trajectory columns per
+    # sample, so no Python float outlives its step.
     samples = array("d")
-    record = samples.fromlist
+    record, row = samples.frombytes, Struct("7d").pack
     pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
     t = 0.0
     steps = 0
@@ -320,7 +322,7 @@ def integrate_restore(
         e = exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
-        record([t, f, pe, pr, pi, rate, peq])
+        record(row(t, f, pe, pr, pi, rate, peq))
 
         # The horizon outranks the step limit, which outranks the time limit.
         at_stop = t >= t_stop
@@ -336,9 +338,9 @@ def integrate_restore(
                 " the precision target is unreachable from here"
             )
 
-        t_bp = next_transition(t)
-        dt_free = log_bound / rate if rate > 0.0 else inf
-        dt_free = dt_drift_hint if dt_drift_hint < dt_free else dt_free
+        t_bp = None if next_transition is None else next_transition(t)
+        dt_log = log_bound / rate if rate > 0.0 else inf
+        dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log
 
         # Terminal crossing within the upcoming segment, in closed form.
         if precision_mode and rate > 0.0 and peq < eps and gap < no_cross * (eps - peq):
@@ -351,7 +353,7 @@ def integrate_restore(
                 _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
                 pe = eps
                 tau = t + dt_cross
-                record([tau, f, pe, pr, pi, rate, peq])
+                record(row(tau, f, pe, pr, pi, rate, peq))
                 termination = "precision"
                 break
 
@@ -392,13 +394,14 @@ def integrate_restore(
             dt *= cut if cut > 0.25 else 0.25
             retries += 1
 
-        # The accepted probe is the refresh at the new state.
-        pe, pr, pi, t, f = pe2, pr2, pi2, t + dt, f_probe
+        # The accepted probe is the refresh at the new state (five names at once build a tuple).
+        pe, pr, pi = pe2, pr2, pi2
+        t, f = t + dt, f_probe
         steps += 1
         if df > 0.0:
             hint, doubled = dt * drift_cap / df, dt * 2.0
             hint = doubled if doubled < hint else hint
-            dt_floor = 1.0e-3 * (log_bound / rate) if rate > 0.0 else dt
+            dt_floor = 1.0e-3 * dt_log if rate > 0.0 else dt
             dt_drift_hint = dt_floor if dt_floor > hint else hint
         else:
             dt_drift_hint = dt_drift_hint * 2.0

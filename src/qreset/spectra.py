@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, TextIO, TypeVar, Union
 
 import numpy as np
 
-from .thermo import RAD_PER_US_PER_GHZ
+from .thermo import RAD_PER_US_PER_GHZ, _FLOAT_MAX
 
 __all__ = [
     "DEFAULT_RATE_CAP",
@@ -117,7 +117,7 @@ class _Model:
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not (value > 0.0 and math.isfinite(value)):
+        if not 0.0 < value <= _FLOAT_MAX:
             raise SpectrumError(f"{name} must be finite and > 0, got {value!r}")
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,7 @@ H_OVER_KB_K_PER_GHZ = 0.04799243
 RAD_PER_US_PER_GHZ = 2.0e3 * math.pi
 
 LN2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max  # range checks compare with it: isfinite raises on a huge int
 
 
 class ThermoDomainError(ValueError):
@@ -56,7 +58,7 @@ class Environment:
     temperature_K: float
 
     def __post_init__(self) -> None:
-        if not (self.temperature_K > 0.0 and math.isfinite(self.temperature_K)):
+        if not 0.0 < self.temperature_K <= _FLOAT_MAX:
             raise ThermoDomainError(
                 f"temperature must be finite and > 0, got {self.temperature_K!r}"
             )

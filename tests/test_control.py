@@ -48,6 +48,7 @@ from qreset.control import TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, _grid_terms, _object
 from qreset.spectra import ARGMAX_TOL_GHZ, _golden_max, _scan_max
 from helpers import (
     KERNEL_MODELS,
+    ReferenceTimeLocalOptimal,
     reference_objective,
     reference_optimal_frequency,
     reference_rate,
@@ -432,6 +433,22 @@ def test_global_runtime_grid_matches_the_refresh_without_it(model, cap, env10, b
         assert runtime.frequency(p_e, 0.0, None) == want, p_e
 
 
+@pytest.mark.parametrize("name, mode", [("jqf-default", "tracked"), ("lz-default", "global")])
+def test_live_loop_gives_the_same_run_with_the_reference_runtime(name, mode):
+    # The stepper skips next_transition_after where a runtime sets it to None
+    # and calls it otherwise: the reference runtime, which keeps the method,
+    # must give the bound law's floats.
+    scenario = dataclasses.replace(builtin_scenario(name), control_mode=mode)
+    model, env, bounds, law, numerics = scenario.build()
+    assert law.bind(model, env, bounds, numerics).next_transition_after is None
+    current = integrate_restore(QubitState(0.5), law, model, env, bounds, numerics)
+    reference_law = ReferenceTimeLocalOptimal(mode)
+    reference = integrate_restore(QubitState(0.5), reference_law, model, env, bounds, numerics)
+    assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
+    for column in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
+        assert np.array_equal(getattr(current, column), getattr(reference, column)), column
+
+
 @pytest.mark.parametrize("kind", ["lz", "mix", "jqf"])
 def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     kind, env10, bounds, monkeypatch
@@ -467,7 +484,15 @@ def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
 
 
-@pytest.mark.parametrize("name, mode", [("jqf-default", "tracked"), ("lz-default", "global")])
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        ("jqf-default", "tracked"),
+        ("lz-default", "global"),
+        ("mix-default", "tracked"),
+        ("prot-default", "tracked"),  # capped: the plateau path, no predictor
+    ],
+)
 def test_each_refresh_is_one_optimal_frequency_call_with_its_objective(name, mode, monkeypatch):
     # bench/tracer.py counts refreshes as calls of control.optimal_frequency,
     # looked up in control's globals, tells tracked from global by the near=

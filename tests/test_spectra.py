@@ -106,7 +106,9 @@ def test_parameter_validation():
         Tabulated(((2.0, 1.0), (3.0, -0.5)))
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "value", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int-beyond-float")]
+)
 @pytest.mark.parametrize(
     "model, name",
     [(m, f.name) for m in (Lorentzian, Protected, Mixed, JQF) for f in dataclasses.fields(m)],
@@ -116,6 +118,15 @@ def test_invalid_parameter_names_its_field(model, name, value):
     # The field name is also the scenario's spectrum_params key.
     with pytest.raises(SpectrumError, match=rf"^{name} must be finite and > 0, got {value!r}$"):
         model(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "field, name", [("f_cp_ghz", "f_cp"), ("delta_f_ghz", "delta_f"), ("tau_sw_us", "tau_sw")]
+)
+def test_control_bounds_rejects_an_int_beyond_the_float_range(field, name):
+    # math.isfinite would raise OverflowError on such an int, naming no field.
+    with pytest.raises(SpectrumError, match=f"^{name} must be finite and > 0"):
+        ControlBounds(**{field: 10**400})
 
 
 def test_control_bounds_validation():

@@ -25,6 +25,12 @@ def test_environment_rejects_nonpositive_temperature():
         Environment(temperature_K=-0.01)
 
 
+def test_environment_rejects_an_int_beyond_the_float_range():
+    # math.isfinite would raise OverflowError on it, not the named error.
+    with pytest.raises(ThermoDomainError, match="temperature must be finite and > 0"):
+        Environment(10**400)
+
+
 def test_thermal_ratio_values():
     env = Environment(0.010)
     assert thermal_ratio(0.0, env) == 0.0
