@@ -62,7 +62,7 @@ class QubitState:
     def __post_init__(self) -> None:
         if not -_POSITIVITY_TOL <= self.p_e <= 1.0 + _POSITIVITY_TOL:
             raise ValueError(f"p_e must lie in [0, 1], got {self.p_e!r}")
-        if not (math.isfinite(self.p_r) and math.isfinite(self.p_i)):
+        if not (-_FLOAT_MAX <= self.p_r <= _FLOAT_MAX and -_FLOAT_MAX <= self.p_i <= _FLOAT_MAX):
             raise ValueError(f"coherence must be finite, got ({self.p_r!r}, {self.p_i!r})")
         radius = self.p_r * self.p_r + self.p_i * self.p_i
         if radius > self.p_e * (1.0 - self.p_e) + _POSITIVITY_TOL:

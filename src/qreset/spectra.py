@@ -219,7 +219,7 @@ class Tabulated(_Model):
             raise SpectrumError("tabulated spectrum needs at least 2 points")
         prev_f = -math.inf
         for f, rate in self.points:
-            if not math.isfinite(f) or not math.isfinite(rate):
+            if not (-_FLOAT_MAX <= f <= _FLOAT_MAX and -_FLOAT_MAX <= rate <= _FLOAT_MAX):
                 raise SpectrumError(f"non-finite table entry ({f!r}, {rate!r})")
             if f <= prev_f:
                 raise SpectrumError("tabulated frequencies must be strictly increasing")
@@ -278,19 +278,14 @@ class ControlBounds:
         )
         if not (0.0 < self.epsilon < 0.5):
             raise SpectrumError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
+        # The window's ends: plain attributes, read at every refresh, which
+        # replace() sets anew and == and hash ignore.
+        object.__setattr__(self, "f_min_ghz", self.f_cp_ghz - self.delta_f_ghz)
+        object.__setattr__(self, "f_max_ghz", self.f_cp_ghz + self.delta_f_ghz)
         if self.f_min_ghz <= 0.0:
             raise SpectrumError(
                 f"lower frequency bound must be > 0, got {self.f_min_ghz!r}"
             )
-
-    # Read at every refresh, so cached; replace() builds a fresh instance.
-    @cached_property
-    def f_min_ghz(self) -> float:
-        return self.f_cp_ghz - self.delta_f_ghz
-
-    @cached_property
-    def f_max_ghz(self) -> float:
-        return self.f_cp_ghz + self.delta_f_ghz
 
 
 def eval_rate(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "H_OVER_KB_K_PER_GHZ",
@@ -53,6 +52,10 @@ class Environment:
         rejected so that occupation numbers and equilibrium populations
         stay finite-valued; use a microkelvin-scale proxy for the
         zero-temperature limit.
+
+    ``ratio_per_ghz``, the thermal ratio per GHz of cyclic frequency, is a
+    plain attribute set at construction (read at every refresh), so ``replace()``
+    sets it anew and ``==`` and ``hash`` ignore it.
     """
 
     temperature_K: float
@@ -62,11 +65,7 @@ class Environment:
             raise ThermoDomainError(
                 f"temperature must be finite and > 0, got {self.temperature_K!r}"
             )
-
-    @cached_property
-    def ratio_per_ghz(self) -> float:
-        """Thermal ratio accumulated per GHz of cyclic frequency (read per refresh: cached)."""
-        return H_OVER_KB_K_PER_GHZ / self.temperature_K
+        object.__setattr__(self, "ratio_per_ghz", H_OVER_KB_K_PER_GHZ / self.temperature_K)
 
 
 def thermal_ratio(f_ghz: float, env: Environment) -> float:

@@ -449,6 +449,24 @@ def test_live_loop_gives_the_same_run_with_the_reference_runtime(name, mode):
         assert np.array_equal(getattr(current, column), getattr(reference, column)), column
 
 
+def test_tracked_predictor_matches_its_reference_when_populations_repeat():
+    # No loop case corrects two refreshes at one p_e, so the history's
+    # same-p_e drop is driven here: seeded refreshes at five populations,
+    # each anchored at an earlier result, also clear the history at the
+    # 2 GHz bound and drop the oldest of three entries.
+    model, env, bounds, _, numerics = builtin_scenario("jqf-default").build()
+    live = TimeLocalOptimal().bind(model, env, bounds, numerics).frequency
+    reference = ReferenceTimeLocalOptimal().bind(model, env, bounds, numerics).frequency
+    f = live(0.5, 0.0, None)
+    assert f == reference(0.5, 0.0, None)
+    rng, anchors = random.Random(0), [f]
+    for _ in range(120):
+        p_e, f_anchor = rng.choice([0.5, 0.1, 0.01, 0.003, 0.001]), rng.choice(anchors)
+        f = live(p_e, 0.0, f_anchor)
+        assert f == reference(p_e, 0.0, f_anchor), (p_e, f_anchor)
+        anchors.append(f)
+
+
 @pytest.mark.parametrize("kind", ["lz", "mix", "jqf"])
 def test_uncapped_tracked_runs_match_the_refresh_without_plateau_rule(
     kind, env10, bounds, monkeypatch

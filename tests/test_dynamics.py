@@ -29,6 +29,7 @@ from qreset import (
     schedule_to_csv,
     thermal_ratio,
 )
+import qreset.cli
 import qreset.control
 from qreset.scenario import builtin_scenario
 from helpers import (
@@ -53,6 +54,13 @@ def test_qubit_state_invariants():
         QubitState(-0.1)
     with pytest.raises(ValueError):
         QubitState(0.3, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("coherence", [(10**400, 0.0), (0.0, 10**400)], ids=["p_r", "p_i"])
+def test_qubit_state_rejects_an_int_beyond_the_float_range(coherence):
+    # math.isfinite would raise OverflowError on such an int.
+    with pytest.raises(ValueError, match="^coherence must be finite"):
+        QubitState(0.5, *coherence)
 
 
 def test_step_half_life():
@@ -451,7 +459,9 @@ def test_numerics_accepts_unset_optionals():
 # Scenario changes of each loop case's variant; "tent" is not a scenario.
 # jqf-20mK follows the slow branch (tau_st 149.3 us against 98.8 us global)
 # at 21,991 samples, clear of both window bounds, and refits its predictor
-# about 2,000 times.
+# about 2,000 times.  At the calibration's coarse numerics most refreshes
+# correct their guess, so "cal" renews the predictor's history at most
+# refreshes.
 _LOOP_VARIANTS = {
     "tracked": {},
     "open": {},
@@ -460,6 +470,7 @@ _LOOP_VARIANTS = {
     "constant": {"control": "constant"},
     "10.03mK": {"temperature_K": 0.01003},
     "20mK": {"temperature_K": 0.020},
+    "cal": {"numerics": qreset.cli.CALIBRATION_NUMERICS},
 }
 
 
@@ -484,7 +495,7 @@ def _loop_case(case: str):
     [
         "lz-tracked", "prot-tracked", "mix-tracked", "jqf-tracked", "prot-10.03mK",
         "lz-global", "prot-global", "jqf-global", "lz-constant", "prot-constant",
-        "tent-20mK", "mix-open", "mix-schedule", "jqf-20mK",
+        "tent-20mK", "mix-open", "mix-schedule", "jqf-20mK", "mix-cal", "jqf-cal",
     ],
 )
 def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatch):
