@@ -211,11 +211,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def _decimate_indices(n: int, max_rows: int) -> list[int]:
     if n <= max_rows:
         return list(range(n))
+    # The stride exceeds 1, so the rounded indices rise strictly and end at n - 1.
     stride = (n - 1) / (max_rows - 1)
-    idx = sorted({round(i * stride) for i in range(max_rows)})
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return idx
+    return [round(i * stride) for i in range(max_rows)]
 
 
 # ----------------------------------------------------------------------------
@@ -522,6 +520,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (AchievabilityError, IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a finite but huge parameter in a rate kernel
+        print(f"numerical failure: float overflow: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ sooner (jqf at the 10 mK defaults: 98.766 against 99.190 us).
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
@@ -78,11 +77,9 @@ TRACK_TOL_GHZ = 1.0e-7
 TRACK_STENCIL_GHZ = 2.0e-4
 _PARABOLIC_ROUNDS = range(64)  # built once: every uncapped tracked refresh iterates it
 _NEG_INF, _INF = -math.inf, math.inf  # a finite near lies between, read per tracked refresh
-# verify_pmp probes this many sample times (drawn with this seed) against
-# this many window frequencies, with these tolerances.
-PMP_PROBE_TIMES = 64
+# verify_pmp probes every sample time against this many window
+# frequencies, with these tolerances.
 PMP_ALT_FREQUENCIES = 33
-PMP_SEED = 0
 PMP_MINIMALITY_TOL = 1.0e-6
 PMP_HAMILTONIAN_TOL = 1.0e-3
 
@@ -543,25 +540,22 @@ def verify_pmp(
     """Check costate positivity, Hamiltonian smallness and pointwise minimality.
 
     The costate is ``costate_along(trajectory, model, env)``.  Minimality
-    is probed at ``PMP_PROBE_TIMES`` deterministic random sample times (at
-    every sample of a shorter run) against ``PMP_ALT_FREQUENCIES``
+    is probed at every sample time against ``PMP_ALT_FREQUENCIES``
     alternatives spanning the window: the Hamiltonian at the chosen
     frequency must not exceed any alternative by more than
     ``PMP_MINIMALITY_TOL``.  The first largest violation, times outer and
     frequencies inner, is reported.  ``rate_cap`` must be the run's cap.
     """
     costate = costate_along(trajectory, model, env)
-    n = trajectory.n_samples
-    indices = sorted(random.Random(PMP_SEED).sample(range(n), min(n, PMP_PROBE_TIMES)))
     alts = _window_grid(bounds, PMP_ALT_FREQUENCIES).tolist()
     # Scalar kernel calls: a grid call may differ from them by an ulp.
     alt_rates = np.array(list(map(rate_fn(model, rate_cap), alts)))
     alt_peqs = np.array([equilibrium_population(thermal_ratio(f, env)) for f in alts])
 
-    lam = costate.costate[indices, None]
-    pe = trajectory.p_e[indices, None]
+    lam = costate.costate[:, None]
+    pe = trajectory.p_e[:, None]
     h_alt = 1.0 - lam * alt_rates * (pe - alt_peqs)
-    violations = costate.hamiltonian[indices, None] - h_alt
+    violations = costate.hamiltonian[:, None] - h_alt
     k, i = np.unravel_index(np.argmax(violations), violations.shape)
     worst = float(violations[k, i])
     max_h = costate.max_abs_hamiltonian
@@ -573,8 +567,8 @@ def verify_pmp(
         costate_positive=min_lam > 0.0,
         worst_minimality_violation=worst,
         pointwise_minimal=worst <= PMP_MINIMALITY_TOL,
-        n_probed_times=len(indices),
+        n_probed_times=trajectory.n_samples,
         n_alt_frequencies=PMP_ALT_FREQUENCIES,
-        violation_t_us=float(trajectory.t_us[indices[k]]),
+        violation_t_us=float(trajectory.t_us[k]),
         violation_f_ghz=alts[i],
     )

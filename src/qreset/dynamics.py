@@ -237,17 +237,13 @@ def integrate_restore(
     env: Environment,
     bounds: ControlBounds,
     numerics: Numerics = Numerics(),
-    *,
-    t_final: float | None = None,
 ) -> Trajectory:
-    """Integrate the restoring dynamics under a control law.
+    """Integrate the restoring dynamics under a control law to the precision.
 
-    With ``t_final=None`` the run terminates when the population crosses
-    the reset precision ``bounds.epsilon`` (located in closed form within
-    the final segment); otherwise it runs open loop up to ``t_final``
-    exactly, which must be finite and >= 0.  That mode serves ``t_final``
-    callers and is the stepper reference that ``tests/helpers.stepper_replay``
-    checks the closed-form replay of ``robustness.Baseline`` against.
+    The run terminates when the population crosses the reset precision
+    ``bounds.epsilon`` (located in closed form within the final segment),
+    or at the step or time limit.  A recorded protocol is run open loop
+    to a fixed time by ``robustness.Baseline``, in closed form.
 
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
@@ -259,10 +255,7 @@ def integrate_restore(
     grid point lands exactly on it.
     """
     eps = bounds.epsilon
-    precision_mode = t_final is None
-    if not (precision_mode or (math.isfinite(t_final) and t_final >= 0.0)):
-        raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
-    if precision_mode and initial.p_e <= eps:
+    if initial.p_e <= eps:
         raise ValueError(f"initial p_e={initial.p_e!r} must exceed epsilon={eps!r}")
     if (
         numerics.rate_cap_per_us is None
@@ -287,7 +280,7 @@ def integrate_restore(
     # dt_free <= log_bound / rate, so no crossing lies within a step where
     # gap >= 1.01 e^log_bound (eps - p_eq): its log is skipped there.
     no_cross = 1.01 * math.exp(log_bound)
-    if precision_mode and runtime.held_ghz is not None:
+    if runtime.held_ghz is not None:
         floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
         if floor >= eps:
             raise NoDescentError(
@@ -295,12 +288,8 @@ def integrate_restore(
                 f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
                 " target is unreachable"
             )
-    # One stop time: the horizon of an open-loop run, else the time limit.
-    if precision_mode:
-        t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
-        t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
-    else:
-        t_stop = t_final
+    t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
+    t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
 
     # One float64 buffer, a packed row of the seven Trajectory columns per
     # sample, so no Python float outlives its step.
@@ -324,15 +313,13 @@ def integrate_restore(
         gap = pe - peq
         record(row(t, f, pe, pr, pi, rate, peq))
 
-        # The horizon outranks the step limit, which outranks the time limit.
-        at_stop = t >= t_stop
-        if steps >= step_limit and (precision_mode or not at_stop):
+        if steps >= step_limit:
             termination, tau = "step_limit", t
             break
-        if at_stop:
-            termination, tau = ("time_limit" if precision_mode else "horizon"), t
+        if t >= t_stop:
+            termination, tau = "time_limit", t
             break
-        if precision_mode and gap <= 0.0:
+        if gap <= 0.0:
             raise NoDescentError(
                 f"control law chose f={f!r} GHz with p_eq={peq!r} >= p_e={pe!r};"
                 " the precision target is unreachable from here"
@@ -343,7 +330,7 @@ def integrate_restore(
         dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log
 
         # Terminal crossing within the upcoming segment, in closed form.
-        if precision_mode and rate > 0.0 and peq < eps and gap < no_cross * (eps - peq):
+        if rate > 0.0 and peq < eps and gap < no_cross * (eps - peq):
             dt_cross = log(gap / (eps - peq)) / rate
             if (
                 dt_cross <= dt_free
@@ -357,7 +344,7 @@ def integrate_restore(
                 termination = "precision"
                 break
 
-        # Pick the step; scheduled transitions and the stop time are landed
+        # Pick the step; scheduled transitions and the time limit are landed
         # on exactly and are exempt from drift control.
         dt, snap_to = dt_free, None
         if t_bp is not None and t_bp > t and t_bp - t <= dt:

@@ -15,16 +15,15 @@ stepper loop and the tracked runtime are kept as they were before their
 builtin calls and per-refresh predictor fit went, and the work ledger's
 restore integral and the robustness baseline's offset recurrence as the
 Python-float loops they were before they read float64 columns, all for a
-bit-for-bit comparison.  Two references wrap package internals that only tests use:
-one exact constant-control step, and the adaptive stepper replaying a
-recorded schedule, which the closed-form robustness replay is checked
-against.
+bit-for-bit comparison.  The stepper copy keeps the open-loop mode to a
+fixed time (``t_final``) that the package's stepper no longer has: the
+closed-form robustness replay is checked against it.  One reference wraps
+a package internal that only tests use: one exact constant-control step.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +112,9 @@ def stepper_replay(
     bounds: ControlBounds,
     numerics: Numerics = Numerics(),
 ) -> Trajectory:
-    """Re-integrate a recorded run's schedule with the adaptive stepper up to ``t_final_us``."""
+    """Re-integrate a recorded run's schedule with the reference stepper up to ``t_final_us``."""
     schedule = FixedSchedule(trajectory.schedule())
-    return integrate_restore(
+    return reference_integrate_restore(
         initial, schedule, model, env, bounds, numerics, t_final=t_final_us
     )
 
@@ -406,16 +405,12 @@ def reference_optimal_frequency(
 def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6):
     """``verify_pmp`` with its probes scored one (time, frequency) pair at a time.
 
-    Same probe times, alternatives and products as the package; the
-    strict ``>`` keeps the first maximum, times outer and frequencies inner.
+    Every sample time is probed, against the package's alternatives with
+    its products; the strict ``>`` keeps the first maximum, times outer
+    and frequencies inner.
     """
     c = qreset.control
     costate = costate_along(trajectory, model, env)
-    n = trajectory.n_samples
-    if n <= c.PMP_PROBE_TIMES:
-        indices = list(range(n))
-    else:
-        indices = sorted(random.Random(c.PMP_SEED).sample(range(n), c.PMP_PROBE_TIMES))
     span = bounds.f_max_ghz - bounds.f_min_ghz
     alts = [
         bounds.f_min_ghz + i * span / (c.PMP_ALT_FREQUENCIES - 1)
@@ -424,7 +419,7 @@ def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6)
     alt_rates = [eval_rate(model, f, rate_cap) for f in alts]
     alt_peqs = [equilibrium_population(thermal_ratio(f, env)) for f in alts]
     worst, worst_t, worst_f = -math.inf, float(trajectory.t_us[0]), alts[0]
-    for k in indices:
+    for k in range(trajectory.n_samples):
         lam = float(costate.costate[k])
         pe = float(trajectory.p_e[k])
         h_chosen = float(costate.hamiltonian[k])
@@ -441,7 +436,7 @@ def verify_pmp_loop_reference(trajectory, model, env, bounds, *, rate_cap=1.0e6)
         costate_positive=min_lam > 0.0,
         worst_minimality_violation=worst,
         pointwise_minimal=worst <= c.PMP_MINIMALITY_TOL,
-        n_probed_times=len(indices),
+        n_probed_times=trajectory.n_samples,
         n_alt_frequencies=c.PMP_ALT_FREQUENCIES,
         violation_t_us=worst_t,
         violation_f_ghz=worst_f,
@@ -467,10 +462,12 @@ def reference_integrate_restore(
     """``qreset.integrate_restore`` as it was with builtin calls in its loop.
 
     A verbatim copy of the stepper from before it traded ``min``/``max``/
-    ``abs``/``math.isfinite`` for conditional expressions and skipped the
-    crossing ``log`` far from the target; ``integrate_restore`` must match
-    it bit for bit.  Bind ``ReferenceTimeLocalOptimal`` as ``law`` for the
-    tracked runtime of that version too.
+    ``abs``/``math.isfinite`` for conditional expressions, skipped the
+    crossing ``log`` far from the target and lost its ``t_final`` mode;
+    ``integrate_restore`` must match its precision runs bit for bit.  With
+    ``t_final`` it runs open loop up to that time exactly, ending with
+    termination ``"horizon"``.  Bind ``ReferenceTimeLocalOptimal`` as
+    ``law`` for the tracked runtime of that version too.
     """
     eps = bounds.epsilon
     precision_mode = t_final is None

@@ -253,6 +253,16 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
             {"spectrum": "lz", "numerics": {"step_log_bound": 10**400}},
             "numerics.step_log_bound must fit in a float",
         ),
+        ([1, 2], "scenario must be a JSON object, got list"),
+        ({"spectrum": "lz", "numerics": 5}, "numerics must be a JSON object"),
+        ({"spectrum": "lz", "spectrum_params": [1]}, "spectrum_params must be a JSON object"),
+        (
+            {"spectrum": "tabulated:t.csv", "spectrum_params": {"g_ghz": 1.0}},
+            "spectrum_params not applicable to tabulated spectra",
+        ),
+        ({"spectrum": "lorentz"}, "spectrum must be one of"),
+        ({"spectrum": "lz", "temperature_K": -1}, "temperature must be finite and > 0, got -1"),
+        ({"spectrum": "tabulated:missing.csv"}, "cannot read tabulated spectrum: "),
     ],
     ids=[
         "unknown-key",
@@ -269,6 +279,13 @@ def test_cmd_run_tabulated_spectrum_config(tmp_path, capsys):
         "temperature-401-digits",
         "param-401-digits",
         "numerics-401-digits",
+        "scenario-list",
+        "numerics-int",
+        "params-list",
+        "tabulated-params",
+        "spectrum-unknown",
+        "temperature-negative",
+        "tabulated-missing",
     ],
 )
 def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
@@ -278,6 +295,24 @@ def test_cmd_run_config_error_exit_code(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "either --config PATH or --scenario NAME is required"),
+        (["run", "--config", "missing.json"], "cannot read config: "),
+        (["calibrate-temperature", "--targets", "1,2,3"], "--targets needs four"),
+    ],
+    ids=["run-no-scenario", "run-missing-config", "calibrate-three-targets"],
+)
+def test_cmd_usage_error_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -458,6 +493,28 @@ def test_cmd_run_uncapped_pole_exit_code(tmp_path, capsys, control, grid_points)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"spectrum": "lz", "spectrum_params": {"f_r_ghz": 1e200}},
+        {"spectrum": "prot", "spectrum_params": {"g_ghz": 1e200}},
+        {"spectrum": "mix", "spectrum_params": {"kappa_ghz": 1e200}},
+        {"spectrum": "jqf", "spectrum_params": {"f_0_ghz": 1e200}},
+        {"spectrum": "lz", "f_cp_GHz": 1e200, "delta_f_GHz": 1e199},
+    ],
+    ids=["lz-f_r", "prot-g", "mix-kappa", "jqf-f_0", "lz-window"],
+)
+def test_cmd_run_kernel_overflow_exit_code(tmp_path, capsys, config):
+    # A finite but huge parameter overflows a float power in the rate
+    # kernel; that was an OverflowError traceback.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: float overflow: ")
+    assert err.count("\n") == 1
+
+
 def test_cmd_run_zero_rate_spectrum_exit_code(tmp_path, capsys):
     table = tmp_path / "silent.csv"
     table.write_text("f_GHz,rate_per_us\n1,0.0\n9,0.0\n", encoding="utf-8")
@@ -601,6 +658,13 @@ def test_cmd_figure_fig3a(tmp_path):
     for line in terminals[1:]:
         p_e = float(line.split(",")[3])
         assert 1e-5 * (1.0 - 1e-6) <= p_e <= 1e-5
+    # mix and jqf (10,979 and 16,699 samples) are thinned to 2,000 rows
+    # that end on the terminal sample; lz and prot keep all 218 rows.
+    for key, lines in (("lz", 219), ("prot", 219), ("mix", 2001), ("jqf", 2001)):
+        rows = (tmp_path / f"fig3a_{key}.csv").read_text().splitlines()
+        assert len(rows) == lines, key
+        terminal = next(line for line in terminals if line.startswith(f"{key},"))
+        assert rows[-1] == terminal.partition(",")[2], key
 
 
 def test_cmd_figure_fig3b(tmp_path):
@@ -797,6 +861,21 @@ def test_calibration_fails_when_the_search_does_not_settle(monkeypatch):
     with pytest.raises(ConfigError, match=r"did not settle in 20 steps; best at 0\.0080"):
         calibrate_temperature({"lz": 10.0})
     assert len(temperatures) == 21
+
+
+def test_calibration_bisects_an_overshooting_secant_step(monkeypatch):
+    # A 1/T-like law with a ripple: secant steps overshoot the bracket of
+    # the best temperature so far, and 11 of its steps bisect instead.
+    # The result is the lowest-error temperature visited.
+    def w_ex_norm(t):
+        return (0.01 / t) ** 0.331 * (1.0 + 0.0858 * math.sin(3659.0 * t + 3.455))
+
+    temperatures = _record_runs(monkeypatch, w_ex_norm)
+    result = calibrate_temperature({"lz": 1.015})
+    assert len(temperatures) == len(set(temperatures)) == 19
+    errors = {t: (w_ex_norm(t) / 1.015 - 1.0) ** 2 for t in temperatures}
+    assert result.best_temperature_K == min(errors, key=errors.get)
+    assert result.best_temperature_K == pytest.approx(7.2486e-3, abs=1e-7)
 
 
 def test_calibration_fails_on_a_non_positive_computed_value(monkeypatch):

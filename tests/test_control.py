@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qreset import (
     ConstantAtPeak,
     ControlBounds,
+    DegenerateTransversalityError,
     Environment,
     FixedSchedule,
     IntegrationError,
@@ -28,6 +29,7 @@ from qreset import (
     SpectrumError,
     Tabulated,
     TimeLocalOptimal,
+    Trajectory,
     argmax_rate,
     constant_restore_frequency,
     costate_along,
@@ -190,10 +192,23 @@ def test_costate_requires_precision_termination():
     cold = Environment(1e-6)
     bounds = ControlBounds(epsilon=1e-5)
     trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), flat, cold, bounds, t_final=1.0
+        QubitState(0.5), ConstantAtPeak(), flat, cold, bounds, Numerics(step_limit=5)
     )
+    assert trajectory.termination == "step_limit"
     with pytest.raises(ValueError):
         costate_along(trajectory, flat, cold)
+
+
+def test_costate_rejects_a_zero_terminal_rate():
+    # A precision row with no rate leaves transversality nothing to fix
+    # the costate with.
+    trajectory = Trajectory(
+        t_us=[0.0, 1.0], f_ghz=[5.0, 5.0], p_e=[0.5, 1.0e-5], p_r=[0.0] * 2, p_i=[0.0] * 2,
+        rate_per_us=[1.0, 0.0], p_eq=[0.0] * 2,
+        tau_st_us=1.0, termination="precision", epsilon=1.0e-5,
+    )
+    with pytest.raises(DegenerateTransversalityError, match=r"terminal rate\*gap = 0\.0;"):
+        costate_along(trajectory, Lorentzian(), Environment(0.010))
 
 
 def test_costate_positive_on_default_scenarios(models, env10, default_runs):
@@ -294,7 +309,7 @@ def test_fixed_schedule_rejects_frequencies_outside_window(f_bad, env10, bounds)
         schedule.bind(Lorentzian(), env10, bounds, Numerics())
     loaded = schedule_from_csv(io.StringIO(f"t_us,f_GHz\n0.0,5.0\n1.0,{f_bad!r}\n"))
     with pytest.raises(ScheduleWindowError):
-        integrate_restore(QubitState(0.5), loaded, Lorentzian(), env10, bounds, t_final=2.0)
+        integrate_restore(QubitState(0.5), loaded, Lorentzian(), env10, bounds)
 
 
 def test_time_local_mode_validation():
@@ -741,6 +756,27 @@ def test_parabolic_refresh_rechecks_a_wide_stencil_at_the_first_width(bounds, mo
     assert abs(f - f_golden) <= TRACK_TOL_GHZ
 
 
+@pytest.mark.parametrize(
+    "p_e, near, want",
+    [
+        (0.3, 5.0, 2.0),
+        (0.3, 5.011, 7.999999966985729),
+        (0.3, 5.02, 8.0),
+        (1.0e-3, 5.0, 2.851316089530373),
+        (1.0e-3, 5.011, 7.999999966985729),
+        (1.0e-3, 5.02, 8.0),
+    ],
+)
+def test_parabolic_refresh_leaves_a_non_concave_stencil(p_e, near, want):
+    # Near jqf's 5.011 GHz dip J is not concave, so the parabolic steps
+    # stop and the window search climbs out of the dip; the refresh equals
+    # the reference's, bit for bit.
+    model, env, bounds = JQF(), Environment(0.010), ControlBounds()
+    f = optimal_frequency(p_e, model, env, bounds, rate_cap=None, near=near)
+    assert f == reference_optimal_frequency(p_e, model, env, bounds, rate_cap=None, near=near)
+    assert f == want
+
+
 @pytest.mark.parametrize("grid_points", [2, 0, -1])
 def test_window_scans_reject_grids_below_three_points(grid_points, env10, bounds, monkeypatch):
     # Checked before the grid is allocated (np.linspace would raise its own
@@ -777,12 +813,6 @@ def test_constant_law_below_its_floor_fails_fast(env10):
         integrate_restore(QubitState(0.5), ConstantAtPeak(), Mixed(), env10, bounds)
     with pytest.raises(NoDescentError):
         run_reset(Mixed(), env10, bounds, ConstantAtPeak(), Numerics())
-    # A horizon run holds the same frequency without a precision target.
-    trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), Mixed(), env10, bounds, t_final=1.0
-    )
-    assert trajectory.termination == "horizon"
-    assert trajectory.f_ghz[0] == 2.0
     # Constant control binds a one-breakpoint schedule, which holds its
     # frequency and so is checked against its floor the same way.
     held = FixedSchedule(((0.0, 2.0),))

@@ -133,16 +133,12 @@ def test_three_segment_chained_exponential_oracle():
     env = Environment(0.010)
     bounds = ControlBounds(epsilon=1e-7)
     segments = [(3.0, 1.0), (6.5, 1.5), (4.0, 1.5)]
-    schedule = FixedSchedule(((0.0, 3.0), (1.0, 6.5), (2.5, 4.0)))
-    trajectory = integrate_restore(
-        QubitState(0.5), schedule, tab, env, bounds, t_final=4.0
-    )
-    # Exact at every breakpoint and at the horizon.
-    t_checks = [1.0, 2.5, 4.0]
-    for i, t in enumerate(t_checks):
-        expected = chained_exponential_population(
-            0.5, segments[: i + 1] if t < 4.0 else segments, tab, env
-        )
+    # The breakpoint at 4.0 us ends the third segment well above the precision.
+    schedule = FixedSchedule(((0.0, 3.0), (1.0, 6.5), (2.5, 4.0), (4.0, 4.0)))
+    trajectory = integrate_restore(QubitState(0.5), schedule, tab, env, bounds)
+    # Exact at every breakpoint.
+    for i, t in enumerate([1.0, 2.5, 4.0]):
+        expected = chained_exponential_population(0.5, segments[: i + 1], tab, env)
         k = int(np.searchsorted(trajectory.t_us, t))
         assert trajectory.t_us[k] == t
         assert trajectory.p_e[k] == pytest.approx(expected, rel=1e-10)
@@ -180,6 +176,15 @@ def test_decoherence_factor_constant_rate():
         assert eta(t) == pytest.approx(math.exp(-t), rel=1e-9)
 
 
+def test_decoherence_factor_rejects_an_empty_trajectory():
+    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
+    empty = Trajectory(
+        **dict.fromkeys(names, []), tau_st_us=0.0, termination="precision", epsilon=1.0e-5
+    )
+    with pytest.raises(ValueError, match="trajectory has no samples"):
+        decoherence_factor(empty)
+
+
 def test_decoherence_factor_rejects_a_nan_time():
     trajectory = integrate_restore(QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds())
     with pytest.raises(ValueError, match="t_us=nan"):
@@ -190,9 +195,9 @@ def test_decoherence_factor_exact_inside_segments():
     # The accumulated rate is the exact staircase sum, so eta is exact at
     # breakpoints and, by linear interpolation, anywhere inside a segment.
     tab = Tabulated(((2.0, 0.5), (5.0, 3.0), (8.0, 1.2)))
-    schedule = FixedSchedule(((0.0, 3.0), (1.0, 6.5), (2.5, 4.0)))
+    schedule = FixedSchedule(((0.0, 3.0), (1.0, 6.5), (2.5, 4.0), (4.0, 4.0)))
     trajectory = integrate_restore(
-        QubitState(0.5), schedule, tab, COLD, ControlBounds(epsilon=1e-7), t_final=4.0
+        QubitState(0.5), schedule, tab, COLD, ControlBounds(epsilon=1e-7)
     )
     r0, r1, r2 = (eval_rate(tab, f) for f in (3.0, 6.5, 4.0))
     eta = decoherence_factor(trajectory)
@@ -300,23 +305,6 @@ def test_step_limit_termination(env10):
     )
     assert trajectory.termination == "step_limit"
     assert trajectory.n_samples == 6
-
-
-@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
-def test_open_loop_run_rejects_a_bad_horizon(t_final):
-    # Without the check NaN and inf ran on to the step limit, and a negative
-    # horizon returned a one-row trajectory at t=0.
-    with pytest.raises(ValueError, match="t_final must be finite and >= 0"):
-        integrate_restore(
-            QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds(), t_final=t_final
-        )
-
-
-def test_open_loop_run_to_a_zero_horizon_is_its_initial_row():
-    trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), FLAT, COLD, ControlBounds(), t_final=0.0
-    )
-    assert (trajectory.termination, trajectory.n_samples) == ("horizon", 1)
 
 
 def test_time_limit_termination():
@@ -464,7 +452,6 @@ def test_numerics_accepts_unset_optionals():
 # refreshes.
 _LOOP_VARIANTS = {
     "tracked": {},
-    "open": {},
     "schedule": {},
     "global": {"control_mode": "global"},
     "constant": {"control": "constant"},
@@ -475,19 +462,18 @@ _LOOP_VARIANTS = {
 
 
 def _loop_case(case: str):
-    """``(initial, law, model, env, bounds, numerics, t_final)`` of one named loop case."""
+    """``(initial, law, model, env, bounds, numerics)`` of one named loop case."""
     kind, _, variant = case.partition("-")
     initial = QubitState(0.5)
     if kind == "tent":  # tracked at 20 mK on a three-node tabulated tent
         tent, env = Tabulated(((1.5, 0.1), (4.0, 2.0), (8.5, 0.2))), Environment(0.020)
-        return initial, TimeLocalOptimal(), tent, env, ControlBounds(), Numerics(), None
+        return initial, TimeLocalOptimal(), tent, env, ControlBounds(), Numerics()
     scenario = dataclasses.replace(builtin_scenario(f"{kind}-default"), **_LOOP_VARIANTS[variant])
     model, env, bounds, law, numerics = scenario.build()
     if variant == "schedule":
         recorded = integrate_restore(initial, law, model, env, bounds, numerics)
         law = FixedSchedule(recorded.schedule())
-    t_final = 30.0 if variant == "open" else None  # mix crosses at 41.9 us
-    return initial, law, model, env, bounds, numerics, t_final
+    return initial, law, model, env, bounds, numerics
 
 
 @pytest.mark.parametrize(
@@ -495,7 +481,7 @@ def _loop_case(case: str):
     [
         "lz-tracked", "prot-tracked", "mix-tracked", "jqf-tracked", "prot-10.03mK",
         "lz-global", "prot-global", "jqf-global", "lz-constant", "prot-constant",
-        "tent-20mK", "mix-open", "mix-schedule", "jqf-20mK", "mix-cal", "jqf-cal",
+        "tent-20mK", "mix-schedule", "jqf-20mK", "mix-cal", "jqf-cal",
     ],
 )
 def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatch):
@@ -504,7 +490,7 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     # history changes; the copies from before must give the same floats
     # through the same refreshes and objectives.  The reference records one
     # list of Python floats, the loop one float64 buffer.
-    initial, law, model, env, bounds, numerics, t_final = _loop_case(case)
+    initial, law, model, env, bounds, numerics = _loop_case(case)
     calls = {"optimal_frequency": 0, "_objective": 0}
     for name in calls:
         original = getattr(qreset.control, name)
@@ -517,7 +503,7 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
 
     def run(integrate, law):
         calls.update(dict.fromkeys(calls, 0))
-        trajectory = integrate(initial, law, model, env, bounds, numerics, t_final=t_final)
+        trajectory = integrate(initial, law, model, env, bounds, numerics)
         return trajectory, dict(calls)
 
     current, current_calls = run(integrate_restore, law)
@@ -528,4 +514,4 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
-    assert current.termination == ("horizon" if t_final else "precision")
+    assert current.termination == "precision"

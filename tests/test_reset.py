@@ -8,7 +8,7 @@ import pytest
 
 from qreset import (
     AchievabilityError,
-    ConstantAtPeak,
+    Baseline,
     ControlBounds,
     Environment,
     FixedSchedule,
@@ -18,6 +18,7 @@ from qreset import (
     Lorentzian,
     Mixed,
     Numerics,
+    QubitState,
     Tabulated,
     ThermoDomainError,
     TimeLocalOptimal,
@@ -109,12 +110,9 @@ def test_work_stage_zero_under_constant_control(default_runs):
     assert report.W_st == pytest.approx(0.0, abs=1e-12)
 
 
-def test_work_ledger_requires_precision(models, env10, bounds):
-    from qreset import QubitState, integrate_restore
-
-    trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), models["lz"], env10, bounds, t_final=1e-4
-    )
+def test_work_ledger_requires_precision(default_runs, env10, bounds):
+    trajectory = Baseline(default_runs["lz"][1]).propagate(QubitState(0.5), 1e-4)
+    assert trajectory.termination == "horizon"
     with pytest.raises(ValueError):
         work_ledger(trajectory, bounds, env10)
 
@@ -161,6 +159,12 @@ def test_constant_rate_work_matches_approximation(env10):
     approx = constant_control_work_approx(8.0, env10)
     assert report.W_ex == pytest.approx(approx, rel=0.01)
     assert report.W_ex == pytest.approx(approx, rel=1e-5)  # actually far tighter
+
+
+@pytest.mark.parametrize("f_st_ghz", [0.0, -1.0, math.nan])
+def test_constant_control_work_approx_rejects_a_non_positive_frequency(f_st_ghz, env10):
+    with pytest.raises(ValueError, match="restoring frequency must be > 0"):
+        constant_control_work_approx(f_st_ghz, env10)
 
 
 def test_constant_control_work_approx_values():

@@ -22,7 +22,6 @@ from qreset import (
     decoherence_factor,
     fidelity,
     fidelity_sweep,
-    integrate_restore,
     make_baseline,
     run_deviation,
     sensitivity_report,
@@ -35,6 +34,7 @@ from helpers import (
     chained_exponential_population,
     float_column_case,
     reference_baseline_offsets,
+    reference_integrate_restore,
     same_float,
     stepper_replay,
 )
@@ -186,7 +186,9 @@ def test_closed_form_replay_matches_chained_exponentials(segments, p0, horizon):
         times.append(times[-1] + dt)
     schedule = FixedSchedule(tuple(zip(times, (f for f, _ in segments))))
     tau = times[-1] + segments[-1][1]
-    trajectory = integrate_restore(QubitState(0.5), schedule, _TAB, _ENV, _BOUNDS, t_final=tau)
+    trajectory = reference_integrate_restore(
+        QubitState(0.5), schedule, _TAB, _ENV, _BOUNDS, t_final=tau
+    )
     baseline = Baseline(trajectory)
 
     result = run_deviation(PopulationDeviation(p0), baseline)
@@ -253,6 +255,11 @@ def test_run_and_replay_columns_are_read_only(column, baselines):
     for trajectory in (baseline.trajectory, replay, by_hand):
         with pytest.raises(ValueError, match="read-only"):
             getattr(trajectory, column)[:] = 0.0
+
+
+def test_run_deviation_rejects_an_unknown_spec(baselines):
+    with pytest.raises(TypeError, match="unknown deviation spec 0.5"):
+        run_deviation(0.5, baselines["lz"])
 
 
 @pytest.mark.parametrize("t_final_us", [-1.0, math.nan, math.inf, -math.inf])

@@ -305,6 +305,9 @@ def test_load_tabulated_errors_name_lines():
     with pytest.raises(SpectrumParseError) as err:
         load_tabulated("2,1.0\n3,-0.5\n")
     assert err.value.line_no == 2
+    with pytest.raises(SpectrumParseError, match="non-finite value") as err:
+        load_tabulated("2,1.0\n3,nan\n8,1.0\n")
+    assert err.value.line_no == 2
     with pytest.raises(SpectrumParseError):
         load_tabulated("2,1.0\n")
 
@@ -396,6 +399,12 @@ def test_capped_rate_fn_returns_an_array_for_any_grid_size(size):
     rates = eval_rate(Protected(), grid)
     assert isinstance(rates, np.ndarray)
     assert np.array_equal(rates, np.full(size, 1.0e6))
+
+
+@pytest.mark.parametrize("f_ghz", [0.0, -1.0, math.nan])
+def test_scalar_eval_rate_checks_the_domain(f_ghz):
+    with pytest.raises(SpectrumError, match="frequency must be > 0"):
+        eval_rate(Lorentzian(), f_ghz)
 
 
 def test_array_eval_rate_checks_the_domain():

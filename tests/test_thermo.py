@@ -50,6 +50,11 @@ def test_thermal_ratio_rejects_negative_frequency():
         thermal_ratio(-1.0, Environment(0.010))
 
 
+def test_equilibrium_population_domain():
+    with pytest.raises(ThermoDomainError, match="requires x >= 0, got -1.0"):
+        equilibrium_population(-1.0)
+
+
 def test_occupation_frozen_values():
     # Arbitrary-precision oracle: 1/(e^x - 1).
     assert occupation(50.0) == pytest.approx(1.9287498479639178e-22, rel=1e-12)
