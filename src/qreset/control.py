@@ -60,7 +60,6 @@ __all__ = [
     "CostateTrajectory",
     "PmpReport",
     "optimal_frequency",
-    "constant_restore_frequency",
     "costate_along",
     "verify_pmp",
     "schedule_to_csv",
@@ -241,10 +240,10 @@ def optimal_frequency(
                 f = hi
                 continue
             if raw is None:
-                return f_hi if f_new > f_hi else f_lo if f_new < f_lo else f_new
+                return f_new
             on = f_new if raw(f_new) >= rate_cap else f_new - tol
             if raw(on) < rate_cap:
-                return f_hi if f_new > f_hi else f_lo if f_new < f_lo else f_new
+                return f_new
         edge = _plateau_right_edge(raw, on, hi, rate_cap, tol)
         if edge == hi < f_hi:
             f = hi
@@ -257,17 +256,6 @@ def optimal_frequency(
         f"tracked refresh from near={near!r} GHz moved its {TRACK_WINDOW_GHZ!r} GHz"
         f" window 2048 times without settling (last at f={f!r} GHz)"
     )
-
-
-def constant_restore_frequency(
-    model: SpectrumModel,
-    bounds: ControlBounds,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    rate_cap: float | None = DEFAULT_RATE_CAP,
-) -> float:
-    """Low-temperature restoring frequency: the argmax of the rate alone."""
-    return argmax_rate(model, bounds, grid_points=grid_points, rate_cap=rate_cap).f_ghz
 
 
 @dataclass(frozen=True)
@@ -308,21 +296,21 @@ def _global_refresh(model, env, bounds, numerics):
     grid = _grid_terms(model, env, cap, _window_grid(bounds, grid_points))
 
     def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
-        return optimal_frequency(
-            p_e, model, env, bounds, grid_points=grid_points, rate_cap=cap, grid=grid
-        )
+        return optimal_frequency(p_e, model, env, bounds, rate_cap=cap, grid=grid)
 
     return frequency
 
 
 def _tracked_refresh(model, env, bounds, numerics):
-    """Refresh following the extremal branch; the run's constants and state are its cells."""
+    """Refresh following the extremal branch from the rate argmax, scanned once here."""
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     reach = 2.0 * numerics.drift_cap(bounds)
+    cap = numerics.rate_cap_per_us
+    start = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap)
     # rate_cap, the cap the refresh applies, is left out where the start scan
     # finds the rate below it across the window, and with it the plateau
     # checks: every refresh then takes the cheaper parabolic steps.
-    cap = rate_cap = numerics.rate_cap_per_us
+    rate_cap = cap if start.cap_hit else None
     # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
     # so (p_e, f) of the last three refreshes that corrected their start
     # extrapolate it, and one stencil usually accepts the guess.  An
@@ -332,18 +320,12 @@ def _tracked_refresh(model, env, bounds, numerics):
     # is the last n of (p0, f0), (p1, f1), (p2, f2), and its fit is redone
     # only when it changes: on benchmark seed 0, 5,286 of 56,234 refreshes
     # of robustness, 2,833 of 4,562 of calibrate's coarse runs.
+    predicts = rate_cap is None and not isinstance(model, Tabulated)
     n, p0, f0, p1, f1, p2, f2, d21, d210 = 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    predicts = False
 
     def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
-        nonlocal rate_cap, predicts, n, p0, f0, p1, f1, p2, f2, d21, d210
-        if f_anchor is None:  # the run's first refresh starts from the rate argmax
-            start = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap)
-            f_anchor = start.f_ghz
-            if not start.cap_hit:
-                rate_cap = None
-            predicts = rate_cap is None and not isinstance(model, Tabulated)
-        near = f_anchor
+        nonlocal n, p0, f0, p1, f1, p2, f2, d21, d210
+        near = start.f_ghz if f_anchor is None else f_anchor  # a run's first refresh
         if n == 3:
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
             if f_lo < guess < f_hi and -reach <= guess - near <= reach:
@@ -382,9 +364,9 @@ class ConstantAtPeak:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_ScheduleRuntime":
-        f = constant_restore_frequency(
+        f = argmax_rate(
             model, bounds, grid_points=numerics.grid_points, rate_cap=numerics.rate_cap_per_us
-        )
+        ).f_ghz
         return _ScheduleRuntime(((0.0, f),))
 
 
@@ -552,10 +534,13 @@ def verify_pmp(
     alt_rates = np.array(list(map(rate_fn(model, rate_cap), alts)))
     alt_peqs = np.array([equilibrium_population(thermal_ratio(f, env)) for f in alts])
 
-    lam = costate.costate[:, None]
-    pe = trajectory.p_e[:, None]
-    h_alt = 1.0 - lam * alt_rates * (pe - alt_peqs)
-    violations = costate.hamiltonian[:, None] - h_alt
+    # H - (1 - lam * rate * (p_e - p_eq)), one alternative's column at a time, in place.
+    violations = costate.costate[:, None] * alt_rates
+    pe, h = trajectory.p_e, costate.hamiltonian
+    for col, peq in zip(violations.T, alt_peqs):
+        col *= pe - peq
+        np.subtract(1.0, col, out=col)
+        np.subtract(h, col, out=col)
     k, i = np.unravel_index(np.argmax(violations), violations.shape)
     worst = float(violations[k, i])
     max_h = costate.max_abs_hamiltonian

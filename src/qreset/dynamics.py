@@ -128,7 +128,8 @@ class ControlRuntime(Protocol):
 
     ``held_ghz`` is the frequency held for the whole run when the law
     fixes it in advance, and ``None`` otherwise; ``next_transition_after``
-    is ``None`` when the runtime has no scheduled transitions.
+    is ``None`` when the runtime has no scheduled transitions, and else
+    returns the first transition strictly after its argument, or ``None``.
     """
 
     held_ghz: float | None
@@ -347,7 +348,7 @@ def integrate_restore(
         # Pick the step; scheduled transitions and the time limit are landed
         # on exactly and are exempt from drift control.
         dt, snap_to = dt_free, None
-        if t_bp is not None and t_bp > t and t_bp - t <= dt:
+        if t_bp is not None and t_bp - t <= dt:
             dt, snap_to = t_bp - t, t_bp
         if t_stop - t <= dt:
             dt, snap_to = t_stop - t, t_stop

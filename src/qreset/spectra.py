@@ -306,7 +306,7 @@ def eval_rate(
     if isinstance(f_ghz, np.ndarray):
         if not np.all(f_ghz > 0.0):
             raise SpectrumError("frequencies must be > 0")
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return raw(f_ghz) if rate_cap is None else np.minimum(raw(f_ghz), rate_cap)
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")

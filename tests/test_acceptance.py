@@ -20,14 +20,12 @@ from qreset import (
     Environment,
     FixedSchedule,
     Numerics,
-    PopulationDeviation,
     QubitState,
     Tabulated,
     TimeLocalOptimal,
+    argmax_rate,
     calibrate_temperature,
     constant_control_work_approx,
-    constant_restore_frequency,
-    decoherence_factor,
     fidelity_sweep,
     integrate_restore,
     optimal_frequency,
@@ -213,7 +211,7 @@ def test_criterion_7_zero_temperature_reduction(models, bounds):
     eps = bounds.epsilon
     p_values = [10.0 * eps, 1e-3, 1e-2, 0.1, 0.25, 0.5]
     for name, model in models.items():
-        f_const = constant_restore_frequency(model, bounds)
+        f_const = argmax_rate(model, bounds).f_ghz
         for p_e in p_values:
             f_opt = optimal_frequency(p_e, model, cold, bounds)
             assert abs(f_opt - f_const) <= 2e-6, (name, p_e, f_opt, f_const)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from qreset import (
     ConfigError,
-    Environment,
     Numerics,
     Scenario,
     builtin_scenario,
@@ -493,25 +492,65 @@ def test_cmd_run_uncapped_pole_exit_code(tmp_path, capsys, control, grid_points)
     assert err.count("\n") == 1
 
 
+_OVERFLOW = "float overflow: "
+
+
 @pytest.mark.parametrize(
-    "config",
+    "config, failure",
     [
-        {"spectrum": "lz", "spectrum_params": {"f_r_ghz": 1e200}},
-        {"spectrum": "prot", "spectrum_params": {"g_ghz": 1e200}},
-        {"spectrum": "mix", "spectrum_params": {"kappa_ghz": 1e200}},
-        {"spectrum": "jqf", "spectrum_params": {"f_0_ghz": 1e200}},
-        {"spectrum": "lz", "f_cp_GHz": 1e200, "delta_f_GHz": 1e199},
+        ({"spectrum": "lz", "spectrum_params": {"f_r_ghz": 1e200}}, _OVERFLOW),
+        ({"spectrum": "prot", "spectrum_params": {"g_ghz": 1e200}}, _OVERFLOW),
+        ({"spectrum": "mix", "spectrum_params": {"kappa_ghz": 1e200}}, _OVERFLOW),
+        ({"spectrum": "jqf", "spectrum_params": {"f_0_ghz": 1e200}}, _OVERFLOW),
+        ({"spectrum": "lz", "f_cp_GHz": 1e200, "delta_f_GHz": 1e199}, _OVERFLOW),
+        (
+            {"spectrum": "lz", "control": "constant", "spectrum_params": {"f_r_ghz": 1e200}},
+            _OVERFLOW,
+        ),
+        (
+            {
+                "spectrum": "lz",
+                "spectrum_params": {"f_r_ghz": 1e200},
+                "numerics": {"control_mode": "global"},
+            },
+            _OVERFLOW,
+        ),
+        (
+            {"spectrum": "jqf", "control": "constant", "spectrum_params": {"f_0_ghz": 1e200}},
+            _OVERFLOW,
+        ),
+        # g * g overflows to inf without an exception: every window rate is
+        # inf, and the run fails at the first refreshed frequency.
+        (
+            {
+                "spectrum": "lz",
+                "spectrum_params": {"g_ghz": 1e160},
+                "numerics": {"rate_cap_per_us": None},
+            },
+            "rate at f=2.0 GHz is infinite with no rate cap",
+        ),
     ],
-    ids=["lz-f_r", "prot-g", "mix-kappa", "jqf-f_0", "lz-window"],
+    ids=[
+        "lz-f_r",
+        "prot-g",
+        "mix-kappa",
+        "jqf-f_0",
+        "lz-window",
+        "lz-f_r-constant",
+        "lz-f_r-global",
+        "jqf-f_0-constant",
+        "lz-g-uncapped",
+    ],
 )
-def test_cmd_run_kernel_overflow_exit_code(tmp_path, capsys, config):
+def test_cmd_run_kernel_overflow_exit_code(tmp_path, capsys, config, failure):
     # A finite but huge parameter overflows a float power in the rate
-    # kernel; that was an OverflowError traceback.
+    # kernel; that was an OverflowError traceback, and under the constant
+    # and global laws a RuntimeWarning from the grid scan before it.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: float overflow: ")
+    assert err.startswith("numerical failure: " + failure)
     assert err.count("\n") == 1
 
 

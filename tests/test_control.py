@@ -31,7 +31,6 @@ from qreset import (
     TimeLocalOptimal,
     Trajectory,
     argmax_rate,
-    constant_restore_frequency,
     costate_along,
     equilibrium_population,
     eval_rate,
@@ -91,7 +90,7 @@ def test_global_lorentzian_tracks_rate_peak(env10, bounds):
 
 
 def test_tracked_jqf_starts_at_lower_bound(env10, bounds):
-    anchor = constant_restore_frequency(JQF(), bounds)
+    anchor = argmax_rate(JQF(), bounds).f_ghz
     assert anchor == 2.0
     assert optimal_frequency(0.4, JQF(), env10, bounds, near=anchor) == 2.0
 
@@ -100,7 +99,7 @@ def test_tracked_jqf_interior_near_precision(env10, bounds):
     # Just above the precision target the extremal branch has lifted off
     # the lower bound: the rate there cannot finish against the thermal
     # floor, so the branch trades speed for a lower restoring target.
-    anchor = constant_restore_frequency(JQF(), bounds)
+    anchor = argmax_rate(JQF(), bounds).f_ghz
     f = optimal_frequency(1.05e-5, JQF(), env10, bounds, near=anchor)
     assert f > 2.0
     assert 3.0 < f < 4.0
@@ -117,7 +116,7 @@ def test_global_jqf_prefers_upper_basin(env10, bounds):
 
 def test_tracked_equals_global_for_single_peaked_spectra(env10, bounds):
     for model in (Lorentzian(), Mixed()):
-        anchor = constant_restore_frequency(model, bounds)
+        anchor = argmax_rate(model, bounds).f_ghz
         f_prev = anchor
         for p_e in (0.5, 0.2, 0.05, 1e-2, 1e-3, 1e-4, 2e-5):
             f_tracked = optimal_frequency(p_e, model, env10, bounds, near=f_prev)
@@ -165,9 +164,9 @@ def test_argmax_invariance_under_rate_scaling(env10, bounds):
 
 
 def test_constant_restore_frequencies(bounds):
-    assert constant_restore_frequency(Lorentzian(), bounds) == pytest.approx(5.4, abs=2e-6)
-    assert constant_restore_frequency(Mixed(), bounds) == 2.0
-    f_prot = constant_restore_frequency(Protected(), bounds)
+    assert argmax_rate(Lorentzian(), bounds).f_ghz == pytest.approx(5.4, abs=2e-6)
+    assert argmax_rate(Mixed(), bounds).f_ghz == 2.0
+    f_prot = argmax_rate(Protected(), bounds).f_ghz
     assert abs(f_prot - 6.5) < 1.5e-3
 
 
@@ -645,7 +644,7 @@ def test_tracked_refresh_objective_evaluations(
     else:
         assert sum(calls) / len(calls) <= most
     if kind == "lz":
-        anchor = constant_restore_frequency(model, bounds)
+        anchor = argmax_rate(model, bounds).f_ghz
         assert np.unique(trajectory.f_ghz).tolist() == [anchor]
         assert anchor == pytest.approx(5.4, abs=1e-6)
 
@@ -689,10 +688,34 @@ def test_tabulated_tracked_refresh_anchors_on_the_previous_frequency(monkeypatch
     trajectory = integrate_restore(QubitState(0.5), TimeLocalOptimal(), model, env, bounds)
     assert trajectory.termination == "precision"
     assert np.unique(trajectory.f_ghz).size > 1000
-    assert nears[0] == constant_restore_frequency(model, bounds)
+    assert nears[0] == argmax_rate(model, bounds).f_ghz
     # The last held segment ends in the closed-form crossing, unprobed.
     probed = [f for f, _ in itertools.groupby(trajectory.f_ghz[:-2].tolist())]
     assert [f for f, _ in itertools.groupby(nears[1:])] == probed
+
+
+@pytest.mark.parametrize("kind", ["lz", "prot", "jqf"])
+def test_tracked_law_scans_its_start_once_at_bind(kind, env10, bounds, monkeypatch):
+    # The rate argmax is scanned when the law is bound, not in a refresh:
+    # unanchored refreshes of one bound law all start from that one scan.
+    model, calls, nears = KERNEL_MODELS[kind], [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argmax_rate(*args, **kwargs)
+
+    def recorded(*args, near=None, **kwargs):
+        nears.append(near)
+        return optimal_frequency(*args, near=near, **kwargs)
+
+    monkeypatch.setattr(qreset.control, "argmax_rate", counted)
+    monkeypatch.setattr(qreset.control, "optimal_frequency", recorded)
+    runtime = TimeLocalOptimal().bind(model, env10, bounds, Numerics())
+    assert len(calls) == 1 and nears == []
+    f = runtime.frequency(0.5, 0.0, None)
+    assert runtime.frequency(0.5, 0.0, None) == f
+    assert len(calls) == 1
+    assert nears == [argmax_rate(model, bounds).f_ghz] * 2
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,6 @@ from qreset import (
     IntegrationError,
     IntegrationLimitError,
     LN2,
-    Lorentzian,
-    Mixed,
     Numerics,
     QubitState,
     Tabulated,
