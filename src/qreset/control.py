@@ -325,7 +325,7 @@ def _tracked_refresh(model, env, bounds, numerics):
 
     def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
         nonlocal n, p0, f0, p1, f1, p2, f2, d21, d210
-        near = start.f_ghz if f_anchor is None else f_anchor  # a run's first refresh
+        near = start.f_ghz if f_anchor is None else f_anchor  # None at a run's first refresh
         if n == 3:
             guess = f2 + (p_e - p2) * (d21 + (p_e - p1) * d210)
             if f_lo < guess < f_hi and -reach <= guess - near <= reach:
