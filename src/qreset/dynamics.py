@@ -1,11 +1,11 @@
 """Qubit state evolution under piecewise-constant frequency control.
 
-The population obeys ``dp_e/dt = -rate(f) * (p_e - p_eq(f))`` and the
-coherence decays at half the rate while rotating at the (angular) qubit
-frequency.  For a frequency held constant over a step the solution is
-exact, so the integrator is an exponential stepper: accuracy is limited
-only by how often the control is refreshed, never by the stiffness of
-the rate (which spans many orders of magnitude across spectra).
+The population obeys ``dp_e/dt = -rate(f) * (p_e - p_eq(f))``, decoupled
+from the coherence.  A reset starts incoherent, so the feedback stepper
+carries ``p_e`` only (``robustness.Baseline`` replays coherent states).
+For a frequency held constant over a step the solution is exact, so the
+integrator is an exponential stepper: accuracy is limited only by how
+often the control is refreshed, never by the stiffness of the rate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _write_columns
 from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn
-from .thermo import Environment, RAD_PER_US_PER_GHZ, _FLOAT_MAX
+from .thermo import Environment, _FLOAT_MAX
 from .thermo import equilibrium_population, thermal_ratio
 
 __all__ = [
@@ -155,9 +155,9 @@ class Trajectory:
     Samples are taken at the start of every constant-control segment plus
     one terminal row; the frequency in row k is held on
     ``[t[k], t[k+1])``, and the terminal row repeats the frequency that
-    was held into the final time.  Each column is frozen into a read-only
-    float array (an ndarray in place): a trajectory's ledger, costate and
-    later replays read them.
+    was held into the final time.  Each column is a read-only float array
+    that the ledger, costate and replays read; a stepped run's ``p_r`` and
+    ``p_i`` are one shared column of ``+0.0``.
     """
 
     t_us: np.ndarray
@@ -211,26 +211,6 @@ def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(rate_per_us[:-1] * np.diff(t_us))])
 
 
-def _advance(
-    p_e: float,
-    p_r: float,
-    p_i: float,
-    rate: float,
-    p_eq: float,
-    f_ghz: float,
-    dt_us: float,
-) -> tuple[float, float, float]:
-    """Exact solution of the constant-control equations over one step."""
-    decay = math.exp(-rate * dt_us)
-    p_e2 = p_eq + (p_e - p_eq) * decay
-    amp = math.exp(-0.5 * rate * dt_us)
-    theta = RAD_PER_US_PER_GHZ * f_ghz * dt_us
-    c, s = math.cos(theta), math.sin(theta)
-    p_r2 = amp * (p_r * c + p_i * s)
-    p_i2 = amp * (p_i * c - p_r * s)
-    return p_e2, p_r2, p_i2
-
-
 def integrate_restore(
     initial: QubitState,
     law: ControlLawProtocol,
@@ -243,8 +223,8 @@ def integrate_restore(
 
     The run terminates when the population crosses the reset precision
     ``bounds.epsilon`` (located in closed form within the final segment),
-    or at the step or time limit.  A recorded protocol is run open loop
-    to a fixed time by ``robustness.Baseline``, in closed form.
+    or at the step or time limit.  It steps ``p_e`` only: a coherent state
+    is replayed under a recorded protocol by ``robustness.Baseline``.
 
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
@@ -258,6 +238,11 @@ def integrate_restore(
     eps = bounds.epsilon
     if initial.p_e <= eps:
         raise ValueError(f"initial p_e={initial.p_e!r} must exceed epsilon={eps!r}")
+    if initial.p_r or initial.p_i:
+        raise ValueError(
+            f"initial coherence ({initial.p_r!r}, {initial.p_i!r}) must be zero: the"
+            " stepper carries p_e only; robustness.Baseline replays a coherent state"
+        )
     if (
         numerics.rate_cap_per_us is None
         and isinstance(model, Protected)
@@ -292,11 +277,11 @@ def integrate_restore(
     t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
     t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
 
-    # One float64 buffer, a packed row of the seven Trajectory columns per
-    # sample, so no Python float outlives its step.
+    # One float64 buffer, a packed row (t, f, p_e, rate, p_eq) per sample,
+    # so no Python float outlives its step.
     samples = array("d")
-    record, row = samples.frombytes, Struct("7d").pack
-    pe, pr, pi = initial.p_e, initial.p_r, initial.p_i
+    record, row = samples.frombytes, Struct("5d").pack
+    pe = initial.p_e
     t = 0.0
     steps = 0
     dt_drift_hint = inf
@@ -312,7 +297,7 @@ def integrate_restore(
         e = exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
-        record(row(t, f, pe, pr, pi, rate, peq))
+        record(row(t, f, pe, rate, peq))
 
         if steps >= step_limit:
             termination, tau = "step_limit", t
@@ -338,10 +323,8 @@ def integrate_restore(
                 and (t_bp is None or t + dt_cross <= t_bp)
                 and t + dt_cross <= t_stop
             ):
-                _, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt_cross)
-                pe = eps
                 tau = t + dt_cross
-                record(row(tau, f, pe, pr, pi, rate, peq))
+                record(row(tau, f, eps, rate, peq))
                 termination = "precision"
                 break
 
@@ -360,7 +343,7 @@ def integrate_restore(
         dt = dt if dt > 1.0e-18 else 1.0e-18
 
         if snap_to is not None:
-            pe, pr, pi = _advance(pe, pr, pi, rate, peq, f, dt)
+            pe = peq + gap * exp(-rate * dt)
             t = snap_to
             steps += 1
             # A refresh is anchored at the frequency of the previous segment.
@@ -373,8 +356,8 @@ def integrate_restore(
         retries = 0
         df_prev = inf
         while True:
-            pe2, pr2, pi2 = _advance(pe, pr, pi, rate, peq, f, dt)
-            f_probe = refresh(pe2, t + dt, f)
+            pe = peq + gap * exp(-rate * dt)
+            f_probe = refresh(pe, t + dt, f)
             df = f_probe - f if f_probe > f else f - f_probe
             if df <= reach or retries >= 60 or df >= 0.9 * df_prev:
                 break
@@ -382,8 +365,7 @@ def integrate_restore(
             dt *= cut if cut > 0.25 else 0.25
             retries += 1
 
-        # The accepted probe is the refresh at the new state (five names at once build a tuple).
-        pe, pr, pi = pe2, pr2, pi2
+        # The accepted probe is the refresh at the new state.
         t, f = t + dt, f_probe
         steps += 1
         if df > 0.0:
@@ -394,7 +376,9 @@ def integrate_restore(
         else:
             dt_drift_hint = dt_drift_hint * 2.0
 
-    columns = np.frombuffer(samples).reshape(-1, 7).T
+    t_us, f_ghz, p_e, rate_per_us, p_eq = np.frombuffer(samples).reshape(-1, 5).T
+    zero = np.zeros(t_us.size)
+    columns = (t_us, f_ghz, p_e, zero, zero, rate_per_us, p_eq)
     return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 
 

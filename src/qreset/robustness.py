@@ -28,7 +28,6 @@ from .dynamics import (
     Numerics,
     QubitState,
     Trajectory,
-    _advance,
     decoherence_factor,
     integrate_restore,
     staircase_integral,
@@ -108,6 +107,26 @@ class DeviationResult:
     @cached_property
     def trajectory(self) -> Trajectory:
         return self.baseline.propagate(self.initial, self.t_final_us)
+
+
+def _advance(
+    p_e: float,
+    p_r: float,
+    p_i: float,
+    rate: float,
+    p_eq: float,
+    f_ghz: float,
+    dt_us: float,
+) -> tuple[float, float, float]:
+    """Exact solution of the constant-control equations over one step."""
+    decay = math.exp(-rate * dt_us)
+    p_e2 = p_eq + (p_e - p_eq) * decay
+    amp = math.exp(-0.5 * rate * dt_us)
+    theta = RAD_PER_US_PER_GHZ * f_ghz * dt_us
+    c, s = math.cos(theta), math.sin(theta)
+    p_r2 = amp * (p_r * c + p_i * s)
+    p_i2 = amp * (p_i * c - p_r * s)
+    return p_e2, p_r2, p_i2
 
 
 def _offsets(p_eq, decay):

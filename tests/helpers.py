@@ -57,7 +57,8 @@ from qreset import (
 )
 import qreset.control
 from qreset.control import _grid_terms
-from qreset.dynamics import ControlLawProtocol, _advance
+from qreset.dynamics import ControlLawProtocol
+from qreset.robustness import _advance
 from qreset.spectra import _cap_edge, _golden_max, _window_grid, rate_fn
 from qreset.thermo import RAD_PER_US_PER_GHZ
 

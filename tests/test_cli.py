@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, replace
@@ -383,6 +384,24 @@ def test_cmd_run_replays_its_own_schedule(tmp_path, spectrum, rows):
     for out in (first, replayed):
         table = next(out.glob("*/trajectory.csv")).read_text().splitlines()
         assert len(table) == 1 + rows  # the header, then one line per sample
+
+
+@pytest.mark.parametrize("name, mode", [("mix-default", "tracked"), ("jqf-default", "global")])
+def test_cmd_run_writes_unsigned_zero_coherence(tmp_path, name, mode):
+    # A stepped run is incoherent: its p_r and p_i are +0.0, never the -0.0
+    # that rotating a zero coherence gives.
+    scenario = replace(builtin_scenario(name), control_mode=mode)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(scenario.to_dict()), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    (table,) = (tmp_path / "o").glob("*/trajectory.csv")
+    with open(table, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    _, trajectory = run_reset(*scenario.build())
+    assert len(rows) == trajectory.n_samples
+    assert {row[column] for row in rows for column in ("p_r", "p_i")} == {"0.0"}
+    for column in (trajectory.p_r, trajectory.p_i):
+        assert all(math.copysign(1.0, x) == 1.0 and x == 0.0 for x in column.tolist())
 
 
 @pytest.mark.parametrize("command", ["run", "fig4"])

@@ -128,6 +128,16 @@ def test_initial_below_epsilon_rejected():
         integrate_restore(QubitState(1e-4), ConstantAtPeak(), FLAT, COLD, bounds)
 
 
+@pytest.mark.parametrize("coherence", [(0.1, 0.0), (0.0, 0.1)])
+@pytest.mark.parametrize(
+    "law", [TimeLocalOptimal(), FixedSchedule(((0.0, 5.4), (1.0, 5.0)))], ids=["tracked", "schedule"]
+)
+def test_a_coherent_start_is_rejected(law, coherence, models, env10, bounds):
+    # The stepper carries p_e only; a coherent state is Baseline's to replay.
+    with pytest.raises(ValueError, match=r"^initial coherence \(0\.\d, 0\.\d\) must be zero"):
+        integrate_restore(QubitState(0.5, *coherence), law, models["lz"], env10, bounds)
+
+
 def test_three_segment_chained_exponential_oracle():
     tab = Tabulated(((2.0, 0.5), (5.0, 3.0), (8.0, 1.2)))
     env = Environment(0.010)

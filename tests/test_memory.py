@@ -2,17 +2,18 @@
 
 Each bound is on the ``tracemalloc`` peak over one call, less the traced
 memory before it, divided by the trajectory's row count, on mix-default
-(10,979 rows) and jqf-default (16,699 rows).  A run's rows end as seven
-float64 columns, 56 bytes per row; what a layer holds beyond that while it
-runs is what these bounds cap.
+(10,979 rows) and jqf-default (16,699 rows).  A feedback run records five
+float64 columns, 40 bytes per row, plus one shared zero column for ``p_r``
+and ``p_i``, 8 more; what a layer holds beyond that while it runs is what
+these bounds cap.
 
-- ``integrate_restore``: at most 80 B.  It measures the recorded rows
+- ``integrate_restore``: at most 56 B.  It measures the recorded rows
   while the run records them.  With every sample kept as seven Python floats
   in one list it peaked at 282-286 B, and packed into float64 blocks of
   1,024 rows at 117-128 B (the blocks, their concatenation and one block's
   list of floats).  Recorded straight into one float64 buffer, whose
-  columns are views, it peaks at 57 B: the rows and the buffer's growth
-  headroom.
+  columns are views, it peaked at 57 B with seven columns, and at 49 B
+  with five and the zero column: the rows and the buffer's growth headroom.
 - ``work_ledger``: at most 40 B.  It measures the ledger's temporaries.
   Copying ``x`` and ``p_e`` into lists of Python floats took 72-73 B; three
   float64 temporaries take 24-25 B.
@@ -30,7 +31,7 @@ import pytest
 from qreset import Baseline, QubitState, integrate_restore, work_ledger
 from qreset.scenario import builtin_scenario
 
-BYTES_PER_ROW_BOUND = {"integrate_restore": 80, "work_ledger": 40, "Baseline": 150}
+BYTES_PER_ROW_BOUND = {"integrate_restore": 56, "work_ledger": 40, "Baseline": 150}
 
 
 def _traced_peak(call):

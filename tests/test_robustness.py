@@ -27,8 +27,7 @@ from qreset import (
     sensitivity_report,
 )
 from qreset.cli import _FIG4_POINTS
-from qreset.dynamics import _advance
-from qreset.robustness import _initial_state
+from qreset.robustness import _advance, _initial_state
 from helpers import (
     FLOAT_COLUMN_CASES,
     chained_exponential_population,
