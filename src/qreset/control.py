@@ -74,6 +74,7 @@ REFINE_TOL_GHZ = 1.0e-9
 TRACK_WINDOW_GHZ = 0.02
 TRACK_TOL_GHZ = 1.0e-7
 TRACK_STENCIL_GHZ = 2.0e-4
+_HALF_TOL, _MIN_STENCIL = 0.5 * TRACK_TOL_GHZ, TRACK_STENCIL_GHZ / 16.0  # step stop, stencil floor
 _PARABOLIC_ROUNDS = range(64)  # built once: every uncapped tracked refresh iterates it
 _NEG_INF, _INF = -math.inf, math.inf  # a finite near lies between, read per tracked refresh
 # verify_pmp probes every sample time against this many window
@@ -102,10 +103,15 @@ def _objective(
     p_e: float,
 ) -> Callable[[float], float]:
     """Float ``J(f) = rate(f) * (p_e - p_eq(f))`` as one function; grids use ``_grid_terms``."""
-    cap = math.inf if rate_cap is None else rate_cap
+    # Default values, not closure cells: one tuple per refresh instead of four or five cells.
+    if rate_cap is None:  # no cap, no comparison: the capped J's float wherever raw < cap
+        def j(f, raw=model.rate_kernel, c=env.ratio_per_ghz, p_e=p_e, exp=math.exp):
+            e = exp(-c * f)
+            return raw(f) * (p_e - e / (1.0 + e))
 
-    # Default values, not closure cells: one tuple per refresh instead of five cells.
-    def j(f: float, raw=model.rate_kernel, cap=cap, c=env.ratio_per_ghz, p_e=p_e, exp=math.exp):
+        return j
+
+    def j(f, raw=model.rate_kernel, cap=rate_cap, c=env.ratio_per_ghz, p_e=p_e, exp=math.exp):
         e = exp(-c * f)
         r = raw(f)
         return (cap if r > cap else r) * (p_e - e / (1.0 + e))
@@ -188,20 +194,17 @@ def optimal_frequency(
     # Per-refresh work, so conditional expressions stand in for min/max/abs.
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     f = f_hi if near > f_hi else f_lo if near < f_lo else near
-    tol, window, stencil = TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, TRACK_STENCIL_GHZ
-    raw = None if rate_cap is None else model.rate_kernel
-    if raw is None:
-        lo = f - window if f - window > f_lo else f_lo
-        hi = f + window if f + window < f_hi else f_hi
+    if rate_cap is None:
+        lo = f - TRACK_WINDOW_GHZ if f - TRACK_WINDOW_GHZ > f_lo else f_lo
+        hi = f + TRACK_WINDOW_GHZ if f + TRACK_WINDOW_GHZ < f_hi else f_hi
         if isinstance(model, Tabulated):  # J has a kink at each node: stay between two
             i, nodes = bisect_right(model.points, (f, math.inf)), model.points
             lo, hi = max(lo, nodes[i - 1][0]), min(hi, nodes[min(i, len(nodes) - 1)][0])
-        x, width, jx = f, stencil, None
-        half_tol = 0.5 * tol
+        x, width, jx = f, TRACK_STENCIL_GHZ, None
         for _ in _PARABOLIC_ROUNDS:  # then, as on every break, the window loop below
             h = x - lo if x - lo < width else width
             h = hi - x if hi - x < h else h
-            if not h >= tol:
+            if not h >= TRACK_TOL_GHZ:
                 break
             jx = j(x) if jx is None else jx
             ja, jb = j(x - h), j(x + h)
@@ -210,13 +213,15 @@ def optimal_frequency(
                 break
             step = 0.5 * h * (ja - jb) / curvature
             # Done within tolerance or round-off, on a stencil no wider than the first.
-            if -half_tol <= step <= half_tol or abs(step) <= h * math.ulp(jx) / -curvature:
-                if h <= stencil:
+            if -_HALF_TOL <= step <= _HALF_TOL or abs(step) <= h * math.ulp(jx) / -curvature:
+                if h <= TRACK_STENCIL_GHZ:
                     return x
-                width = stencil
+                width = TRACK_STENCIL_GHZ
                 continue
             width = 2.0 * step if step > 0.0 else -2.0 * step
-            x, jx, width = x + step, None, width if width > stencil / 16.0 else stencil / 16.0
+            x, jx, width = x + step, None, width if width > _MIN_STENCIL else _MIN_STENCIL
+    tol, window = TRACK_TOL_GHZ, TRACK_WINDOW_GHZ
+    raw = None if rate_cap is None else model.rate_kernel
     past_edge = None  # an anchor whose plateau J rises past: search instead
     for _ in range(2048):
         lo = f - window if f - window > f_lo else f_lo
@@ -276,40 +281,41 @@ class TimeLocalOptimal:
         numerics: Numerics,
     ) -> "_TimeLocalRuntime":
         refresh = _tracked_refresh if self.mode == "tracked" else _global_refresh
-        return _TimeLocalRuntime(refresh(model, env, bounds, numerics))
+        return _TimeLocalRuntime(*refresh(model, env, bounds, numerics))
 
 
 class _TimeLocalRuntime:
-    """A bound ``TimeLocalOptimal``, whose ``frequency`` is its tracked or global refresh."""
+    """A bound ``TimeLocalOptimal``: its tracked or global refresh and the cap it applies."""
 
     # One optimal_frequency call and one _objective J per refresh: the bench tracer counts both.
     held_ghz = None
     next_transition_after = None  # a feedback law has no scheduled transitions
 
-    def __init__(self, frequency: Callable[[float, float, float | None], float]) -> None:
-        self.frequency = frequency
+    def __init__(self, frequency: Callable[[float, float, float | None], float], rate_cap) -> None:
+        self.frequency, self.rate_cap_per_us = frequency, rate_cap
 
 
 def _global_refresh(model, env, bounds, numerics):
-    """Refresh scanning the window; its scans share one grid, whose _grid_terms are taken once."""
+    """Refresh scanning the window, and its cap; its scans share one grid's _grid_terms."""
     grid_points, cap = numerics.grid_points, numerics.rate_cap_per_us
     grid = _grid_terms(model, env, cap, _window_grid(bounds, grid_points))
 
     def frequency(p_e: float, t_us: float, f_anchor: float | None) -> float:
         return optimal_frequency(p_e, model, env, bounds, rate_cap=cap, grid=grid)
 
-    return frequency
+    return frequency, cap
 
 
 def _tracked_refresh(model, env, bounds, numerics):
-    """Refresh following the extremal branch from the rate argmax, scanned once here."""
+    """Refresh along the extremal branch from the rate argmax, scanned once here, and its cap."""
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     reach = 2.0 * numerics.drift_cap(bounds)
     cap = numerics.rate_cap_per_us
     start = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap)
     # rate_cap, the cap the refresh applies, is left out where the start scan
     # finds the rate below it across the window, and with it the plateau
-    # checks: every refresh then takes the cheaper parabolic steps.
+    # checks: every refresh then takes the cheaper parabolic steps, and the
+    # stepper's rate evaluator, also given rate_cap, is the bare kernel.
     rate_cap = cap if start.cap_hit else None
     # Those uncapped refreshes start from a prediction: f*(p_e) is smooth,
     # so (p_e, f) of the last three refreshes that corrected their start
@@ -350,7 +356,7 @@ def _tracked_refresh(model, env, bounds, numerics):
                     d210 = (d21 - (f1 - f0) / (p1 - p0)) / (p2 - p0)
         return f
 
-    return frequency
+    return frequency, rate_cap
 
 
 @dataclass(frozen=True)
@@ -364,10 +370,9 @@ class ConstantAtPeak:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_ScheduleRuntime":
-        f = argmax_rate(
-            model, bounds, grid_points=numerics.grid_points, rate_cap=numerics.rate_cap_per_us
-        ).f_ghz
-        return _ScheduleRuntime(((0.0, f),))
+        cap = numerics.rate_cap_per_us
+        f = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap).f_ghz
+        return _ScheduleRuntime(((0.0, f),), cap)
 
 
 @dataclass(frozen=True)
@@ -411,13 +416,14 @@ class FixedSchedule:
         numerics: Numerics,
     ) -> "_ScheduleRuntime":
         self.check_window(bounds)
-        return _ScheduleRuntime(self.breakpoints)
+        return _ScheduleRuntime(self.breakpoints, numerics.rate_cap_per_us)
 
 
 class _ScheduleRuntime:
-    """Right-continuous step lookup in (t_us, f_GHz) breakpoints from t=0."""
+    """Right-continuous step lookup in (t_us, f_GHz) breakpoints from t=0, under the run's cap."""
 
-    def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
+    def __init__(self, breakpoints: tuple[tuple[float, float], ...], rate_cap: float | None):
+        self.rate_cap_per_us = rate_cap
         self._times = [t for t, _ in breakpoints]
         self._freqs = [f for _, f in breakpoints]
         self.held_ghz = self._freqs[0] if len(self._freqs) == 1 else None

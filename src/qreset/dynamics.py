@@ -130,9 +130,12 @@ class ControlRuntime(Protocol):
     fixes it in advance, and ``None`` otherwise; ``next_transition_after``
     is ``None`` when the runtime has no scheduled transitions, and else
     returns the first transition strictly after its argument, or ``None``.
+    ``rate_cap_per_us`` is the cap its frequencies are chosen under, which
+    the stepper's rates take: ``None`` where no cap can bind.
     """
 
     held_ghz: float | None
+    rate_cap_per_us: float | None
     next_transition_after: Callable[[float], float | None] | None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float: ...
@@ -256,7 +259,7 @@ def integrate_restore(
 
     runtime = law.bind(model, env, bounds, numerics)
     drift_cap = numerics.drift_cap(bounds)
-    rate_at = rate_fn(model, numerics.rate_cap_per_us)
+    rate_at = rate_fn(model, runtime.rate_cap_per_us)
     ratio_c = env.ratio_per_ghz
     # Looked up once per run: the loop below runs once per sample. Its
     # conditional expressions keep min/max/abs's ties and NaN results.
@@ -312,21 +315,23 @@ def integrate_restore(
             )
 
         t_bp = None if next_transition is None else next_transition(t)
-        dt_log = log_bound / rate if rate > 0.0 else inf
-        dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log
-
-        # Terminal crossing within the upcoming segment, in closed form.
-        if rate > 0.0 and peq < eps and gap < no_cross * (eps - peq):
-            dt_cross = log(gap / (eps - peq)) / rate
-            if (
-                dt_cross <= dt_free
-                and (t_bp is None or t + dt_cross <= t_bp)
-                and t + dt_cross <= t_stop
-            ):
-                tau = t + dt_cross
-                record(row(tau, f, eps, rate, peq))
-                termination = "precision"
-                break
+        if rate > 0.0:
+            dt_log = log_bound / rate
+            dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log
+            # Terminal crossing within the upcoming segment, in closed form.
+            if peq < eps and gap < no_cross * (eps - peq):
+                dt_cross = log(gap / (eps - peq)) / rate
+                if (
+                    dt_cross <= dt_free
+                    and (t_bp is None or t + dt_cross <= t_bp)
+                    and t + dt_cross <= t_stop
+                ):
+                    tau = t + dt_cross
+                    record(row(tau, f, eps, rate, peq))
+                    termination = "precision"
+                    break
+        else:  # no log bound; the drift hint is never NaN
+            dt_log, dt_free = inf, dt_drift_hint
 
         # Pick the step; scheduled transitions and the time limit are landed
         # on exactly and are exempt from drift control.

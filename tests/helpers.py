@@ -615,8 +615,10 @@ def reference_integrate_restore(
 class ReferenceTimeLocalRuntime:
     """``control._TimeLocalRuntime`` as it was, refitting its predictor at every refresh.
 
-    Verbatim, but for one change: ``optimal_frequency`` is looked up on
-    ``qreset.control`` at call time, so that a test can count its calls.
+    Verbatim, but for two changes: ``optimal_frequency`` is looked up on
+    ``qreset.control`` at call time, so that a test can count its calls,
+    and it declares the numerics' cap as the ``rate_cap_per_us`` that
+    ``integrate_restore`` reads, so the stepper's rates stay capped.
     """
 
     def __init__(
@@ -630,7 +632,7 @@ class ReferenceTimeLocalRuntime:
         self._problem = (model, env, bounds)
         self._f_lo, self._f_hi = bounds.f_min_ghz, bounds.f_max_ghz
         self._grid_points = numerics.grid_points
-        self._cap = numerics.rate_cap_per_us
+        self._cap = self.rate_cap_per_us = numerics.rate_cap_per_us
         self._tracked = law.mode == "tracked"
         # The cap the tracked refresh applies.  Where the start scan finds
         # the rate below it across the window it cannot bind, so it is left

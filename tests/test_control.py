@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qreset import (
     ConstantAtPeak,
@@ -357,6 +357,24 @@ def test_fused_objective_equals_rate_times_gap_exactly(kind, cap, p_e, f):
         e = math.exp(-c * x)
         want = reference_rate(model, x, cap) * (p_e - e / (1.0 + e))
         assert j(x) == want, (x, j(x), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["lz", "mix", "jqf", "tab"]),
+    cap=st.sampled_from([1.0e6, 1.0]),
+    p_e=st.floats(min_value=1e-6, max_value=0.5, exclude_min=True),
+    f=st.floats(min_value=2.0, max_value=8.0),
+)
+def test_uncapped_objective_is_the_capped_one_below_the_cap(kind, cap, p_e, f):
+    # The tracked refresh drops the cap, and with it J's comparison, where
+    # the start scan finds the rate below it: wherever the raw rate is below
+    # the cap, the uncapped J must be the capped one, bit for bit.
+    model = KERNEL_MODELS[kind]
+    assume(model.rate_kernel(f) < cap)
+    env = Environment(0.010)
+    capped, uncapped = _objective(model, env, cap, p_e), _objective(model, env, None, p_e)
+    assert uncapped(f).hex() == capped(f).hex()
 
 
 @pytest.mark.parametrize("kind, temperature_K", [("prot", 0.01003), ("mix", 0.010)])

@@ -31,6 +31,7 @@ from qreset import (
 )
 import qreset.cli
 import qreset.control
+import qreset.dynamics
 from qreset.scenario import builtin_scenario
 from helpers import (
     ReferenceTimeLocalOptimal,
@@ -525,3 +526,55 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
         assert np.array_equal(getattr(current, name), getattr(reference, name)), name
     assert current.termination == "precision"
+
+
+def test_a_capped_run_records_its_cap_on_the_plateau(default_runs, models, env10, bounds):
+    # prot's start scan hits the cap, so the tracked runtime declares it and
+    # the stepper caps every rate: the plateau rows read the cap itself.
+    numerics, model = Numerics(), models["prot"]
+    cap = numerics.rate_cap_per_us
+    for law in (TimeLocalOptimal(), TimeLocalOptimal("global"), ConstantAtPeak()):
+        assert law.bind(model, env10, bounds, numerics).rate_cap_per_us == cap
+    trajectory = default_runs["prot"][1]
+    rates = trajectory.rate_per_us.tolist()
+    plateau = [r for f, r in zip(trajectory.f_ghz.tolist(), rates) if model.rate_kernel(f) >= cap]
+    assert max(rates) <= cap
+    assert plateau and set(plateau) == {cap}
+
+
+@pytest.mark.parametrize("name", ["lz", "mix", "jqf"])
+def test_an_uncapped_tracked_run_records_the_capped_rate(name, default_runs, models, env10, bounds):
+    # Their start scans find the rate below the cap across the window, so the
+    # tracked runtime declares no cap and the stepper calls the bare kernel:
+    # each recorded rate is still the capped scalar rate, bit for bit.
+    numerics, model = Numerics(), models[name]
+    assert TimeLocalOptimal().bind(model, env10, bounds, numerics).rate_cap_per_us is None
+    trajectory = default_runs[name][1]
+    capped = [eval_rate(model, f, numerics.rate_cap_per_us) for f in trajectory.f_ghz.tolist()]
+    assert [r.hex() for r in trajectory.rate_per_us.tolist()] == [r.hex() for r in capped]
+
+
+@pytest.mark.parametrize("name", ["lz", "prot", "jqf"])
+def test_the_stepper_builds_one_rate_evaluator_and_calls_it_once_per_step(
+    name, models, env10, bounds, monkeypatch
+):
+    # bench/tracer.py counts dynamics.rate_evals as calls of the evaluator
+    # that dynamics.rate_fn returns: one per run, whether capped or not, and
+    # one call per sample but the terminal one, which repeats the last rate.
+    built, calls, rate_fn = [0], [0], qreset.dynamics.rate_fn
+
+    def counted_rate_fn(*args):
+        built[0] += 1
+        evaluate = rate_fn(*args)
+
+        def counted(f):
+            calls[0] += 1
+            return evaluate(f)
+
+        return counted
+
+    monkeypatch.setattr(qreset.dynamics, "rate_fn", counted_rate_fn)
+    law, model = TimeLocalOptimal(), models[name]
+    trajectory = integrate_restore(QubitState(0.5), law, model, env10, bounds, Numerics())
+    assert trajectory.termination == "precision"
+    assert (built[0], calls[0]) == (1, trajectory.n_samples - 1)
