@@ -548,22 +548,38 @@ def _column_cells(column) -> list[str]:
     return [c if isinstance(c, str) else repr(float(c)) for c in column]
 
 
+def _constant_cell(column) -> str | None:
+    """The one cell text of a float64 array whose values share one bit pattern, else None."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 and column.size:
+        bits = column.view(np.int64)
+        if (bits == bits[0]).all():
+            return repr(float(column[0]))
+    return None
+
+
 def _write_columns(stream: TextIO, header: str, columns, lead=None) -> None:
     """Write ``header``, then one comma-separated line per row of equal-length ``columns``.
 
     A ``str`` cell is written as given; any other cell as
     ``repr(float(cell))``, which ``float`` and ``_read_rows`` read back
     exactly.  ``repr`` is most of the cost, so the cells are formatted a
-    column of a block of ``WRITE_BLOCK_ROWS`` rows at a time, and
-    ``lead``, a ``(stream, n)`` pair, gets the table's first two columns,
-    header and first ``n`` rows, from the same text.
+    column of a block of ``WRITE_BLOCK_ROWS`` rows at a time, a float64
+    array whose values all have the same bits (a stepped run's coherence,
+    a constant law's frequency) once per table, and ``lead``, a
+    ``(stream, n)`` pair, gets the table's first two columns, header and
+    first ``n`` rows, from the same text.
     """
     stream.write(header + "\n")
     out, n = lead or (None, 0)
     if out is not None:
         out.write(",".join(header.split(",")[:2]) + "\n")
-    for i in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK_ROWS):
-        cells = [_column_cells(col[i : i + WRITE_BLOCK_ROWS]) for col in columns]
+    rows = len(columns[0]) if columns else 0
+    constant = [_constant_cell(col) for col in columns]
+    for i in range(0, rows, WRITE_BLOCK_ROWS):
+        m = min(WRITE_BLOCK_ROWS, rows - i)
+        cells = [
+            [c] * m if c else _column_cells(col[i : i + m]) for col, c in zip(columns, constant)
+        ]
         stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
         if n > i:
             held = zip(cells[0][: n - i], cells[1][: n - i])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qreset.cli as cli
 from qreset import (
     ConfigError,
     Numerics,
@@ -836,6 +839,74 @@ def test_cmd_spectra_invalid_override_names_its_config_key(
     assert main(["spectra", flag, value, "--out", str(out)]) == 1
     assert f"configuration error: numerics.{key} " in capsys.readouterr().err
     assert not out.exists()
+
+
+# One command of each kind, with and without overrides, plus a configuration
+# error and a usage error between them; relative paths keep stderr comparable.
+_MIXED_COMMANDS = (
+    ["run", "--scenario", "prot-default", "--grid", "801", "--cap", "50", "--out", "runs"],
+    ["run", "--scenario", "prot-default", "--out", "runs"],
+    ["run", "--scenario", "lz-default", "--format", "csv", "--out", "csv"],
+    ["run", "--scenario", "lz-default", "--cap", "-1", "--out", "bad"],
+    ["run", "--scenario", "lz-default", "--grid", "many"],
+    ["figure", "fig3b", "--out", "figs"],
+    ["spectra", "--grid", "5"],
+    ["calibrate-temperature", "--t-lo", "0.005", "--t-hi", "0.02", "--out", "cal.json"],
+    ["run", "--scenario", "lz-default", "--out", "runs"],
+)
+
+
+def _run_mixed_commands(cwd: Path, monkeypatch, capsys) -> tuple[list, dict[str, bytes]]:
+    """Each command's (exit code, stdout, stderr) and the files the sequence wrote."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    outcomes = []
+    for argv in _MIXED_COMMANDS:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        outcomes.append((rc, *capsys.readouterr()))
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+    return outcomes, files
+
+
+def test_main_reuses_one_parser_with_the_output_of_fresh_ones(tmp_path, monkeypatch, capsys):
+    cli._parser.cache_clear()
+    shared = _run_mixed_commands(tmp_path / "shared", monkeypatch, capsys)
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per command
+    fresh = _run_mixed_commands(tmp_path / "fresh", monkeypatch, capsys)
+    assert shared == fresh
+    codes = [rc for rc, _, _ in shared[0]]
+    assert codes == [0, 0, 0, 1, ("exit", 2), 0, 0, 0, 0]
+    assert len([name for name in shared[1] if name.endswith("trajectory.csv")]) == 4
+
+
+def test_build_parser_is_fresh_and_unseen_by_main(capsys):
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second and cli._parser() is not first
+    first.add_argument("--extra")
+    first.set_defaults(func=lambda args: 99)
+    with pytest.raises(SystemExit) as exc:
+        main(["--extra", "1", "spectra", "--grid", "3"])
+    assert exc.value.code == 2
+    assert main(["spectra", "--grid", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+
+
+def test_main_builds_its_parser_once_per_import(monkeypatch, capsys):
+    for name in [n for n in sys.modules if n == "qreset" or n.startswith("qreset.")]:
+        monkeypatch.delitem(sys.modules, name)  # put back at teardown
+    fresh = importlib.import_module("qreset.cli")
+    assert fresh is not cli
+    built = []
+    build = fresh.build_parser
+    monkeypatch.setattr(fresh, "build_parser", lambda: built.append(None) or build())
+    for grid in ("3", "4"):
+        assert fresh.main(["spectra", "--grid", grid]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.count("\n") == 9
 
 
 def test_calibration_scaled_targets_halve_temperature():

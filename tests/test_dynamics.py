@@ -40,7 +40,7 @@ from helpers import (
     reference_table,
     step_constant,
 )
-from qreset.spectra import WRITE_BLOCK_ROWS, _write_columns
+from qreset.spectra import WRITE_BLOCK_ROWS, _constant_cell, _write_columns
 
 FLAT = Tabulated(((2.0, 1.0), (8.0, 1.0)))
 SILENT = Tabulated(((2.0, 0.0), (8.0, 0.0)))
@@ -382,6 +382,80 @@ def test_row_tables_match_the_per_cell_rule(n):
     empty = io.StringIO()
     schedule_to_csv([], empty)
     assert empty.getvalue() == "t_us,f_GHz\n"
+
+
+_ODD_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1]
+
+
+def _bits(x: float) -> int:
+    return int(np.array([x]).view(np.int64)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]),
+    kinds=st.lists(
+        st.sampled_from(["constant", "one-off", "varying", "str", "int", "float32", "list"]),
+        min_size=2,
+        max_size=6,
+    ),
+    value=st.one_of(st.sampled_from(_ODD_FLOATS), st.floats()),
+    with_lead=st.booleans(),
+    data=st.data(),
+)
+def test_constant_columns_match_the_per_cell_rule(n, kinds, value, with_lead, data):
+    # A float64 array whose values all have one bit pattern is formatted
+    # once per table; one row with other bits (+0.0 against -0.0 too), a
+    # str column or a non-float64 column keeps the per-cell path.  Either
+    # way the bytes are the per-cell rule's, the lead stream's included.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    other = data.draw(
+        st.one_of(st.sampled_from(_ODD_FLOATS), st.floats()).filter(
+            lambda x: _bits(x) != _bits(value)
+        )
+    )
+    columns = []
+    for kind in kinds:
+        column = np.full(n, value)
+        if kind == "one-off" and n:
+            column[data.draw(st.integers(0, n - 1))] = other
+        elif kind == "varying":
+            column = rng.standard_normal(n)
+        elif kind == "str":
+            column = ["s"] * n
+        elif kind == "int":
+            column = np.full(n, 7)
+        elif kind == "float32":
+            column = np.full(n, 0.5, dtype=np.float32)
+        elif kind == "list":
+            column = [value] * n
+        columns.append(column)
+        if kind in ("constant", "one-off", "varying") and n:
+            single = n == 1 or kind == "constant"
+            assert _constant_cell(column) == (repr(float(column[0])) if single else None)
+        else:
+            assert _constant_cell(column) is None
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    rows = list(zip(*columns))
+    held = data.draw(st.integers(0, n)) if with_lead else 0
+    table, lead = io.StringIO(), io.StringIO()
+    _write_columns(table, header, columns, (lead, held) if with_lead else None)
+    assert table.getvalue() == reference_table(header, rows)
+    if with_lead:
+        assert lead.getvalue() == reference_table("c0,c1", [r[:2] for r in rows[:held]])
+    else:
+        assert lead.getvalue() == ""
+
+
+@pytest.mark.parametrize("held, other", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_signed_zero_in_one_row_keeps_the_per_cell_path(held, other):
+    # +0.0 == -0.0 as floats, but their bits and their text differ.
+    column = np.full(2 * _B + 1, held)
+    column[_B] = other
+    assert _constant_cell(column) is None
+    table = io.StringIO()
+    _write_columns(table, "z", [column])
+    assert table.getvalue() == reference_table("z", [(x,) for x in column.tolist()])
 
 
 def test_trajectory_csv_export(default_runs):
