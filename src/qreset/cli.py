@@ -46,7 +46,7 @@ from .scenario import (
     load_scenario,
     scenario_hash,
 )
-from .spectra import ControlBounds, SpectrumError, eval_rate, _write_columns
+from .spectra import ControlBounds, SpectrumError, eval_rate, _window_grid, _write_columns
 from .thermo import LN2
 
 __all__ = [
@@ -161,7 +161,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             _, traj = run_reset(model, env, bounds, law, numerics)
             control = (traj.t_us, traj.p_e, traj.f_ghz)
             _write_csv(out_dir / f"fig2_control_{key}.csv", "t_us,p_e,f_GHz", control)
-            grid = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, 1201)
+            grid = _window_grid(bounds, 1201)
             spectrum = (grid, eval_rate(model, grid, numerics.rate_cap_per_us))
             _write_csv(out_dir / f"fig2_spectrum_{key}.csv", "f_GHz,rate_per_us", spectrum)
             del traj, control  # released before the next run records its rows
@@ -441,7 +441,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_spectra(args: argparse.Namespace) -> int:
     bounds = ControlBounds()
     numerics = _override_numerics(Numerics(grid_points=601), args)
-    fs = np.linspace(bounds.f_min_ghz, bounds.f_max_ghz, numerics.grid_points)
+    fs = _window_grid(bounds, numerics.grid_points)
     cap = numerics.rate_cap_per_us
     rates = [eval_rate(_SPECTRUM_CLASSES[k](), fs, cap) for k in _SPECTRUM_KINDS]
     header = "f_GHz," + ",".join(_SPECTRUM_KINDS)

@@ -28,11 +28,12 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .dynamics import IntegrationError, NoDescentError, Numerics, Trajectory
+from .dynamics import InfiniteRateError, IntegrationError, NoDescentError, Numerics, Trajectory
 from .spectra import (
     ControlBounds,
     DEFAULT_GRID_POINTS,
     DEFAULT_RATE_CAP,
+    Protected,
     SpectrumModel,
     TableParseError,
     Tabulated,
@@ -52,7 +53,6 @@ __all__ = [
     "TimeLocalOptimal",
     "ConstantAtPeak",
     "FixedSchedule",
-    "ControlLaw",
     "NoDescentError",
     "DegenerateTransversalityError",
     "ScheduleWindowError",
@@ -263,6 +263,17 @@ def optimal_frequency(
     )
 
 
+def _check_pole(model: SpectrumModel, bounds: ControlBounds, numerics: Numerics) -> None:
+    """Refuse an uncapped pole in the window, where a rate-seeking law would settle."""
+    if numerics.rate_cap_per_us is None and isinstance(model, Protected):
+        if bounds.f_min_ghz <= model.f_r_ghz <= bounds.f_max_ghz:
+            raise InfiniteRateError(
+                f"the rate is infinite at the protected pole f_r={model.f_r_ghz!r} GHz, inside"
+                f" the control window [{bounds.f_min_ghz!r}, {bounds.f_max_ghz!r}] GHz, with no"
+                " rate cap: the state would jump to equilibrium in zero time"
+            )
+
+
 @dataclass(frozen=True)
 class TimeLocalOptimal:
     """State-feedback law refreshing the optimal frequency at every step."""
@@ -280,6 +291,7 @@ class TimeLocalOptimal:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_TimeLocalRuntime":
+        _check_pole(model, bounds, numerics)
         refresh = _tracked_refresh if self.mode == "tracked" else _global_refresh
         return _TimeLocalRuntime(*refresh(model, env, bounds, numerics))
 
@@ -370,6 +382,7 @@ class ConstantAtPeak:
         bounds: ControlBounds,
         numerics: Numerics,
     ) -> "_ScheduleRuntime":
+        _check_pole(model, bounds, numerics)
         cap = numerics.rate_cap_per_us
         f = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap).f_ghz
         return _ScheduleRuntime(((0.0, f),), cap)
@@ -434,9 +447,6 @@ class _ScheduleRuntime:
     def next_transition_after(self, t_us: float) -> float | None:
         i = bisect_right(self._times, t_us)
         return self._times[i] if i < len(self._times) else None
-
-
-ControlLaw = TimeLocalOptimal | ConstantAtPeak | FixedSchedule
 
 
 def schedule_to_csv(schedule: Iterable[tuple[float, float]], stream: TextIO) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Protocol, TextIO
 
 import numpy as np
 
-from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, Protected, _write_columns
+from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, _write_columns
 from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn
 from .thermo import Environment, _FLOAT_MAX
 from .thermo import equilibrium_population, thermal_ratio
@@ -232,11 +232,6 @@ def integrate_restore(
     The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
     most ``numerics.step_log_bound`` per step and the control frequency
     moves by at most the drift cap per step.
-
-    With no rate cap, a protected spectrum whose pole lies in the window
-    raises ``InfiniteRateError`` before the first step: the rate-seeking
-    laws settle on the pole, and a scan sees its infinite rate only if a
-    grid point lands exactly on it.
     """
     eps = bounds.epsilon
     if initial.p_e <= eps:
@@ -245,16 +240,6 @@ def integrate_restore(
         raise ValueError(
             f"initial coherence ({initial.p_r!r}, {initial.p_i!r}) must be zero: the"
             " stepper carries p_e only; robustness.Baseline replays a coherent state"
-        )
-    if (
-        numerics.rate_cap_per_us is None
-        and isinstance(model, Protected)
-        and bounds.f_min_ghz <= model.f_r_ghz <= bounds.f_max_ghz
-    ):
-        raise InfiniteRateError(
-            f"the rate is infinite at the protected pole f_r={model.f_r_ghz!r} GHz,"
-            f" inside the control window [{bounds.f_min_ghz!r}, {bounds.f_max_ghz!r}]"
-            " GHz, with no rate cap: the state would jump to equilibrium in zero time"
         )
 
     runtime = law.bind(model, env, bounds, numerics)
@@ -308,13 +293,13 @@ def integrate_restore(
         if t >= t_stop:
             termination, tau = "time_limit", t
             break
-        if gap <= 0.0:
+        # A segment may heat only where a scheduled transition lies ahead.
+        t_bp = None if next_transition is None else next_transition(t)
+        if gap <= 0.0 and t_bp is None:
             raise NoDescentError(
                 f"control law chose f={f!r} GHz with p_eq={peq!r} >= p_e={pe!r};"
                 " the precision target is unreachable from here"
             )
-
-        t_bp = None if next_transition is None else next_transition(t)
         if rate > 0.0:
             dt_log = log_bound / rate
             dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log

@@ -21,7 +21,6 @@ __all__ = [
     "Environment",
     "ThermoDomainError",
     "thermal_ratio",
-    "occupation",
     "equilibrium_population",
     "entropy",
 ]
@@ -49,7 +48,7 @@ class Environment:
     ----------
     temperature_K:
         Environment temperature in kelvin, strictly positive.  Zero is
-        rejected so that occupation numbers and equilibrium populations
+        rejected so that thermal ratios and equilibrium populations
         stay finite-valued; use a microkelvin-scale proxy for the
         zero-temperature limit.
 
@@ -73,21 +72,6 @@ def thermal_ratio(f_ghz: float, env: Environment) -> float:
     if f_ghz < 0.0:
         raise ThermoDomainError(f"frequency must be >= 0, got {f_ghz!r}")
     return env.ratio_per_ghz * f_ghz
-
-
-def occupation(x: float) -> float:
-    """Bose occupation ``n = 1/(e^x - 1)`` for ``x > 0``.
-
-    Evaluated through ``expm1`` (or the ``e^-x`` expansion for large
-    arguments) so that both the small-``x`` divergence and the deep
-    quantum regime keep full relative accuracy.
-    """
-    if not x > 0.0:
-        raise ThermoDomainError(f"occupation requires x > 0, got {x!r}")
-    if x > 350.0:
-        # 1/(e^x-1) = e^-x * (1 + e^-x + ...); the correction is below 1e-150.
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
 
 
 def equilibrium_population(x: float) -> float:

@@ -15,6 +15,7 @@ from qreset import (
     FixedSchedule,
     InfiniteRateError,
     Lorentzian,
+    Mixed,
     NoDescentError,
     Numerics,
     Protected,
@@ -26,6 +27,7 @@ from qreset import (
     equilibrium_population,
     eval_rate,
     integrate_restore,
+    run_reset,
     schedule_to_csv,
     thermal_ratio,
 )
@@ -271,6 +273,50 @@ def test_no_descent_mid_run(env10):
         integrate_restore(QubitState(0.5), schedule, Lorentzian(), env10, bounds)
 
 
+_HEATING = ((0.0, 8.0), (90.0, 2.0), (91.0, 8.0))
+
+
+def test_a_segment_before_a_cooler_breakpoint_may_heat(env10):
+    # At 90 us p_e = 3.95e-5 lies below p_eq(2 GHz) = 6.78e-5: the held
+    # microsecond heats the qubit, and the 8 GHz segment after it cools it.
+    bounds = ControlBounds(epsilon=1e-5)
+    report, trajectory = run_reset(Mixed(), env10, bounds, FixedSchedule(_HEATING), Numerics())
+    assert trajectory.termination == "precision"
+    assert repr(report.tau_st) == "105.67442495606194" and trajectory.n_samples == 227
+    heated = trajectory.p_e[(trajectory.t_us >= 90.0) & (trajectory.t_us <= 91.0)]
+    assert heated[0] < trajectory.p_eq[trajectory.t_us == 90.0][0]
+    assert np.all(np.diff(heated) > 0.0) and heated[-1] > 4.6e-5
+    assert report.W - report.dF == pytest.approx(report.W_ex, rel=1e-12)
+
+
+def test_a_heating_last_segment_still_raises_no_descent(env10):
+    schedule = FixedSchedule(_HEATING[:2])
+    bounds = ControlBounds(epsilon=1e-5)
+    with pytest.raises(NoDescentError, match=r"f=2\.0 GHz with p_eq=.* >= p_e="):
+        integrate_restore(QubitState(0.5), schedule, Mixed(), env10, bounds)
+
+
+@pytest.mark.parametrize("f_ghz, tau", [(5.4, "221.6922556219144"), (7.5, "6.241391132296584")])
+def test_uncapped_schedule_away_from_the_pole_equals_the_capped_run(f_ghz, tau, env10):
+    # A schedule holds only its own frequencies, where the cap cannot bind.
+    schedule, bounds = FixedSchedule(((0.0, f_ghz),)), ControlBounds(epsilon=1e-5)
+    uncapped, capped = (
+        integrate_restore(QubitState(0.5), schedule, Protected(), env10, bounds, numerics)
+        for numerics in (Numerics(rate_cap_per_us=None), Numerics())
+    )
+    assert uncapped.termination == "precision" and repr(uncapped.tau_st_us) == tau
+    for field in dataclasses.fields(Trajectory):
+        a, b = getattr(uncapped, field.name), getattr(capped, field.name)
+        assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
+
+
+def test_uncapped_schedule_holding_the_pole_raises_in_the_loop(env10):
+    schedule, bounds = FixedSchedule(((0.0, 6.5),)), ControlBounds(epsilon=1e-5)
+    numerics = Numerics(rate_cap_per_us=None)
+    with pytest.raises(InfiniteRateError, match=r"rate at f=6\.5 GHz is infinite"):
+        integrate_restore(QubitState(0.5), schedule, Protected(), env10, bounds, numerics)
+
+
 @pytest.mark.parametrize("grid_points", [4001, 4000, 1000])
 @pytest.mark.parametrize(
     "law",
@@ -280,7 +326,7 @@ def test_no_descent_mid_run(env10):
 def test_uncapped_pole_raises_instead_of_crossing_in_zero_time(
     law, grid_points, env10, bounds
 ):
-    # Without a cap every law settles on the protected pole, where the rate
+    # Without a cap every rate-seeking law settles on the protected pole, where the rate
     # is inf; the crossing time would come out as ~0 and look like success.
     # Only the 4001-point grid has a point exactly on the pole at 6.5 GHz;
     # the others must fail as well.

@@ -11,7 +11,6 @@ from qreset import (
     ThermoDomainError,
     entropy,
     equilibrium_population,
-    occupation,
     thermal_ratio,
 )
 
@@ -55,29 +54,6 @@ def test_equilibrium_population_domain():
         equilibrium_population(-1.0)
 
 
-def test_occupation_frozen_values():
-    # Arbitrary-precision oracle: 1/(e^x - 1).
-    assert occupation(50.0) == pytest.approx(1.9287498479639178e-22, rel=1e-12)
-    assert occupation(math.log(2.0)) == pytest.approx(1.0, rel=1e-12)
-    x = thermal_ratio(5.0, Environment(0.010))
-    assert occupation(x) == pytest.approx(3.7894505045361735e-11, rel=1e-12)
-    # Past x = 350 the e^-x expansion is exact to double precision.
-    assert occupation(400.0) == math.exp(-400.0)
-
-
-def test_occupation_domain():
-    with pytest.raises(ThermoDomainError):
-        occupation(0.0)
-    with pytest.raises(ThermoDomainError):
-        occupation(-1.0)
-
-
-@given(st.floats(min_value=1e-3, max_value=300.0))
-def test_occupation_matches_coth_form(x):
-    expected = float(mp.mpf("0.5") * (mp.coth(mp.mpf(x) / 2) - 1))
-    assert occupation(x) == pytest.approx(expected, rel=1e-12)
-
-
 def test_equilibrium_population_frozen_values():
     assert equilibrium_population(0.0) == 0.5
     env = Environment(0.010)
@@ -95,12 +71,9 @@ def test_equilibrium_population_underflows_cleanly():
 
 
 @given(st.floats(min_value=1e-3, max_value=300.0))
-def test_equilibrium_population_matches_tanh_and_occupation_forms(x):
+def test_equilibrium_population_matches_tanh_form(x):
     expected = float(mp.mpf("0.5") * (1 - mp.tanh(mp.mpf(x) / 2)))
-    p = equilibrium_population(x)
-    assert p == pytest.approx(expected, rel=1e-12)
-    n = occupation(x)
-    assert p == pytest.approx(n / (2.0 * n + 1.0), rel=1e-12)
+    assert equilibrium_population(x) == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=300.0), st.floats(min_value=1e-4, max_value=10.0))
