@@ -486,6 +486,8 @@ def costate_along(
     propagates backward multiplicatively through the accumulated rate
     integral, so its sign is preserved along the whole trajectory.
     """
+    if trajectory.n_samples == 0:
+        raise ValueError("trajectory has no samples")
     if trajectory.termination != "precision":
         raise ValueError(
             f"costate requires a precision-terminated trajectory, got"

@@ -209,9 +209,12 @@ def staircase_integral(t_us: np.ndarray, rate_per_us: np.ndarray) -> np.ndarray:
 
     The executed protocol is piecewise constant, so this staircase sum is
     the exact accumulated rate, and linear interpolation between samples
-    is exact inside a segment.
+    is exact inside a segment.  The sum is taken in the one buffer it returns.
     """
-    return np.concatenate([[0.0], np.cumsum(rate_per_us[:-1] * np.diff(t_us))])
+    out = np.zeros(max(t_us.size, 1))
+    np.multiply(rate_per_us[:-1], np.diff(t_us), out=out[1:])
+    np.cumsum(out[1:], out=out[1:])
+    return out
 
 
 def integrate_restore(
@@ -367,7 +370,7 @@ def integrate_restore(
             dt_drift_hint = dt_drift_hint * 2.0
 
     t_us, f_ghz, p_e, rate_per_us, p_eq = np.frombuffer(samples).reshape(-1, 5).T
-    zero = np.zeros(t_us.size)
+    zero = np.broadcast_to(0.0, t_us.size)  # one stride-0 column, no buffer
     columns = (t_us, f_ghz, p_e, zero, zero, rate_per_us, p_eq)
     return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 

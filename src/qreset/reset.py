@@ -127,6 +127,8 @@ def work_ledger(
     trajectory: Trajectory, bounds: ControlBounds, env: Environment
 ) -> WorkLedger:
     """Assemble the work decomposition from a precision-terminated trajectory."""
+    if trajectory.n_samples == 0:
+        raise ValueError("trajectory has no samples")
     if trajectory.termination != "precision":
         raise ValueError(
             f"work ledger requires a precision-terminated trajectory, got"
@@ -137,17 +139,18 @@ def work_ledger(
     below = f < 0.0
     if below.any():
         thermal_ratio(float(f[below.argmax()]), env)  # raises for the first negative f
-    x = env.ratio_per_ghz * f
+    ratio = env.ratio_per_ghz
 
     # Exact per-segment restore-stage integral of x * rate * (p_e - p_eq) dt:
-    # the frequency is constant on each segment, so it equals -x * dp_e.
-    # cumsum adds strictly left to right, here from a leading +0.0 term.
+    # the frequency is constant on each segment, so it equals -x * dp_e with
+    # x = ratio * f. cumsum adds strictly left to right, from a leading +0.0.
     terms = np.zeros(p_e.size)
-    np.multiply(x[:-1], p_e[:-1] - p_e[1:], out=terms[1:])
+    np.multiply(f[:-1], ratio, out=terms[1:])
+    terms[1:] *= p_e[:-1] - p_e[1:]
     integral = np.cumsum(terms, out=terms)[-1].item()
 
     pe0, pe_end = p_e[0].item(), p_e[-1].item()
-    x0, x_end = x[0].item(), x[-1].item()
+    x0, x_end = ratio * f[0].item(), ratio * f[-1].item()
 
     w_sw1 = (x0 - x_cp) * (pe0 - 0.5)
     w_st = x_end * (pe_end - 0.5) - x0 * (pe0 - 0.5) + integral

@@ -153,27 +153,39 @@ class Baseline:
     """
 
     def __init__(self, trajectory: Trajectory) -> None:
+        if trajectory.n_samples == 0:
+            raise ValueError("trajectory has no samples")
         self.trajectory = trajectory
         held = slice(0, max(trajectory.n_samples - 1, 1))
-        self._t_us = trajectory.t_us[held]
+        self._t_us = t = trajectory.t_us[held]
         self._f_ghz = trajectory.f_ghz[held]
-        self._rate_per_us = trajectory.rate_per_us[held]
+        self._rate_per_us = rate = trajectory.rate_per_us[held]
         self._p_eq = trajectory.p_eq[held]
 
-        lam = staircase_integral(self._t_us, self._rate_per_us)
+        # Each map is filled in place: at most one temporary outlives its line.
+        lam = staircase_integral(t, rate)
         self._decay = np.exp(-lam)
-        self._amp = np.exp(-0.5 * lam)
+        lam *= -0.5
+        self._amp = np.exp(lam, out=lam)  # exp(-0.5 * lam)
         # ~1e4 segments sum to ~1e4 rad, which np.cumsum gets wrong by ~1e-8 rad:
         # TwoSum recovers each addition's rounding error, and their sum is added.
-        turn = RAD_PER_US_PER_GHZ * self._f_ghz[:-1] * np.diff(self._t_us)
-        total = np.cumsum(turn)
-        before = np.append(0.0, total)[:-1]
-        added = total - before
-        error = (before - (total - added)) + (turn - added)
-        theta = np.append(0.0, total + np.cumsum(error))
+        dt = np.diff(t)
+        turn = RAD_PER_US_PER_GHZ * self._f_ghz[:-1]
+        turn *= dt
+        theta = np.zeros(t.size)
+        total, before = theta[1:], theta[:-1]
+        np.cumsum(turn, out=total)
+        error = total - before  # added
+        turn -= error  # turn - added
+        np.subtract(total, error, out=error)
+        np.subtract(before, error, out=error)  # before - (total - added)
+        error += turn
+        total += np.cumsum(error, out=error)
+        del turn, error
         self._cos = np.cos(theta)
-        self._sin = np.sin(theta)
-        segment_decay = np.exp(-self._rate_per_us[:-1] * np.diff(self._t_us))
+        self._sin = np.sin(theta, out=theta)
+        dt *= -rate[:-1]
+        segment_decay = np.exp(dt, out=dt)  # exp(-rate[:-1] * dt)
         offsets = _offsets(memoryview(self._p_eq[:-1]), memoryview(segment_decay))
         self._offset = np.fromiter(offsets, float, self._p_eq.size)
 

@@ -14,7 +14,9 @@ rule from before it wrote in blocks and formatted each cell once.  The
 stepper loop and the tracked runtime are kept as they were before their
 builtin calls and per-refresh predictor fit went, and the work ledger's
 restore integral and the robustness baseline's offset recurrence as the
-Python-float loops they were before they read float64 columns, all for a
+Python-float loops they were before they read float64 columns, and the
+baseline's other composed maps and the accumulated rate as the plain numpy
+expressions they were before each was filled in place, all for a
 bit-for-bit comparison.  The stepper copy keeps the open-loop mode to a
 fixed time (``t_final``) that the package's stepper no longer has: the
 closed-form robustness replay is checked against it.  One reference wraps
@@ -757,15 +759,54 @@ def reference_baseline_offsets(trajectory: Trajectory) -> np.ndarray:
     return np.array(offset)
 
 
+def reference_baseline_maps(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """``Baseline``'s composed maps and ``cumulative_rate_integral()``, by name.
+
+    Each is the plain numpy expression, verbatim from before the maps were
+    filled in place: the accumulated rate as a ``np.concatenate``d staircase,
+    the phase by ``np.append``ed TwoSum terms, and the offsets over
+    ``np.exp(-rate[:-1] * np.diff(t))`` by ``reference_baseline_offsets``.
+    """
+
+    def staircase(t_us, rate_per_us):
+        return np.concatenate([[0.0], np.cumsum(rate_per_us[:-1] * np.diff(t_us))])
+
+    held = slice(0, max(trajectory.n_samples - 1, 1))
+    t_us, f_ghz = trajectory.t_us[held], trajectory.f_ghz[held]
+    lam = staircase(t_us, trajectory.rate_per_us[held])
+    turn = RAD_PER_US_PER_GHZ * f_ghz[:-1] * np.diff(t_us)
+    total = np.cumsum(turn)
+    before = np.append(0.0, total)[:-1]
+    added = total - before
+    error = (before - (total - added)) + (turn - added)
+    theta = np.append(0.0, total + np.cumsum(error))
+    return {
+        "_decay": np.exp(-lam),
+        "_amp": np.exp(-0.5 * lam),
+        "_cos": np.cos(theta),
+        "_sin": np.sin(theta),
+        "_offset": reference_baseline_offsets(trajectory),
+        "cumulative_rate_integral": staircase(trajectory.t_us, trajectory.rate_per_us),
+    }
+
+
 def same_float(a: float, b: float) -> bool:
     """Equal as IEEE doubles, with a zero's sign counted: ``-0.0`` differs from ``0.0``."""
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-# Trajectories on which the float64-column ledger and baseline offsets are
-# held to their Python-float references: the four defaults, the mix default's
-# schedule replayed by FixedSchedule and zero_restore_trajectory().
-FLOAT_COLUMN_CASES = ("lz", "prot", "mix", "jqf", "mix-schedule", "zero-restore")
+# Trajectories on which the float64-column ledger and baseline maps are
+# held to their references: the four defaults, the mix default's schedule
+# replayed by FixedSchedule, zero_restore_trajectory() and a one-row run.
+FLOAT_COLUMN_CASES = ("lz", "prot", "mix", "jqf", "mix-schedule", "zero-restore", "one-row")
+
+
+def empty_trajectory() -> Trajectory:
+    """A precision-terminated trajectory with no rows."""
+    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
+    return Trajectory(
+        **dict.fromkeys(names, []), tau_st_us=0.0, termination="precision", epsilon=1.0e-5
+    )
 
 
 def zero_restore_trajectory() -> Trajectory:
@@ -787,6 +828,12 @@ def float_column_case(case: str, default_runs, models, env, bounds) -> Trajector
     """The trajectory of one of ``FLOAT_COLUMN_CASES``."""
     if case == "zero-restore":
         return zero_restore_trajectory()
+    if case == "one-row":
+        # Already below epsilon at t=0: one row, no segment held.
+        return Trajectory(
+            t_us=[0.0], f_ghz=[5.0], p_e=[1.0e-6], p_r=[0.0], p_i=[0.0], rate_per_us=[2.0],
+            p_eq=[0.0], tau_st_us=0.0, termination="precision", epsilon=1.0e-5,
+        )
     if case == "mix-schedule":
         law = FixedSchedule(default_runs["mix"][1].schedule())
         return integrate_restore(QubitState(0.5), law, models["mix"], env, bounds)

@@ -50,6 +50,7 @@ from qreset.spectra import ARGMAX_TOL_GHZ, _golden_max, _scan_max
 from helpers import (
     KERNEL_MODELS,
     ReferenceTimeLocalOptimal,
+    empty_trajectory,
     reference_objective,
     reference_optimal_frequency,
     reference_rate,
@@ -196,6 +197,11 @@ def test_costate_requires_precision_termination():
     assert trajectory.termination == "step_limit"
     with pytest.raises(ValueError):
         costate_along(trajectory, flat, cold)
+
+
+def test_costate_rejects_an_empty_trajectory():
+    with pytest.raises(ValueError, match="trajectory has no samples"):
+        costate_along(empty_trajectory(), Lorentzian(), Environment(0.010))
 
 
 def test_costate_rejects_a_zero_terminal_rate():

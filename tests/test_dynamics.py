@@ -38,6 +38,7 @@ from qreset.scenario import builtin_scenario
 from helpers import (
     ReferenceTimeLocalOptimal,
     chained_exponential_population,
+    empty_trajectory,
     reference_integrate_restore,
     reference_table,
     step_constant,
@@ -190,12 +191,8 @@ def test_decoherence_factor_constant_rate():
 
 
 def test_decoherence_factor_rejects_an_empty_trajectory():
-    names = ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq")
-    empty = Trajectory(
-        **dict.fromkeys(names, []), tau_st_us=0.0, termination="precision", epsilon=1.0e-5
-    )
     with pytest.raises(ValueError, match="trajectory has no samples"):
-        decoherence_factor(empty)
+        decoherence_factor(empty_trajectory())
 
 
 def test_decoherence_factor_rejects_a_nan_time():

@@ -34,6 +34,7 @@ from qreset.cli import main
 from qreset.control import TRACK_TOL_GHZ
 from helpers import (
     FLOAT_COLUMN_CASES,
+    empty_trajectory,
     float_column_case,
     held_restore_oracle,
     reference_work_ledger,
@@ -113,6 +114,11 @@ def test_work_ledger_requires_precision(default_runs, env10, bounds):
     assert trajectory.termination == "horizon"
     with pytest.raises(ValueError):
         work_ledger(trajectory, bounds, env10)
+
+
+def test_work_ledger_rejects_an_empty_trajectory(env10, bounds):
+    with pytest.raises(ValueError, match="trajectory has no samples"):
+        work_ledger(empty_trajectory(), bounds, env10)
 
 
 @pytest.mark.parametrize("case", FLOAT_COLUMN_CASES)

@@ -31,10 +31,10 @@ from qreset.robustness import _advance, _initial_state
 from helpers import (
     FLOAT_COLUMN_CASES,
     chained_exponential_population,
+    empty_trajectory,
     float_column_case,
-    reference_baseline_offsets,
+    reference_baseline_maps,
     reference_integrate_restore,
-    same_float,
     stepper_replay,
 )
 
@@ -230,11 +230,23 @@ def test_closed_form_replay_returns_the_recorded_rows(baselines):
 def test_offsets_match_their_list_reference_bit_for_bit(case, default_runs, models, env10, bounds):
     # The offset recurrence reads the columns through memoryviews into
     # np.fromiter; the list of Python floats it replaced must give every entry.
+    # The other maps and the accumulated rate are filled in place by the same
+    # IEEE operations, in the same order, as the plain expressions they replaced.
     trajectory = float_column_case(case, default_runs, models, env10, bounds)
-    offsets = Baseline(trajectory)._offset
-    reference = reference_baseline_offsets(trajectory)
-    assert offsets.dtype == reference.dtype and offsets.shape == reference.shape
-    assert all(map(same_float, offsets.tolist(), reference.tolist()))
+    baseline = Baseline(trajectory)
+    maps = ("_decay", "_amp", "_cos", "_sin", "_offset")
+    current = {name: getattr(baseline, name) for name in maps}
+    current["cumulative_rate_integral"] = trajectory.cumulative_rate_integral()
+    reference = reference_baseline_maps(trajectory)
+    assert current.keys() == reference.keys()
+    for name, value in current.items():
+        assert value.dtype == reference[name].dtype and value.shape == reference[name].shape, name
+        assert value.tobytes() == reference[name].tobytes(), name
+
+
+def test_baseline_rejects_an_empty_trajectory():
+    with pytest.raises(ValueError, match="trajectory has no samples"):
+        Baseline(empty_trajectory())
 
 
 @pytest.mark.parametrize(
