@@ -24,11 +24,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .dynamics import InfiniteRateError, IntegrationError, NoDescentError, Numerics, Trajectory
+from .dynamics import ControlRuntime, InfiniteRateError, IntegrationError, NoDescentError
+from .dynamics import Numerics, Trajectory
 from .spectra import (
     ControlBounds,
     DEFAULT_GRID_POINTS,
@@ -290,21 +292,12 @@ class TimeLocalOptimal:
         env: Environment,
         bounds: ControlBounds,
         numerics: Numerics,
-    ) -> "_TimeLocalRuntime":
+    ) -> ControlRuntime:
         _check_pole(model, bounds, numerics)
         refresh = _tracked_refresh if self.mode == "tracked" else _global_refresh
-        return _TimeLocalRuntime(*refresh(model, env, bounds, numerics))
-
-
-class _TimeLocalRuntime:
-    """A bound ``TimeLocalOptimal``: its tracked or global refresh and the cap it applies."""
-
-    # One optimal_frequency call and one _objective J per refresh: the bench tracer counts both.
-    held_ghz = None
-    next_transition_after = None  # a feedback law has no scheduled transitions
-
-    def __init__(self, frequency: Callable[[float, float, float | None], float], rate_cap) -> None:
-        self.frequency, self.rate_cap_per_us = frequency, rate_cap
+        # One optimal_frequency call and one _objective J per refresh: the bench tracer counts both.
+        frequency, cap = refresh(model, env, bounds, numerics)
+        return SimpleNamespace(frequency=frequency, rate_cap_per_us=cap)
 
 
 def _global_refresh(model, env, bounds, numerics):
@@ -381,11 +374,11 @@ class ConstantAtPeak:
         env: Environment,
         bounds: ControlBounds,
         numerics: Numerics,
-    ) -> "_ScheduleRuntime":
+    ) -> tuple[tuple[tuple[float, float], ...], float | None]:
         _check_pole(model, bounds, numerics)
         cap = numerics.rate_cap_per_us
         f = argmax_rate(model, bounds, grid_points=numerics.grid_points, rate_cap=cap).f_ghz
-        return _ScheduleRuntime(((0.0, f),), cap)
+        return ((0.0, f),), cap
 
 
 @dataclass(frozen=True)
@@ -427,26 +420,9 @@ class FixedSchedule:
         env: Environment,
         bounds: ControlBounds,
         numerics: Numerics,
-    ) -> "_ScheduleRuntime":
+    ) -> tuple[tuple[tuple[float, float], ...], float | None]:
         self.check_window(bounds)
-        return _ScheduleRuntime(self.breakpoints, numerics.rate_cap_per_us)
-
-
-class _ScheduleRuntime:
-    """Right-continuous step lookup in (t_us, f_GHz) breakpoints from t=0, under the run's cap."""
-
-    def __init__(self, breakpoints: tuple[tuple[float, float], ...], rate_cap: float | None):
-        self.rate_cap_per_us = rate_cap
-        self._times = [t for t, _ in breakpoints]
-        self._freqs = [f for _, f in breakpoints]
-        self.held_ghz = self._freqs[0] if len(self._freqs) == 1 else None
-
-    def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
-        return self._freqs[bisect_right(self._times, t_us) - 1]
-
-    def next_transition_after(self, t_us: float) -> float | None:
-        i = bisect_right(self._times, t_us)
-        return self._times[i] if i < len(self._times) else None
+        return self.breakpoints, numerics.rate_cap_per_us
 
 
 def schedule_to_csv(schedule: Iterable[tuple[float, float]], stream: TextIO) -> None:

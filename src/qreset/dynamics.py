@@ -14,14 +14,13 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from struct import Struct
-from typing import Callable, Protocol, TextIO
+from typing import Protocol, TextIO
 
 import numpy as np
 
 from .spectra import DEFAULT_GRID_POINTS, DEFAULT_RATE_CAP, _write_columns
 from .spectra import ControlBounds, SpectrumModel, coherence_time, rate_fn
 from .thermo import Environment, _FLOAT_MAX
-from .thermo import equilibrium_population, thermal_ratio
 
 __all__ = [
     "QubitState",
@@ -37,6 +36,18 @@ __all__ = [
 
 _POSITIVITY_TOL = 1.0e-12
 MAX_GRID_POINTS = 1_000_000  # the largest scan grid allowed, 250 times the default
+# Failures that both of integrate_restore's loops raise, formatted with the row's values.
+_INFINITE_RATE = (
+    "rate at f={!r} GHz is infinite with no rate cap: the state"
+    " would jump to equilibrium in zero time"
+)
+_NO_DESCENT = (
+    "control law chose f={!r} GHz with p_eq={!r} >= p_e={!r};"
+    " the precision target is unreachable from here"
+)
+_NEVER_MOVES = (
+    "rate at f={!r} GHz is zero with no time limit or transition ahead: the state can never move"
+)
 
 
 class IntegrationError(RuntimeError):
@@ -80,8 +91,8 @@ class QubitState:
 class Numerics:
     """Integrator and scan settings.
 
-    ``step_log_bound``, in (0, 1], caps the per-step decay of ``ln(p_e - p_eq)``;
-    ``control_drift_ghz`` caps how far the control may move per step
+    ``step_log_bound``, in (0, 1], caps a feedback step's decay of ``ln(p_e - p_eq)``;
+    ``control_drift_ghz`` caps how far its control may move per step
     (default: 1/16 of the scan-grid resolution).
     """
 
@@ -124,31 +135,33 @@ class Numerics:
 
 
 class ControlRuntime(Protocol):
-    """Per-trajectory control state produced by a law's ``bind``.
+    """A bound feedback law: ``frequency(p_e, t_us, f_anchor)`` is its refresh.
 
-    ``held_ghz`` is the frequency held for the whole run when the law
-    fixes it in advance, and ``None`` otherwise; ``next_transition_after``
-    is ``None`` when the runtime has no scheduled transitions, and else
-    returns the first transition strictly after its argument, or ``None``.
-    ``rate_cap_per_us`` is the cap its frequencies are chosen under, which
-    the stepper's rates take: ``None`` where no cap can bind.
+    A refresh is anchored at the previous segment's frequency (``None`` at
+    a run's first).  The stepper's rates take ``rate_cap_per_us``, the cap
+    the frequencies are chosen under: ``None`` where no cap can bind.
     """
 
-    held_ghz: float | None
     rate_cap_per_us: float | None
-    next_transition_after: Callable[[float], float | None] | None
 
     def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float: ...
 
 
 class ControlLawProtocol(Protocol):
+    """A control law; ``bind`` fixes it to one problem before a run.
+
+    A feedback law binds to a ``ControlRuntime``, an open-loop law to its
+    ``(t_us, f_GHz)`` breakpoints from t=0 and the rate cap it holds them
+    under, which ``integrate_restore`` steps exactly, one step each.
+    """
+
     def bind(
         self,
         model: SpectrumModel,
         env: Environment,
         bounds: ControlBounds,
         numerics: Numerics,
-    ) -> ControlRuntime: ...
+    ) -> ControlRuntime | tuple[tuple[tuple[float, float], ...], float | None]: ...
 
 
 @dataclass(frozen=True)
@@ -179,9 +192,14 @@ class Trajectory:
             column = np.asarray(getattr(self, field.name), dtype=float)
             column.setflags(write=False)
             object.__setattr__(self, field.name, column)
+        sizes = {field.name: getattr(self, field.name).size for field in fields(self)[:7]}
+        if len(set(sizes.values())) > 1:
+            raise ValueError(f"trajectory columns differ in length: {sizes}")
 
     @property
     def terminal_state(self) -> QubitState:
+        if self.n_samples == 0:
+            raise ValueError("trajectory has no samples")
         return QubitState(float(self.p_e[-1]), float(self.p_r[-1]), float(self.p_i[-1]))
 
     @property
@@ -231,10 +249,9 @@ def integrate_restore(
     ``bounds.epsilon`` (located in closed form within the final segment),
     or at the step or time limit.  It steps ``p_e`` only: a coherent state
     is replayed under a recorded protocol by ``robustness.Baseline``.
-
-    The step size is adapted so that ``ln(p_e - p_eq)`` changes by at
-    most ``numerics.step_log_bound`` per step and the control frequency
-    moves by at most the drift cap per step.
+    An open-loop law takes one exact step per breakpoint; a feedback law's
+    steps change ``ln(p_e - p_eq)`` by at most ``numerics.step_log_bound``
+    and the control frequency by at most the drift cap.
     """
     eps = bounds.epsilon
     if initial.p_e <= eps:
@@ -245,100 +262,106 @@ def integrate_restore(
             " stepper carries p_e only; robustness.Baseline replays a coherent state"
         )
 
-    runtime = law.bind(model, env, bounds, numerics)
-    drift_cap = numerics.drift_cap(bounds)
-    rate_at = rate_fn(model, runtime.rate_cap_per_us)
-    ratio_c = env.ratio_per_ghz
-    # Looked up once per run: the loop below runs once per sample. Its
-    # conditional expressions keep min/max/abs's ties and NaN results.
-    refresh, next_transition = runtime.frequency, runtime.next_transition_after
-    exp, log, inf, reach, shrink = math.exp, math.log, math.inf, 2.0 * drift_cap, 0.8 * drift_cap
-    step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
-    # dt_free <= log_bound / rate, so no crossing lies within a step where
-    # gap >= 1.01 e^log_bound (eps - p_eq): its log is skipped there.
-    no_cross = 1.01 * math.exp(log_bound)
-    if runtime.held_ghz is not None:
-        floor = equilibrium_population(thermal_ratio(runtime.held_ghz, env))
-        if floor >= eps:
-            raise NoDescentError(
-                f"control holds f={runtime.held_ghz!r} GHz, whose thermal floor"
-                f" p_eq={floor!r} is not below epsilon={eps!r}; the precision"
-                " target is unreachable"
-            )
+    bound = law.bind(model, env, bounds, numerics)
     t1 = coherence_time(model, bounds, rate_cap=numerics.rate_cap_per_us).t1_us
     t_stop = numerics.time_limit_t1 * t1 if math.isfinite(t1) else math.inf
+    # One float64 buffer of packed (t, f, p_e, rate, p_eq) rows: no Python float outlives its step.
+    rows = array("d")
+    run = _step_schedule if isinstance(bound, tuple) else _step_feedback
+    termination, tau = run(rows.frombytes, initial.p_e, bound, model, env, bounds, numerics, t_stop)
 
-    # One float64 buffer, a packed row (t, f, p_e, rate, p_eq) per sample,
-    # so no Python float outlives its step.
-    samples = array("d")
-    record, row = samples.frombytes, Struct("5d").pack
-    pe = initial.p_e
-    t = 0.0
-    steps = 0
-    dt_drift_hint = inf
+    t_us, f_ghz, p_e, rate_per_us, p_eq = np.frombuffer(rows).reshape(-1, 5).T
+    zero = np.broadcast_to(0.0, t_us.size)  # one stride-0 column, no buffer
+    columns = (t_us, f_ghz, p_e, zero, zero, rate_per_us, p_eq)
+    return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
+
+
+def _step_schedule(record, pe, bound, model, env, bounds, numerics, t_stop):
+    """Hold each breakpoint's frequency up to the next in one exact step: ``(termination, tau)``.
+
+    Only the last segment, held until the crossing, must descend with its
+    thermal floor below epsilon: an earlier one may heat.
+    """
+    (breakpoints, cap), eps, row, inf = bound, bounds.epsilon, Struct("5d").pack, math.inf
+    rate_at, ends = rate_fn(model, cap), [t for t, _ in breakpoints[1:]] + [inf]
+    k, t, steps = 0, 0.0, 0
+    while True:
+        f, t_next = breakpoints[k][1], ends[k]
+        rate = rate_at(f)
+        if rate == inf:
+            raise InfiniteRateError(_INFINITE_RATE.format(f))
+        e = math.exp(-env.ratio_per_ghz * f)
+        peq = e / (1.0 + e)
+        gap = pe - peq
+        record(row(t, f, pe, rate, peq))
+
+        if steps >= numerics.step_limit:
+            return "step_limit", t
+        if t >= t_stop:
+            return "time_limit", t
+        if t_next == inf and gap <= 0.0:
+            raise NoDescentError(_NO_DESCENT.format(f, peq, pe))
+        if t_next == inf and peq >= eps:
+            raise NoDescentError(
+                f"control holds f={f!r} GHz, whose thermal floor p_eq={peq!r}"
+                f" is not below epsilon={eps!r}; the precision target is unreachable"
+            )
+        t_end = t_next if t_next < t_stop else t_stop
+        pe_end = peq + gap * math.exp(-rate * (t_end - t))
+        if pe_end <= eps and peq < eps:  # the first segment to reach eps: solve for the crossing
+            tau = t + math.log(gap / (eps - peq)) / rate
+            record(row(tau, f, eps, rate, peq))
+            return "precision", tau
+        if t_end == inf:
+            raise NoDescentError(_NEVER_MOVES.format(f))
+        pe, t, steps, k = pe_end, t_end, steps + 1, k + (t_end == t_next)
+
+
+def _step_feedback(record, pe, runtime, model, env, bounds, numerics, t_stop):
+    """Step a feedback law's refreshes, recording the rows; returns ``(termination, tau)``."""
+    eps, ratio_c, drift_cap = bounds.epsilon, env.ratio_per_ghz, numerics.drift_cap(bounds)
+    rate_at = rate_fn(model, runtime.rate_cap_per_us)
+    # Looked up once per run: the loop below runs once per sample. Its
+    # conditional expressions keep min/max/abs's ties and NaN results.
+    refresh, row = runtime.frequency, Struct("5d").pack
+    exp, inf, reach, shrink = math.exp, math.inf, 2.0 * drift_cap, 0.8 * drift_cap
+    step_limit, log_bound = numerics.step_limit, numerics.step_log_bound
+    t, steps, dt_drift_hint = 0.0, 0, inf
     f = refresh(pe, t, None)
 
     while True:
         rate = rate_at(f)
         if rate == inf:
-            raise InfiniteRateError(
-                f"rate at f={f!r} GHz is infinite with no rate cap: the state"
-                " would jump to equilibrium in zero time"
-            )
+            raise InfiniteRateError(_INFINITE_RATE.format(f))
         e = exp(-ratio_c * f)
         peq = e / (1.0 + e)
         gap = pe - peq
         record(row(t, f, pe, rate, peq))
 
         if steps >= step_limit:
-            termination, tau = "step_limit", t
-            break
+            return "step_limit", t
         if t >= t_stop:
-            termination, tau = "time_limit", t
-            break
-        # A segment may heat only where a scheduled transition lies ahead.
-        t_bp = None if next_transition is None else next_transition(t)
-        if gap <= 0.0 and t_bp is None:
-            raise NoDescentError(
-                f"control law chose f={f!r} GHz with p_eq={peq!r} >= p_e={pe!r};"
-                " the precision target is unreachable from here"
-            )
-        if rate > 0.0:
-            dt_log = log_bound / rate
-            dt_free = dt_drift_hint if dt_drift_hint < dt_log else dt_log
-            # Terminal crossing within the upcoming segment, in closed form.
-            if peq < eps and gap < no_cross * (eps - peq):
-                dt_cross = log(gap / (eps - peq)) / rate
-                if (
-                    dt_cross <= dt_free
-                    and (t_bp is None or t + dt_cross <= t_bp)
-                    and t + dt_cross <= t_stop
-                ):
-                    tau = t + dt_cross
-                    record(row(tau, f, eps, rate, peq))
-                    termination = "precision"
-                    break
-        else:  # no log bound; the drift hint is never NaN
-            dt_log, dt_free = inf, dt_drift_hint
+            return "time_limit", t
+        if gap <= 0.0:
+            raise NoDescentError(_NO_DESCENT.format(f, peq, pe))
+        dt_log = log_bound / rate if rate > 0.0 else inf  # none at zero rate: dt is the hint
+        dt = dt_drift_hint if dt_drift_hint < dt_log else dt_log
 
-        # Pick the step; scheduled transitions and the time limit are landed
-        # on exactly and are exempt from drift control.
-        dt, snap_to = dt_free, None
-        if t_bp is not None and t_bp - t <= dt:
-            dt, snap_to = t_bp - t, t_bp
-        if t_stop - t <= dt:
-            dt, snap_to = t_stop - t, t_stop
+        # The time limit is landed on exactly and is exempt from drift control.
+        snap = t_stop - t <= dt
+        if snap:
+            dt = t_stop - t
         if not -inf < dt < inf:
-            raise NoDescentError(
-                f"rate at f={f!r} GHz is zero with no time limit or transition"
-                " ahead: the state can never move"
-            )
+            raise NoDescentError(_NEVER_MOVES.format(f))
         dt = dt if dt > 1.0e-18 else 1.0e-18
-
-        if snap_to is not None:
-            pe = peq + gap * exp(-rate * dt)
-            t = snap_to
-            steps += 1
+        pe_end = peq + gap * exp(-rate * dt)
+        # The step taken reaches eps, floored or not: the crossing lies in it.
+        if pe_end <= eps and peq < eps:
+            tau = t + math.log(gap / (eps - peq)) / rate
+            record(row(tau, f, eps, rate, peq))
+            return "precision", tau
+        if snap:
+            pe, t, steps = pe_end, t_stop, steps + 1
             # A refresh is anchored at the frequency of the previous segment.
             f = refresh(pe, t, f)
             continue
@@ -349,17 +372,17 @@ def integrate_restore(
         retries = 0
         df_prev = inf
         while True:
-            pe = peq + gap * exp(-rate * dt)
-            f_probe = refresh(pe, t + dt, f)
+            f_probe = refresh(pe_end, t + dt, f)
             df = f_probe - f if f_probe > f else f - f_probe
             if df <= reach or retries >= 60 or df >= 0.9 * df_prev:
                 break
             df_prev, cut = df, shrink / df
             dt *= cut if cut > 0.25 else 0.25
             retries += 1
+            pe_end = peq + gap * exp(-rate * dt)
 
         # The accepted probe is the refresh at the new state.
-        t, f = t + dt, f_probe
+        pe, t, f = pe_end, t + dt, f_probe
         steps += 1
         if df > 0.0:
             hint, doubled = dt * drift_cap / df, dt * 2.0
@@ -368,11 +391,6 @@ def integrate_restore(
             dt_drift_hint = dt_floor if dt_floor > hint else hint
         else:
             dt_drift_hint = dt_drift_hint * 2.0
-
-    t_us, f_ghz, p_e, rate_per_us, p_eq = np.frombuffer(samples).reshape(-1, 5).T
-    zero = np.broadcast_to(0.0, t_us.size)  # one stride-0 column, no buffer
-    columns = (t_us, f_ghz, p_e, zero, zero, rate_per_us, p_eq)
-    return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
 
 
 class DecoherenceFactor:

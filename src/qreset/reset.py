@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import IntegrationError, Numerics, QubitState, Trajectory, integrate_restore
 from .spectra import ControlBounds, SpectrumModel, coherence_time
-from .thermo import LN2, Environment, entropy, equilibrium_population, thermal_ratio
+from .thermo import LN2, _FLOAT_MAX, Environment, entropy, equilibrium_population, thermal_ratio
 
 __all__ = [
     "THERMO_LENGTH_CONST",
@@ -104,6 +104,11 @@ def epsilon_min(bounds: ControlBounds, env: Environment) -> float:
 
 def _require_achievable(bounds: ControlBounds, env: Environment) -> float:
     """``epsilon_min``; raises ``AchievabilityError`` unless epsilon lies above it."""
+    if not env.ratio_per_ghz * bounds.f_max_ghz <= _FLOAT_MAX:  # or W would be inf - inf
+        raise AchievabilityError(
+            f"temperature_K={env.temperature_K!r} is too small: the thermal ratio"
+            f" at f_max={bounds.f_max_ghz!r} GHz overflows, so no work is finite"
+        )
     eps_floor = epsilon_min(bounds, env)
     if bounds.epsilon <= eps_floor:
         raise AchievabilityError(

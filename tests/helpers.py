@@ -19,13 +19,18 @@ baseline's other composed maps and the accumulated rate as the plain numpy
 expressions they were before each was filled in place, all for a
 bit-for-bit comparison.  The stepper copy keeps the open-loop mode to a
 fixed time (``t_final``) that the package's stepper no longer has: the
-closed-form robustness replay is checked against it.  One reference wraps
+closed-form robustness replay is checked against it.  It steps an
+open-loop law through the schedule runtime as it was, a breakpoint
+lookup, while the package holds each breakpoint in one exact step: those
+runs are checked against ``reference_open_loop``, their chained
+exponentials in closed form.  One reference wraps
 a package internal that only tests use: one exact constant-control step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -490,6 +495,8 @@ def reference_integrate_restore(
         )
 
     runtime = law.bind(model, env, bounds, numerics)
+    if isinstance(runtime, tuple):  # an open-loop law's breakpoints and cap
+        runtime = ReferenceScheduleRuntime(*runtime)
     drift_cap = numerics.drift_cap(bounds)
     rate_at = rate_fn(model, numerics.rate_cap_per_us)
     ratio_c = env.ratio_per_ghz
@@ -612,6 +619,60 @@ def reference_integrate_restore(
 
     columns = np.reshape(samples, (-1, 7)).T
     return Trajectory(*columns, tau_st_us=tau, termination=termination, epsilon=eps)
+
+
+class ReferenceScheduleRuntime:
+    """``control._ScheduleRuntime`` as it was, before an open-loop law bound to its breakpoints.
+
+    Right-continuous step lookup in (t_us, f_GHz) breakpoints from t=0,
+    under the run's cap: ``reference_integrate_restore`` steps an open-loop
+    law through it, as the package's stepper did.
+    """
+
+    def __init__(self, breakpoints: tuple[tuple[float, float], ...], rate_cap: float | None):
+        self.rate_cap_per_us = rate_cap
+        self._times = [t for t, _ in breakpoints]
+        self._freqs = [f for _, f in breakpoints]
+        self.held_ghz = self._freqs[0] if len(self._freqs) == 1 else None
+
+    def frequency(self, p_e: float, t_us: float, f_anchor: float | None) -> float:
+        return self._freqs[bisect_right(self._times, t_us) - 1]
+
+    def next_transition_after(self, t_us: float) -> float | None:
+        i = bisect_right(self._times, t_us)
+        return self._times[i] if i < len(self._times) else None
+
+
+def reference_open_loop(
+    initial: QubitState,
+    law: ControlLawProtocol,
+    model: SpectrumModel,
+    env: Environment,
+    bounds: ControlBounds,
+    numerics: Numerics = Numerics(),
+) -> Trajectory:
+    """An open-loop law's precision run as chained exponentials, one per breakpoint.
+
+    Each held segment is solved exactly, ``p_{k+1} = q_k + (p_k - q_k)
+    exp(-r_k (t_{k+1} - t_k))``, with the scalar rate and ``p_eq`` of its
+    frequency, and the crossing of epsilon solves the same expression in
+    the first segment that reaches it.
+    """
+    breakpoints, cap = law.bind(model, env, bounds, numerics)
+    eps, pe, rows = bounds.epsilon, initial.p_e, []
+    ends = [t for t, _ in breakpoints[1:]] + [math.inf]
+    for (t, f), t_next in zip(breakpoints, ends):
+        rate = eval_rate(model, f, cap)
+        peq = equilibrium_population(thermal_ratio(f, env))
+        rows.append((t, f, pe, 0.0, 0.0, rate, peq))
+        if peq < eps:
+            tau = t + math.log((pe - peq) / (eps - peq)) / rate
+            if tau <= t_next:
+                rows.append((tau, f, eps, 0.0, 0.0, rate, peq))
+                columns = np.array(rows).T
+                return Trajectory(*columns, tau_st_us=tau, termination="precision", epsilon=eps)
+        pe = peq + (pe - peq) * math.exp(-rate * (t_next - t))
+    raise AssertionError(f"{law!r} holds its last frequency above epsilon={eps!r}")
 
 
 class ReferenceTimeLocalRuntime:

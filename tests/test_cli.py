@@ -458,6 +458,44 @@ def test_cmd_run_achievability_exit_code(tmp_path, capsys):
     assert "epsilon_min" in err
 
 
+def test_cmd_run_overflowing_thermal_ratio_exit_code(tmp_path, capsys):
+    # At 5e-324 K the thermal ratio at f_max overflows to inf, and the ledger
+    # would write W = inf - inf = NaN: one named failure before any step.
+    config = tmp_path / "frozen.json"
+    config.write_text(json.dumps({"spectrum": "lz", "temperature_K": 5e-324}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: temperature_K=5e-324 is too small: the thermal")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_run_floored_step_finds_its_crossing(tmp_path, capsys):
+    # A 1e300 cap on a narrowed protected pole asks for steps far below the
+    # 1e-18 us floor; the floored step jumps past epsilon, and its crossing
+    # must lie inside that step, not before the run started.
+    config = tmp_path / "pole.json"
+    config.write_text(
+        json.dumps(
+            {
+                "spectrum": "prot",
+                "temperature_K": 0.0038,
+                "spectrum_params": {"f_f_ghz": 2.26, "f_r_ghz": 6.59, "kappa_ghz": 0.0142},
+                "numerics": {"control_mode": "global", "rate_cap_per_us": 1e300},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    (run_dir,) = (tmp_path / "o").iterdir()
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    with open(run_dir / "trajectory.csv", encoding="utf-8", newline="") as fh:
+        t_us = [float(row["t_us"]) for row in csv.DictReader(fh)]
+    assert report["tau_st"] > 0.0 and t_us[-1] == report["tau_st"]
+    assert all(a < b for a, b in zip(t_us, t_us[1:]))
+
+
 @pytest.mark.parametrize(
     "numerics",
     [

@@ -172,15 +172,19 @@ def test_constant_restore_frequencies(bounds):
 
 
 def test_costate_constant_rate_closed_form():
+    # One frequency held at a breakpoint every 0.1 us, so the costate is
+    # checked at interior rows; the crossing lies at ln(5e4) = 10.8 us.
     flat = Tabulated(((2.0, 1.0), (8.0, 1.0)))
     cold = Environment(1e-6)
     bounds = ControlBounds(epsilon=1e-5)
-    trajectory = integrate_restore(QubitState(0.5), ConstantAtPeak(), flat, cold, bounds)
+    held = FixedSchedule(tuple((0.1 * k, 5.0) for k in range(120)))
+    trajectory = integrate_restore(QubitState(0.5), held, flat, cold, bounds)
+    assert trajectory.n_samples == 110
     costate = costate_along(trajectory, flat, cold)
     tau = trajectory.tau_st_us
     lam_tau = float(costate.costate[-1])
     assert lam_tau == pytest.approx(1.0 / 1e-5, rel=1e-12)  # 1/(rate * eps)
-    for k in range(0, trajectory.n_samples, 20):
+    for k in range(0, trajectory.n_samples, 5):
         t = float(trajectory.t_us[k])
         expected = lam_tau * math.exp(-(tau - t))
         assert float(costate.costate[k]) == pytest.approx(expected, rel=1e-8)
@@ -191,8 +195,9 @@ def test_costate_requires_precision_termination():
     flat = Tabulated(((2.0, 1.0), (8.0, 1.0)))
     cold = Environment(1e-6)
     bounds = ControlBounds(epsilon=1e-5)
+    schedule = FixedSchedule(tuple((float(k), 5.0) for k in range(8)))
     trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), flat, cold, bounds, Numerics(step_limit=5)
+        QubitState(0.5), schedule, flat, cold, bounds, Numerics(step_limit=5)
     )
     assert trajectory.termination == "step_limit"
     with pytest.raises(ValueError):
@@ -473,12 +478,13 @@ def test_global_runtime_grid_matches_the_refresh_without_it(model, cap, env10, b
 
 @pytest.mark.parametrize("name, mode", [("jqf-default", "tracked"), ("lz-default", "global")])
 def test_live_loop_gives_the_same_run_with_the_reference_runtime(name, mode):
-    # The stepper skips next_transition_after where a runtime sets it to None
-    # and calls it otherwise: the reference runtime, which keeps the method,
-    # must give the bound law's floats.
+    # The feedback stepper reads only a runtime's frequency and cap: the
+    # reference runtime, which keeps the schedule attributes the stepper
+    # once read, must give the bound law's floats.
     scenario = dataclasses.replace(builtin_scenario(name), control_mode=mode)
     model, env, bounds, law, numerics = scenario.build()
-    assert law.bind(model, env, bounds, numerics).next_transition_after is None
+    runtime = law.bind(model, env, bounds, numerics)
+    assert not hasattr(runtime, "held_ghz") and not hasattr(runtime, "next_transition_after")
     current = integrate_restore(QubitState(0.5), law, model, env, bounds, numerics)
     reference_law = ReferenceTimeLocalOptimal(mode)
     reference = integrate_restore(QubitState(0.5), reference_law, model, env, bounds, numerics)
@@ -863,6 +869,7 @@ def test_constant_law_below_its_floor_fails_fast(env10):
     # Constant control binds a one-breakpoint schedule, which holds its
     # frequency and so is checked against its floor the same way.
     held = FixedSchedule(((0.0, 2.0),))
-    assert held.bind(Mixed(), env10, bounds, Numerics()).held_ghz == 2.0
+    bound = ConstantAtPeak().bind(Mixed(), env10, bounds, Numerics())
+    assert bound == held.bind(Mixed(), env10, bounds, Numerics()) == (((0.0, 2.0),), 1.0e6)
     with pytest.raises(NoDescentError, match="thermal floor"):
         integrate_restore(QubitState(0.5), held, Mixed(), env10, bounds)

@@ -40,6 +40,7 @@ from helpers import (
     chained_exponential_population,
     empty_trajectory,
     reference_integrate_restore,
+    reference_open_loop,
     reference_table,
     step_constant,
 )
@@ -249,6 +250,22 @@ def test_trajectory_fields_cannot_be_reassigned():
         trajectory.rate_per_us = 2.0 * trajectory.rate_per_us
 
 
+def test_trajectory_rejects_ragged_columns():
+    # Three rows with a two-row f_ghz once gave work_ledger a ledger (W_ex = 11.30).
+    three = [0.0, 1.0, 2.0]
+    columns = dict.fromkeys(("t_us", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"), three)
+    message = r"^trajectory columns differ in length: \{'t_us': 3, 'f_ghz': 2, 'p_e': 3, "
+    with pytest.raises(ValueError, match=message):
+        Trajectory(
+            **columns, f_ghz=[5.0, 5.0], tau_st_us=2.0, termination="precision", epsilon=1e-5
+        )
+
+
+def test_terminal_state_of_an_empty_trajectory_names_the_cause():
+    with pytest.raises(ValueError, match="^trajectory has no samples$"):
+        empty_trajectory().terminal_state
+
+
 def test_no_descent_error():
     # Starting below the thermal floor of the chosen frequency, relaxation
     # raises the population, so the precision target is unreachable.
@@ -276,10 +293,14 @@ _HEATING = ((0.0, 8.0), (90.0, 2.0), (91.0, 8.0))
 def test_a_segment_before_a_cooler_breakpoint_may_heat(env10):
     # At 90 us p_e = 3.95e-5 lies below p_eq(2 GHz) = 6.78e-5: the held
     # microsecond heats the qubit, and the 8 GHz segment after it cools it.
+    # One exact step per breakpoint, then the crossing in closed form.
     bounds = ControlBounds(epsilon=1e-5)
     report, trajectory = run_reset(Mixed(), env10, bounds, FixedSchedule(_HEATING), Numerics())
     assert trajectory.termination == "precision"
-    assert repr(report.tau_st) == "105.67442495606194" and trajectory.n_samples == 227
+    p_91 = chained_exponential_population(0.5, [(8.0, 90.0), (2.0, 1.0)], Mixed(), env10)
+    rate, p_eq = eval_rate(Mixed(), 8.0, 1.0e6), equilibrium_population(thermal_ratio(8.0, env10))
+    assert report.tau_st == 91.0 + math.log((p_91 - p_eq) / (1e-5 - p_eq)) / rate
+    assert repr(report.tau_st) == "105.6744249560616" and trajectory.n_samples == 4
     heated = trajectory.p_e[(trajectory.t_us >= 90.0) & (trajectory.t_us <= 91.0)]
     assert heated[0] < trajectory.p_eq[trajectory.t_us == 90.0][0]
     assert np.all(np.diff(heated) > 0.0) and heated[-1] > 4.6e-5
@@ -293,7 +314,7 @@ def test_a_heating_last_segment_still_raises_no_descent(env10):
         integrate_restore(QubitState(0.5), schedule, Mixed(), env10, bounds)
 
 
-@pytest.mark.parametrize("f_ghz, tau", [(5.4, "221.6922556219144"), (7.5, "6.241391132296584")])
+@pytest.mark.parametrize("f_ghz, tau", [(5.4, "221.69225562191352"), (7.5, "6.2413911322966")])
 def test_uncapped_schedule_away_from_the_pole_equals_the_capped_run(f_ghz, tau, env10):
     # A schedule holds only its own frequencies, where the cap cannot bind.
     schedule, bounds = FixedSchedule(((0.0, f_ghz),)), ControlBounds(epsilon=1e-5)
@@ -302,6 +323,11 @@ def test_uncapped_schedule_away_from_the_pole_equals_the_capped_run(f_ghz, tau, 
         for numerics in (Numerics(rate_cap_per_us=None), Numerics())
     )
     assert uncapped.termination == "precision" and repr(uncapped.tau_st_us) == tau
+    # One held step: the pins are the closed-form crossing of that frequency.
+    rate = eval_rate(Protected(), f_ghz, None)
+    p_eq = equilibrium_population(thermal_ratio(f_ghz, env10))
+    assert uncapped.tau_st_us == math.log((0.5 - p_eq) / (1e-5 - p_eq)) / rate
+    assert uncapped.n_samples == 2
     for field in dataclasses.fields(Trajectory):
         a, b = getattr(uncapped, field.name), getattr(capped, field.name)
         assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b
@@ -352,13 +378,14 @@ def test_zero_rate_spectrum_raises_no_descent(env10, bounds):
 
 
 def test_step_limit_termination(env10):
+    # One step per breakpoint: eight of them, well above the precision, stop at the fifth step.
     bounds = ControlBounds(epsilon=1e-5)
     numerics = Numerics(step_limit=5)
-    trajectory = integrate_restore(
-        QubitState(0.5), ConstantAtPeak(), FLAT, COLD, bounds, numerics
-    )
+    schedule = FixedSchedule(tuple((0.5 * k, 3.0) for k in range(8)))
+    trajectory = integrate_restore(QubitState(0.5), schedule, FLAT, COLD, bounds, numerics)
     assert trajectory.termination == "step_limit"
     assert trajectory.n_samples == 6
+    assert trajectory.t_us.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
 
 
 def test_time_limit_termination():
@@ -616,8 +643,10 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
     # The stepper and the tracked runtime lost their builtin calls, skip the
     # crossing log far from the target and refit the predictor only when its
     # history changes; the copies from before must give the same floats
-    # through the same refreshes and objectives.  The reference records one
-    # list of Python floats, the loop one float64 buffer.
+    # through the same refreshes and objectives.  An open-loop law takes one
+    # exact step per breakpoint instead, the chained exponentials of
+    # reference_open_loop.  The references record Python floats, the loop
+    # one float64 buffer.
     initial, law, model, env, bounds, numerics = _loop_case(case)
     calls = {"optimal_frequency": 0, "_objective": 0}
     for name in calls:
@@ -636,8 +665,11 @@ def test_loop_matches_its_builtin_calling_reference_bit_for_bit(case, monkeypatc
 
     current, current_calls = run(integrate_restore, law)
     if isinstance(law, TimeLocalOptimal):
-        law = ReferenceTimeLocalOptimal(law.mode)
-    reference, reference_calls = run(reference_integrate_restore, law)
+        reference, reference_calls = run(
+            reference_integrate_restore, ReferenceTimeLocalOptimal(law.mode)
+        )
+    else:
+        reference, reference_calls = run(reference_open_loop, law)
     assert current_calls == reference_calls
     assert (current.termination, current.tau_st_us) == (reference.termination, reference.tau_st_us)
     for name in ("t_us", "f_ghz", "p_e", "p_r", "p_i", "rate_per_us", "p_eq"):
@@ -650,8 +682,9 @@ def test_a_capped_run_records_its_cap_on_the_plateau(default_runs, models, env10
     # the stepper caps every rate: the plateau rows read the cap itself.
     numerics, model = Numerics(), models["prot"]
     cap = numerics.rate_cap_per_us
-    for law in (TimeLocalOptimal(), TimeLocalOptimal("global"), ConstantAtPeak()):
+    for law in (TimeLocalOptimal(), TimeLocalOptimal("global")):
         assert law.bind(model, env10, bounds, numerics).rate_cap_per_us == cap
+    assert ConstantAtPeak().bind(model, env10, bounds, numerics)[1] == cap
     trajectory = default_runs["prot"][1]
     rates = trajectory.rate_per_us.tolist()
     plateau = [r for f, r in zip(trajectory.f_ghz.tolist(), rates) if model.rate_kernel(f) >= cap]
