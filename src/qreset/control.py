@@ -77,7 +77,7 @@ TRACK_WINDOW_GHZ = 0.02
 TRACK_TOL_GHZ = 1.0e-7
 TRACK_STENCIL_GHZ = 2.0e-4
 _HALF_TOL, _MIN_STENCIL = 0.5 * TRACK_TOL_GHZ, TRACK_STENCIL_GHZ / 16.0  # step stop, stencil floor
-_PARABOLIC_ROUNDS = range(64)  # built once: every uncapped tracked refresh iterates it
+_PARABOLIC_ROUNDS, _LATER_ROUNDS = range(64), range(63)  # built once: all, or after round 1
 _NEG_INF, _INF = -math.inf, math.inf  # a finite near lies between, read per tracked refresh
 # verify_pmp probes every sample time against this many window
 # frequencies, with these tolerances.
@@ -163,11 +163,11 @@ def optimal_frequency(
     Passing the previous frequency, or a prediction of the optimum, as
     ``near`` instead refines the local maximum of the same objective
     around it, which is how the tracked law follows a continuous extremal
-    branch: by parabolic steps from ``near`` without a cap (a first step
-    below half the tolerance returns ``near`` itself, so a good prediction
-    costs one stencil; after a step the stencil is never narrower than
-    1/16 of the first, where its curvature would be round-off), else by
-    golden section in a window that moves with the optimum.
+    branch: by parabolic steps from ``near`` without a cap (the first stencil
+    is clamped by the domain only; a first step below half the tolerance
+    returns ``near`` itself, so a good prediction costs one stencil; after a
+    step the stencil is never narrower than 1/16 of the first, where its
+    curvature would be round-off), else by golden section in a moving window.
 
     On a capped plateau ``J = cap * (p_e - p_eq(f))`` is flat to
     round-off, but ``p_eq`` falls with f, so the tracked refresh returns
@@ -197,13 +197,29 @@ def optimal_frequency(
     f_lo, f_hi = bounds.f_min_ghz, bounds.f_max_ghz
     f = f_hi if near > f_hi else f_lo if near < f_lo else near
     if rate_cap is None:
-        lo = f - TRACK_WINDOW_GHZ if f - TRACK_WINDOW_GHZ > f_lo else f_lo
-        hi = f + TRACK_WINDOW_GHZ if f + TRACK_WINDOW_GHZ < f_hi else f_hi
+        rounds = ()  # the parabolic rounds still to run: none after a break
         if isinstance(model, Tabulated):  # J has a kink at each node: stay between two
+            lo = f - TRACK_WINDOW_GHZ if f - TRACK_WINDOW_GHZ > f_lo else f_lo
+            hi = f + TRACK_WINDOW_GHZ if f + TRACK_WINDOW_GHZ < f_hi else f_hi
             i, nodes = bisect_right(model.points, (f, math.inf)), model.points
             lo, hi = max(lo, nodes[i - 1][0]), min(hi, nodes[min(i, len(nodes) - 1)][0])
-        x, width, jx = f, TRACK_STENCIL_GHZ, None
-        for _ in _PARABOLIC_ROUNDS:  # then, as on every break, the window loop below
+            x, width, jx, rounds = f, TRACK_STENCIL_GHZ, None, _PARABOLIC_ROUNDS
+        else:  # round 1 of the loop below: only f_lo and f_hi can clamp the first stencil
+            h = f - f_lo if f - f_lo < TRACK_STENCIL_GHZ else TRACK_STENCIL_GHZ
+            h = f_hi - f if f_hi - f < h else h
+            if h >= TRACK_TOL_GHZ:
+                jx, ja, jb = j(f), j(f - h), j(f + h)
+                curvature = ja - 2.0 * jx + jb
+                if curvature < 0.0:
+                    step = 0.5 * h * (ja - jb) / curvature
+                    if abs(step) <= _HALF_TOL or abs(step) <= h * math.ulp(jx) / -curvature:
+                        return f
+                    width = 2.0 * step if step > 0.0 else -2.0 * step
+                    x, jx, width = f + step, None, width if width > _MIN_STENCIL else _MIN_STENCIL
+                    lo = f - TRACK_WINDOW_GHZ if f - TRACK_WINDOW_GHZ > f_lo else f_lo
+                    hi = f + TRACK_WINDOW_GHZ if f + TRACK_WINDOW_GHZ < f_hi else f_hi
+                    rounds = _LATER_ROUNDS
+        for _ in rounds:  # then, as on every break, the window loop below
             h = x - lo if x - lo < width else width
             h = hi - x if hi - x < h else h
             if not h >= TRACK_TOL_GHZ:
@@ -215,7 +231,7 @@ def optimal_frequency(
                 break
             step = 0.5 * h * (ja - jb) / curvature
             # Done within tolerance or round-off, on a stencil no wider than the first.
-            if -_HALF_TOL <= step <= _HALF_TOL or abs(step) <= h * math.ulp(jx) / -curvature:
+            if abs(step) <= _HALF_TOL or abs(step) <= h * math.ulp(jx) / -curvature:
                 if h <= TRACK_STENCIL_GHZ:
                     return x
                 width = TRACK_STENCIL_GHZ

@@ -368,18 +368,18 @@ def _step_feedback(record, pe, runtime, model, env, bounds, numerics, t_stop):
 
         # Free step: shrink it if the control would move too fast.  A move
         # that does not shrink with dt is not step-driven (e.g. a hop
-        # across a capped plateau) and is accepted as-is.
-        retries = 0
-        df_prev = inf
-        while True:
-            f_probe = refresh(pe_end, t + dt, f)
-            df = f_probe - f if f_probe > f else f - f_probe
-            if df <= reach or retries >= 60 or df >= 0.9 * df_prev:
-                break
-            df_prev, cut = df, shrink / df
-            dt *= cut if cut > 0.25 else 0.25
-            retries += 1
-            pe_end = peq + gap * exp(-rate * dt)
+        # across a capped plateau) and is accepted as-is.  Most first probes pass.
+        f_probe = refresh(pe_end, t + dt, f)
+        df = f_probe - f if f_probe > f else f - f_probe
+        if not df <= reach:
+            retries, df_prev = 0, inf
+            while not (df <= reach or retries >= 60 or df >= 0.9 * df_prev):
+                df_prev, cut = df, shrink / df
+                dt *= cut if cut > 0.25 else 0.25
+                retries += 1
+                pe_end = peq + gap * exp(-rate * dt)
+                f_probe = refresh(pe_end, t + dt, f)
+                df = f_probe - f if f_probe > f else f - f_probe
 
         # The accepted probe is the refresh at the new state.
         pe, t, f = pe_end, t + dt, f_probe

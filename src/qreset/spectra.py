@@ -295,9 +295,9 @@ def eval_rate(
 ) -> FloatOrArray:
     """Evaluate the decoherence rate at a cyclic frequency, in 1/us.
 
-    ``f_ghz`` is a float or an ndarray grid; a grid gives an ndarray of
-    rates.  ``rate_cap`` clips singular spectra (the protected model has
-    a pole inside the default window); pass ``None`` for the raw value.
+    ``f_ghz`` is a float or an ndarray grid; a grid gives an ndarray of rates
+    (a NaN one raises ``SpectrumError``).  ``rate_cap`` clips singular spectra
+    (the protected pole lies in the default window); ``None`` gives the raw value.
     """
     try:
         raw = model.rate_kernel
@@ -306,8 +306,12 @@ def eval_rate(
     if isinstance(f_ghz, np.ndarray):
         if not np.all(f_ghz > 0.0):
             raise SpectrumError("frequencies must be > 0")
-        with np.errstate(divide="ignore", over="ignore"):
-            return raw(f_ghz) if rate_cap is None else np.minimum(raw(f_ghz), rate_cap)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rates = raw(f_ghz) if rate_cap is None else np.minimum(raw(f_ghz), rate_cap)
+        if np.isnan(rates).any():  # e.g. inf * 0 from a parameter at a float limit
+            f = float(f_ghz[np.isnan(rates).argmax()])
+            raise SpectrumError(f"rate at f={f!r} GHz is NaN: the kernel leaves the float range")
+        return rates
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
     return rate_fn(model, rate_cap)(f_ghz)

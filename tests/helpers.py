@@ -361,7 +361,8 @@ def reference_optimal_frequency(
     """The tracked branch of ``qreset.control.optimal_frequency`` without the plateau rule.
 
     Accepts its signature, so a test can substitute it there for tracked
-    runs on the built-in analytic spectra; ``grid_points`` and ``grid``
+    runs on the built-in analytic spectra; on a tabulated one the parabolic
+    steps keep between the nodes around ``near``.  ``grid_points`` and ``grid``
     are ignored, and the window, tolerance and stencil defaults are the
     package's constants.  Parabolic steps from ``near`` come first; the window loop
     of golden sections is the fallback.  The objective is looked up on
@@ -372,6 +373,10 @@ def reference_optimal_frequency(
     f = min(max(near, f_lo), f_hi)
     lo = max(f_lo, f - window_ghz)
     hi = min(f_hi, f + window_ghz)
+    if isinstance(model, Tabulated):  # the parabolic steps stay between two nodes
+        nodes = [node for node, _ in model.points]
+        i = bisect_right(nodes, f)
+        lo, hi = max(lo, nodes[i - 1]), min(hi, nodes[min(i, len(nodes) - 1)])
     x, width, jx = f, stencil_ghz, None
     for _ in range(64):
         h = min(width, x - lo, hi - x)

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -466,6 +467,30 @@ def test_cmd_run_overflowing_thermal_ratio_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: temperature_K=5e-324 is too small: the thermal")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [
+        ({"spectrum": "lz", "spectrum_params": {"kappa_ghz": 5e-324}}, "2.0"),
+        ({"spectrum": "lz", "spectrum_params": {"kappa_ghz": 1e300}}, "2.0"),
+        ({"spectrum": "prot", "spectrum_params": {"f_f_ghz": 1e300}}, "2.0"),
+        ({"spectrum": "prot", "f_cp_GHz": 1e300}, "1e+300"),
+    ],
+)
+def test_cmd_run_nan_rate_grid_is_one_configuration_error(spec, f, tmp_path, capsys):
+    # Each value drives a kernel to inf * 0 or inf / inf on the scan grid. The
+    # NaN rates used to pass as zero after a numpy warning, and the run failed
+    # with "the state can never move": now one line names the first NaN.
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps({"temperature_K": 0.01, **spec}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: rate at f={f} GHz is NaN")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 

@@ -45,7 +45,8 @@ from qreset import (
 import qreset.control
 from qreset.cli import CALIBRATION_NUMERICS
 from qreset.scenario import builtin_scenario
-from qreset.control import TRACK_TOL_GHZ, TRACK_WINDOW_GHZ, _grid_terms, _objective
+from qreset.control import TRACK_STENCIL_GHZ, TRACK_TOL_GHZ, TRACK_WINDOW_GHZ
+from qreset.control import _grid_terms, _objective
 from qreset.spectra import ARGMAX_TOL_GHZ, _golden_max, _scan_max
 from helpers import (
     KERNEL_MODELS,
@@ -807,6 +808,44 @@ def test_parabolic_refresh_rechecks_a_wide_stencil_at_the_first_width(bounds, mo
     j = _objective(model, env, None, p_e)
     f_golden, _ = _golden_max(j, near - TRACK_WINDOW_GHZ, near + TRACK_WINDOW_GHZ, 1e-9)
     assert abs(f - f_golden) <= TRACK_TOL_GHZ
+
+
+_BOUNDS = ControlBounds()
+_EDGE = 2.0 * TRACK_STENCIL_GHZ
+_NODE = KERNEL_MODELS["tab"].points[1][0]  # 3.7 GHz, inside the window
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["lz", "mix", "jqf", "tab"]),
+    log_p_e=st.floats(min_value=math.log(1.0e-6), max_value=math.log(0.5)),
+    near=st.one_of(
+        st.floats(min_value=_BOUNDS.f_min_ghz, max_value=_BOUNDS.f_max_ghz),
+        st.floats(min_value=_BOUNDS.f_min_ghz - _EDGE, max_value=_BOUNDS.f_min_ghz + _EDGE),
+        st.floats(min_value=_BOUNDS.f_max_ghz - _EDGE, max_value=_BOUNDS.f_max_ghz + _EDGE),
+        st.floats(min_value=_NODE - _EDGE, max_value=_NODE + _EDGE),
+    ),
+)
+def test_uncapped_refresh_probes_where_the_reference_does(kind, log_p_e, near):
+    # Outside a tabulated spectrum the first parabolic stencil is taken
+    # before the search window is built: only the domain bounds can clamp
+    # it, so the refresh must return the reference's frequency after
+    # probing J at the same frequencies in the same order, also from a
+    # near within two stencils of either bound or of a tabulated node.
+    model, env, p_e = KERNEL_MODELS[kind], Environment(0.010), math.exp(log_p_e)
+    probes = []
+
+    def recorded(*args):
+        j = _objective(*args)
+        return lambda f: probes.append(f) or j(f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qreset.control, "_objective", recorded)
+        f = optimal_frequency(p_e, model, env, _BOUNDS, rate_cap=None, near=near)
+        n = len(probes)
+        want = reference_optimal_frequency(p_e, model, env, _BOUNDS, rate_cap=None, near=near)
+    assert f == want
+    assert probes[:n] == probes[n:]
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,15 @@ def test_parameter_validation():
         Tabulated(((2.0, 1.0), (3.0, -0.5)))
 
 
+@pytest.mark.parametrize("rate_cap", [None, 1.0e6])
+def test_grid_rate_nan_names_its_first_frequency(rate_cap):
+    # With the zero on the pole the kernel divides 0 by 0 there and x by 0
+    # elsewhere: the NaN, not the infinities, fails the grid, by frequency.
+    model = Protected(f_f_ghz=6.5, f_r_ghz=6.5)
+    with pytest.raises(SpectrumError, match=r"^rate at f=6\.5 GHz is NaN"):
+        eval_rate(model, np.array([2.0, 6.5, 7.0, 6.5]), rate_cap)
+
+
 @pytest.mark.parametrize(
     "value", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int-beyond-float")]
 )
