@@ -236,6 +236,8 @@ def parse_axis(spec: str) -> tuple[str, float, float, int]:
     # Checked before np.linspace allocates the axis.
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"axis needs 1 <= n <= {MAX_GRID_POINTS} points, got {n}")
+    if not math.isfinite(stop - start):  # so is a non-finite start or stop
+        raise ConfigError(f"axis {name!r} needs finite ends and span, got {spec!r}")
     if name not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep field {name!r}; valid: {_SWEEPABLE}")
     return name, start, stop, n

@@ -310,6 +310,8 @@ def _step_schedule(record, pe, bound, model, env, bounds, numerics, t_stop):
         pe_end = peq + gap * math.exp(-rate * (t_end - t))
         if pe_end <= eps and peq < eps:  # the first segment to reach eps: solve for the crossing
             tau = t + math.log(gap / (eps - peq)) / rate
+            if tau == inf:
+                raise NoDescentError(f"rate at f={f!r} GHz is too small: tau_st overflows")
             record(row(tau, f, eps, rate, peq))
             return "precision", tau
         if t_end == inf:

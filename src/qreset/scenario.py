@@ -8,7 +8,6 @@ parameters are the main reproduction hazard.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -35,6 +34,15 @@ from .spectra import (
     load_tabulated,
 )
 from .thermo import Environment
+
+# hashlib maps OpenSSL (3.6 MB resident); the built-in SHA-256 gives the same digest.
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.11 and earlier
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
 
 __all__ = [
     "ConfigError",
@@ -252,4 +260,4 @@ def load_scenario(path: Path) -> Scenario:
 
 def scenario_hash(scenario: Scenario) -> str:
     canonical = json.dumps(scenario.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return sha256(canonical.encode()).hexdigest()[:12]

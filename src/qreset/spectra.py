@@ -121,6 +121,11 @@ def _require_positive(**values: float) -> None:
             raise SpectrumError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _require_width(name: str, value: float, square: float) -> None:
+    if square == 0.0:  # the kernel would divide 0 by 0 at its center
+        raise SpectrumError(f"{name}={value!r} is too small: its square underflows to 0")
+
+
 @dataclass(frozen=True)
 class Lorentzian(_Model):
     """Resonator-induced Lorentzian peak: coupling g, linewidth kappa, center f_r."""
@@ -133,6 +138,7 @@ class Lorentzian(_Model):
     def rate_kernel(self) -> RateKernel:
         half = 0.5 * self.kappa_ghz
         half2 = half * half
+        _require_width("kappa_ghz", self.kappa_ghz, half2)
         peak = RAD_PER_US_PER_GHZ * self.g_ghz * self.g_ghz / self.kappa_ghz
         f_r = self.f_r_ghz
         return lambda f: peak * (half2 / ((f - f_r) ** 2 + half2))
@@ -186,6 +192,7 @@ class Mixed(_Model):
     def rate_kernel(self) -> RateKernel:
         c_phi, c_q, c_other, f_r = self.c_phi, self.c_q, self.c_other, self.f_r_ghz
         k2 = self.kappa_ghz**2
+        _require_width("kappa_ghz", self.kappa_ghz, k2)
         purcell = self.c_purcell * k2
         return lambda f: (
             c_phi / f**0.9 + c_q * f + purcell / ((f - f_r) ** 2 + k2) + c_other
@@ -204,6 +211,7 @@ class JQF(_Model):
     @cached_property
     def rate_kernel(self) -> RateKernel:
         w2 = self.four_kappa_j_ghz * self.four_kappa_j_ghz
+        _require_width("four_kappa_j_ghz", self.four_kappa_j_ghz, w2)
         tau0, tau, f_0 = self.tau0_us, self.tau_us, self.f_0_ghz
         return lambda f: 1.0 / (tau0 + tau * (w2 / ((f - f_0) ** 2 + w2)))
 
@@ -295,8 +303,8 @@ def eval_rate(
 ) -> FloatOrArray:
     """Evaluate the decoherence rate at a cyclic frequency, in 1/us.
 
-    ``f_ghz`` is a float or an ndarray grid; a grid gives an ndarray of rates
-    (a NaN one raises ``SpectrumError``).  ``rate_cap`` clips singular spectra
+    ``f_ghz`` is a float or an ndarray grid; a grid gives an ndarray of rates.
+    A NaN rate raises ``SpectrumError``.  ``rate_cap`` clips singular spectra
     (the protected pole lies in the default window); ``None`` gives the raw value.
     """
     try:
@@ -314,7 +322,10 @@ def eval_rate(
         return rates
     if not f_ghz > 0.0:
         raise SpectrumError(f"frequency must be > 0, got {f_ghz!r}")
-    return rate_fn(model, rate_cap)(f_ghz)
+    rate = rate_fn(model, rate_cap)(f_ghz)
+    if math.isnan(rate):
+        raise SpectrumError(f"rate at f={f_ghz!r} GHz is NaN: the kernel leaves the float range")
+    return rate
 
 
 def rate_fn(model: SpectrumModel, rate_cap: float | None = DEFAULT_RATE_CAP) -> RateKernel:

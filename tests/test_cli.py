@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib
 import json
 import math
+import subprocess
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -137,6 +139,63 @@ def test_builtin_scenario_hashes_are_stable():
     assert {n: scenario_hash(builtin_scenario(n)) for n in BUILTIN_SCENARIO_NAMES} == (
         BUILTIN_HASHES
     )
+    # Past the defaults the name is still SHA-256 of the canonical config.
+    for data in (
+        {
+            "spectrum": "tabulated:tent.csv",
+            "control": "schedule:hold.csv",
+            "numerics": {"grid_points": 1001, "rate_cap_per_us": None},
+        },
+        {
+            "spectrum": "jqf",
+            "spectrum_params": {"tau0_us": 10.0},
+            "numerics": {"control_drift_ghz": 1e-4, "control_mode": "global"},
+        },
+    ):
+        scenario = Scenario.from_dict(data)
+        canonical = json.dumps(scenario.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert scenario_hash(scenario) == hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+# Run in a fresh interpreter: pytest's own plugins import hashlib.
+_FRESH_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from qreset.cli import main
+codes = [
+    main(["run", "--scenario", "lz-default", "--out", sys.argv[2]]),
+    main(["calibrate-temperature", "--out", sys.argv[2] + "/cal.json"]),
+]
+print(json.dumps([codes, sorted({"_hashlib", "_ssl"} & set(sys.modules))]))
+"""
+
+_FRESH_HASHES_WITHOUT_BUILTIN_SHA256 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from qreset.cli import BUILTIN_SCENARIO_NAMES, builtin_scenario, scenario_hash
+hashes = {n: scenario_hash(builtin_scenario(n)) for n in BUILTIN_SCENARIO_NAMES}
+print(json.dumps([hashes, "hashlib" in sys.modules]))
+"""
+
+
+def _fresh_python(script: str, *args: str):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, src, *args], capture_output=True, text=True, check=True
+    )
+    assert done.stderr == ""
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_qreset_process_loads_no_openssl(tmp_path):
+    # hashlib maps OpenSSL (about 3.6 MB resident) for the run-directory name.
+    assert _fresh_python(_FRESH_RUN, str(tmp_path)) == [[0, 0], []]
+    assert (tmp_path / f"lz-default-{BUILTIN_HASHES['lz-default']}").is_dir()
+
+
+def test_hashes_fall_back_to_hashlib_without_a_builtin_sha256():
+    assert _fresh_python(_FRESH_HASHES_WITHOUT_BUILTIN_SHA256) == [BUILTIN_HASHES, True]
 
 
 def test_cmd_run_writes_the_config_contract(tmp_path):
@@ -474,7 +533,6 @@ def test_cmd_run_overflowing_thermal_ratio_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, f",
     [
-        ({"spectrum": "lz", "spectrum_params": {"kappa_ghz": 5e-324}}, "2.0"),
         ({"spectrum": "lz", "spectrum_params": {"kappa_ghz": 1e300}}, "2.0"),
         ({"spectrum": "prot", "spectrum_params": {"f_f_ghz": 1e300}}, "2.0"),
         ({"spectrum": "prot", "f_cp_GHz": 1e300}, "1e+300"),
@@ -483,7 +541,8 @@ def test_cmd_run_overflowing_thermal_ratio_exit_code(tmp_path, capsys):
 def test_cmd_run_nan_rate_grid_is_one_configuration_error(spec, f, tmp_path, capsys):
     # Each value drives a kernel to inf * 0 or inf / inf on the scan grid. The
     # NaN rates used to pass as zero after a numpy warning, and the run failed
-    # with "the state can never move": now one line names the first NaN.
+    # with "the state can never move": now one line names the first NaN. (A
+    # kappa_ghz of 5e-324 is an underflowing width, tested below.)
     config = tmp_path / "nan.json"
     config.write_text(json.dumps({"temperature_K": 0.01, **spec}), encoding="utf-8")
     with warnings.catch_warnings():
@@ -492,6 +551,80 @@ def test_cmd_run_nan_rate_grid_is_one_configuration_error(spec, f, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: rate at f={f} GHz is NaN")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+WIDTHS = [
+    # spectrum, width field, its value, the kernel's center, other config keys
+    ("lz", "kappa_ghz", 5e-324, 5.4, {}),
+    ("lz", "kappa_ghz", 1e-200, 5.4, {}),
+    ("jqf", "four_kappa_j_ghz", 1e-200, 5.011, {}),
+    ("mix", "kappa_ghz", 1e-200, 8.27, {"f_cp_GHz": 6.0}),
+]
+LAWS = {
+    "tracked": {},
+    "global": {"numerics": {"control_mode": "global"}},
+    "constant": {"control": "constant"},
+    "schedule": {"control": "schedule:hold.csv"},
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("spectrum, name, value, center, extra", WIDTHS)
+def test_cmd_run_underflowing_width_is_one_configuration_error(
+    spectrum, name, value, center, extra, law, tmp_path, capsys
+):
+    # The kernel adds the width's square to (f - center)**2; once it underflows
+    # to 0 the rate at the center is 0/0 (a ZeroDivisionError under a schedule
+    # holding it), so every law fails before it evaluates a rate.
+    (tmp_path / "hold.csv").write_text(f"t_us,f_GHz\n0,{center!r}\n", encoding="utf-8")
+    config = tmp_path / "narrow.json"
+    spec = {"spectrum": spectrum, "spectrum_params": {name: value}, **extra, **LAWS[law]}
+    config.write_text(json.dumps(spec), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    cause = f"{name}={value!r} is too small: its square underflows to 0"
+    assert err == f"configuration error: {cause}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_run_nan_rate_at_the_computation_frequency_is_one_configuration_error(
+    tmp_path, capsys
+):
+    # Every rate on this grid is inf (capped), but at f_cp = f_f = 5.0 GHz,
+    # which no point of a 4000-point grid lands on, the kernel gives inf * 0:
+    # T1 = 1/rate there must not reach report.json as NaN.
+    config = tmp_path / "nan.json"
+    spec = {
+        "spectrum": "prot",
+        "spectrum_params": {"kappa_ghz": 1e300, "g_ghz": 1e5},
+        "numerics": {"grid_points": 4000},
+    }
+    config.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: rate at f=5.0 GHz is NaN: the kernel leaves the float range\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_run_crossing_past_the_float_range_is_one_numerical_failure(tmp_path, capsys):
+    # A held rate of 1.5e-309/us puts the crossing at ln(5e4)/rate, past
+    # the float range: tau_st must not reach report.json as inf (null).
+    (tmp_path / "hold.csv").write_text("t_us,f_GHz\n0,4.0\n", encoding="utf-8")
+    config = tmp_path / "slow.json"
+    spec = {
+        "spectrum": "prot",
+        "control": "schedule:hold.csv",
+        "spectrum_params": {"kappa_ghz": 1e-310},
+    }
+    config.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: rate at f=4.0 GHz is too small: tau_st overflows\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -753,6 +886,22 @@ def test_cmd_sweep_temperature_monotone_work(tmp_path):
     header = lines[0].split(",")
     w = [float(line.split(",")[header.index("W_ex_norm")]) for line in lines[1:]]
     assert w[0] > w[1] > w[2]
+
+
+@pytest.mark.parametrize(
+    "axis", ["epsilon=1e-5:inf:2", "temperature_K=0.01:inf:3", "temperature_K=1e308:-1e308:3"]
+)
+def test_cmd_sweep_non_finite_axis_is_one_configuration_error(axis, tmp_path, capsys):
+    # np.linspace would warn on an infinite span and the first run would fail
+    # on a NaN value that the axis never named.
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", axis, "--scenario", "lz-default", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    name = axis.split("=")[0]
+    assert err == f"configuration error: axis {name!r} needs finite ends and span, got {axis!r}\n"
+    assert not out.exists()
 
 
 def test_cmd_sweep_unknown_field(tmp_path, capsys):
