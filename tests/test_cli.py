@@ -534,6 +534,7 @@ def test_cmd_run_overflowing_thermal_ratio_exit_code(tmp_path, capsys):
     "spec, f",
     [
         ({"spectrum": "lz", "spectrum_params": {"kappa_ghz": 1e300}}, "2.0"),
+        ({"spectrum": "jqf", "spectrum_params": {"four_kappa_j_ghz": 1e300}}, "2.0"),
         ({"spectrum": "prot", "spectrum_params": {"f_f_ghz": 1e300}}, "2.0"),
         ({"spectrum": "prot", "f_cp_GHz": 1e300}, "1e+300"),
     ],
